@@ -5,8 +5,11 @@
      castan analyze <nf> -o out.pcap  -- synthesize an adversarial workload
      castan probe-cache               -- reverse-engineer contention sets
      castan replay <nf> <pcap>        -- measure a workload on the testbed
-     castan experiment <id>           -- regenerate a table/figure
-     castan lab <ingest|report|diff>  -- run ledger + regression triage *)
+     castan profile --nf <nf>         -- attribute an NF's cycles to blocks
+     castan dump <nf>                 -- print an NF's NFIR listing
+     castan experiment <id>           -- regenerate a table/figure at
+                                         --quick, default or --full scale;
+                                         --metrics records its wall times *)
 
 open Cmdliner
 
@@ -524,349 +527,6 @@ let dump_cmd =
        ~doc:"Print an NF's NFIR listing (with --costs, its §3.4 annotation)")
     Term.(const run $ nf_arg $ costs_flag)
 
-(* ---------------- lab ---------------- *)
-
-let lab_cmd =
-  let lab_dir_arg =
-    Arg.(value & opt string "bench/lab" & info [ "lab" ] ~docv:"DIR"
-           ~doc:"The lab directory holding the run ledger \
-                 ($(b,DIR/ledger.jsonl)).")
-  in
-  let noise_gate_arg =
-    Arg.(value & opt float 0.05 & info [ "noise" ] ~docv:"SECONDS"
-           ~doc:"Noise floor: wall-time deltas at or under this are never \
-                 regressions.")
-  in
-  let max_regress_arg =
-    Arg.(value & opt float 20.0 & info [ "max-regress" ] ~docv:"PCT"
-           ~doc:"Regression gate: flag experiments more than PCT percent \
-                 slower (and above the noise floor).")
-  in
-  let load_or_die dir =
-    match Castan.Lab.load ~dir with
-    | Ok store -> store
-    | Error e ->
-        Printf.eprintf "castan lab: %s\n%!" e;
-        exit 1
-  in
-  let find_or_die store selector =
-    match Castan.Lab.find_run store selector with
-    | Ok r -> r
-    | Error e ->
-        Printf.eprintf "castan lab: %s\n%!" e;
-        exit 1
-  in
-  let ingest_cmd =
-    let paths =
-      Arg.(non_empty & pos_all string [] & info [] ~docv:"PATH"
-             ~doc:"Artifacts to ingest: bench manifests ($(b,bench --json)), \
-                   run manifests ($(b,--metrics)), profile JSON \
-                   ($(b,--profile-json)), journal directories \
-                   ($(b,--journal DIR)), or directories of $(b,*.json) \
-                   files.")
-    in
-    let run dir paths =
-      match Castan.Lab.ingest ~dir paths with
-      | Error e ->
-          Printf.eprintf "castan lab: %s\n%!" e;
-          exit 1
-      | Ok stats ->
-          List.iter
-            (fun (path, reason) ->
-              Printf.eprintf "castan lab: skipped %s: %s\n%!" path reason)
-            stats.Castan.Lab.errors;
-          Printf.printf
-            "ingested %d run(s) into %s (%d duplicate, %d skipped)\n"
-            stats.Castan.Lab.ingested
-            (Filename.concat dir "ledger.jsonl")
-            stats.Castan.Lab.duplicate
-            (List.length stats.Castan.Lab.errors);
-          if stats.Castan.Lab.ingested = 0 && stats.Castan.Lab.errors <> []
-             && stats.Castan.Lab.duplicate = 0
-          then exit 1
-    in
-    Cmd.v
-      (Cmd.info "ingest"
-         ~doc:"Normalize perf artifacts into the append-only run ledger")
-      Term.(const run $ lab_dir_arg $ paths)
-  in
-  let report_cmd =
-    let json_out =
-      Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-             ~doc:"Also write the schema-versioned JSON report to FILE \
-                   ($(b,-) for stdout, replacing the table).")
-    in
-    let top =
-      Arg.(value & opt int 20 & info [ "top" ] ~docv:"N"
-             ~doc:"Rows per ranking axis.")
-    in
-    let run dir json_out top noise max_regress =
-      let store = load_or_die dir in
-      let report = Castan.Lab.report ~noise ~max_regress store in
-      let json () =
-        Obs.Json.to_string (Castan.Lab.report_json ~top report) ^ "\n"
-      in
-      (match json_out with
-      | Some "-" -> print_string (json ())
-      | Some path ->
-          print_string (Castan.Lab.report_table ~top report);
-          Util.Durable.write_string ~path (json ());
-          Printf.printf "wrote %s\n" path
-      | None -> print_string (Castan.Lab.report_table ~top report));
-      if report.Castan.Lab.rp_regressions <> [] then exit 1
-    in
-    Cmd.v
-      (Cmd.info "report"
-         ~doc:"Rank experiments across history, flag regressions and \
-               recurring failures, and suggest the next experiments (exit 1 \
-               when a regression is flagged)")
-      Term.(
-        const run $ lab_dir_arg $ json_out $ top $ noise_gate_arg
-        $ max_regress_arg)
-  in
-  let diff_cmd =
-    let base_sel =
-      Arg.(value & pos 0 (some string) None & info [] ~docv:"BASE"
-             ~doc:"Baseline run: $(b,latest), $(b,latest~K), a run-id \
-                   prefix, or an ingested file's basename.  Omitted: the \
-                   newest run comparable to NEXT.")
-    in
-    let next_sel =
-      Arg.(value & pos 1 (some string) None & info [] ~docv:"NEXT"
-             ~doc:"Run under test (same selector forms; default \
-                   $(b,latest)).")
-    in
-    let run dir noise max_regress base_sel next_sel =
-      let store = load_or_die dir in
-      let base, next =
-        match (base_sel, next_sel) with
-        | Some b, Some n -> (find_or_die store b, find_or_die store n)
-        | Some b, None -> (find_or_die store b, find_or_die store "latest")
-        | None, _ -> (
-            match Castan.Lab.latest_pair store with
-            | Ok (b, n) -> (b, n)
-            | Error e ->
-                Printf.eprintf "castan lab: %s\n%!" e;
-                exit 1)
-      in
-      let jb = base.Castan.Lab.identity.Castan.Manifest.jobs
-      and jn = next.Castan.Lab.identity.Castan.Manifest.jobs in
-      if jb <> jn then begin
-        Printf.eprintf
-          "castan lab: job counts differ (%s ran -j %d, %s ran -j %d); \
-           wall times across job counts answer a scaling question, not a \
-           regression question — skipping the regression gate\n%!"
-          base.Castan.Lab.file jb next.Castan.Lab.file jn;
-        exit 2
-      end;
-      (* Replay burst sizes shift where per-packet bookkeeping lands, so
-         cross-batch wall times are no more comparable than cross-[-j] ones
-         (batch 0 = recorded before the replay pipeline existed). *)
-      let bb = base.Castan.Lab.identity.Castan.Manifest.batch
-      and bn = next.Castan.Lab.identity.Castan.Manifest.batch in
-      if bb <> bn && bb > 0 && bn > 0 then begin
-        Printf.eprintf
-          "castan lab: replay batch sizes differ (%s ran batch %d, %s ran \
-           batch %d); wall times across batch sizes are not comparable — \
-           skipping the regression gate\n%!"
-          base.Castan.Lab.file bb next.Castan.Lab.file bn;
-        exit 2
-      end;
-      let rendered, regressions =
-        Castan.Lab.render_diff ~noise ~max_regress
-          ~base_label:base.Castan.Lab.file ~next_label:next.Castan.Lab.file
-          ~base:(Castan.Lab.timings base) ~next:(Castan.Lab.timings next)
-      in
-      print_string rendered;
-      if regressions > 0 then begin
-        Printf.printf "%d regression(s) above the gate\n" regressions;
-        exit 1
-      end
-    in
-    Cmd.v
-      (Cmd.info "diff"
-         ~doc:"Gate one ledger run against another (exit 1 on regression, \
-               2 when the runs are not comparable)")
-      Term.(
-        const run $ lab_dir_arg $ noise_gate_arg $ max_regress_arg $ base_sel
-        $ next_sel)
-  in
-  let runs_cmd =
-    let experiment_filter =
-      Arg.(value & opt (some string) None & info [ "experiment" ]
-             ~docv:"PREFIX"
-             ~doc:"Only runs containing an experiment whose id starts with \
-                   PREFIX.")
-    in
-    let since_filter =
-      Arg.(value & opt (some string) None & info [ "since" ] ~docv:"RUNID"
-             ~doc:"Only runs strictly newer (in ledger content order) than \
-                   the one RUNID selects ($(b,latest), $(b,latest~K), a \
-                   run-id prefix, or a basename).")
-    in
-    let verdict_filter =
-      Arg.(value & opt (some string) None & info [ "verdict" ]
-             ~docv:"OUTCOME"
-             ~doc:"Only runs referenced by a verdict with this outcome \
-                   ($(b,held), $(b,refuted) or $(b,inconclusive)).")
-    in
-    let run dir experiment since verdict =
-      let store = load_or_die dir in
-      let runs =
-        match Castan.Lab.filter_runs ?experiment ?since ?verdict store with
-        | Ok runs -> runs
-        | Error e ->
-            Printf.eprintf "castan lab: %s\n%!" e;
-            exit 1
-      in
-      Printf.printf
-        "%d of %d run(s) in %s (%d verdict(s); %d duplicate, %d rejected, \
-         %d torn record(s) skipped)\n"
-        (List.length runs)
-        (List.length store.Castan.Lab.runs)
-        dir
-        (List.length store.Castan.Lab.verdicts)
-        store.Castan.Lab.duplicates store.Castan.Lab.rejected
-        store.Castan.Lab.torn;
-      List.iter
-        (fun (r : Castan.Lab.run) ->
-          Printf.printf "  %s  %-8s -j%-2s %8.1fs  %2d entries  %s%s\n"
-            (String.sub r.Castan.Lab.run_id 0 12)
-            (Castan.Lab.source_name r.Castan.Lab.source)
-            (if r.Castan.Lab.identity.Castan.Manifest.jobs > 0 then
-               string_of_int r.Castan.Lab.identity.Castan.Manifest.jobs
-             else "?")
-            r.Castan.Lab.total_seconds
-            (List.length r.Castan.Lab.entries)
-            r.Castan.Lab.file
-            (if r.Castan.Lab.role = "hypothesis" then
-               Printf.sprintf "  [arm %s]" r.Castan.Lab.arm
-             else ""))
-        (List.rev runs)
-    in
-    Cmd.v
-      (Cmd.info "runs"
-         ~doc:"List the ledger's runs, newest first (filterable by \
-               experiment prefix, recency and verdict outcome)")
-      Term.(
-        const run $ lab_dir_arg $ experiment_filter $ since_filter
-        $ verdict_filter)
-  in
-  (* run-next / loop: execute the top suggestion(s) and append verdicts.
-     Exit codes: 0 = every verdict held (or nothing to do), 1 = a verdict
-     was refuted or the final report still flags a regression, 2 =
-     infrastructure (unreadable ledger, unrunnable action). *)
-  let follow_arg =
-    Arg.(value & flag & info [ "follow" ]
-           ~doc:"Echo each progress event (action started, artifact \
-                 ingested, verdict) as a human line while the loop runs.")
-  in
-  let with_events ~dir ~follow f =
-    let sink =
-      Obs.Events.open_sink
-        ?echo:
-          (if follow then
-             Some (fun e -> Printf.printf "%s\n%!" (Obs.Events.render e))
-           else None)
-        (Filename.concat dir "events.jsonl")
-    in
-    Fun.protect
-      ~finally:(fun () -> Obs.Events.close sink)
-      (fun () ->
-        f (fun ~name fields -> ignore (Obs.Events.emit sink ~name fields)))
-  in
-  let finish_hypotheses ~dir ~noise ~max_regress ~refuted =
-    let store = load_or_die dir in
-    let report = Castan.Lab.report ~noise ~max_regress store in
-    if refuted || report.Castan.Lab.rp_regressions <> [] then exit 1
-  in
-  let run_next_cmd =
-    let run dir noise max_regress follow =
-      match
-        with_events ~dir ~follow (fun emit ->
-            Castan.Lab.run_next ~noise ~max_regress ~emit ~dir
-              ~castan:Sys.executable_name ())
-      with
-      | Error e ->
-          Printf.eprintf "castan lab: %s\n%!" e;
-          exit 2
-      | Ok o ->
-          Printf.printf "%s\n" o.Castan.Lab.xo_message;
-          finish_hypotheses ~dir ~noise ~max_regress
-            ~refuted:
-              (match o.Castan.Lab.xo_verdict with
-              | Some v -> v.Castan.Lab.vd_outcome = Castan.Lab.Refuted
-              | None -> false)
-    in
-    Cmd.v
-      (Cmd.info "run-next"
-         ~doc:"Execute the top suggested_next action as subprocess arms, \
-               re-ingest the artifacts, and append a held/refuted/\
-               inconclusive verdict to the ledger")
-      Term.(
-        const run $ lab_dir_arg $ noise_gate_arg $ max_regress_arg
-        $ follow_arg)
-  in
-  let loop_cmd =
-    let budget_runs =
-      Arg.(value & opt (some int) None & info [ "budget-runs" ] ~docv:"N"
-             ~doc:"Stop once N subprocess runs have been performed (checked \
-                   between actions; the last A/B may overshoot by one arm).")
-    in
-    let deadline_s =
-      Arg.(value & opt (some float) None & info [ "deadline" ]
-             ~docv:"SECONDS"
-             ~doc:"Stop after this much wall time; an action interrupted by \
-                   the deadline records an inconclusive verdict.")
-    in
-    let run dir noise max_regress follow budget_runs deadline_s =
-      let deadline =
-        match deadline_s with
-        | Some s -> Util.Resilience.deadline_in s
-        | None -> Util.Resilience.no_deadline
-      in
-      match
-        with_events ~dir ~follow (fun emit ->
-            Castan.Lab.loop ~noise ~max_regress
-              ?budget_runs ~deadline ~emit ~dir
-              ~castan:Sys.executable_name ())
-      with
-      | Error e ->
-          Printf.eprintf "castan lab: %s\n%!" e;
-          exit 2
-      | Ok stats ->
-          List.iter
-            (fun (v : Castan.Lab.verdict) ->
-              Printf.printf "  %-12s %s — %s\n"
-                (Castan.Lab.outcome_name v.Castan.Lab.vd_outcome)
-                v.Castan.Lab.vd_hypothesis v.Castan.Lab.vd_detail)
-            stats.Castan.Lab.lo_verdicts;
-          Printf.printf
-            "loop: %d action(s), %d subprocess run(s), stopped on %s\n"
-            stats.Castan.Lab.lo_iterations
-            stats.Castan.Lab.lo_runs_performed stats.Castan.Lab.lo_stop;
-          finish_hypotheses ~dir ~noise ~max_regress
-            ~refuted:
-              (List.exists
-                 (fun (v : Castan.Lab.verdict) ->
-                   v.Castan.Lab.vd_outcome = Castan.Lab.Refuted)
-                 stats.Castan.Lab.lo_verdicts)
-    in
-    Cmd.v
-      (Cmd.info "loop"
-         ~doc:"Iterate run-next until the suggestion queue is empty or a \
-               --budget-runs/--deadline cap trips")
-      Term.(
-        const run $ lab_dir_arg $ noise_gate_arg $ max_regress_arg
-        $ follow_arg $ budget_runs $ deadline_s)
-  in
-  Cmd.group
-    (Cmd.info "lab"
-       ~doc:"The performance lab: run ledger, rankings, regression triage, \
-             suggested-next experiments and the hypothesis loop that \
-             executes them")
-    [ ingest_cmd; report_cmd; diff_cmd; runs_cmd; run_next_cmd; loop_cmd ]
-
 (* ---------------- experiment ---------------- *)
 
 let experiment_cmd =
@@ -875,8 +535,18 @@ let experiment_cmd =
            ~doc:"Experiment id, e.g. fig4 or table1 (or a group: tables, \
                  figures, all); `castan experiment list' enumerates them.")
   in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Scaled-down workloads.")
+  let scale =
+    Arg.(value
+         & vflag Castan.Experiment.default_config
+             [
+               (Castan.Experiment.quick_config,
+                info [ "quick" ] ~doc:"Scaled-down workloads.");
+               ({ Castan.Experiment.default_config with
+                  scale = `Paper; samples = 40_000 },
+                info [ "full" ]
+                  ~doc:"Paper-scale workloads and 40,000 latency samples \
+                        per workload.");
+             ])
   in
   let fail_fast =
     Arg.(value & flag & info [ "fail-fast" ]
@@ -924,7 +594,7 @@ let experiment_cmd =
                  containment) at the K-th pipeline checkpoint reached — the \
                  crash half of the journal's crash/resume contract.")
   in
-  let run id quick fail_fast inject journal resume crash_after max_states
+  let run id config fail_fast inject journal resume crash_after max_states
       mem_budget_mb no_solver_cache jobs batch compile_mode trace metrics
       log_level =
     if no_solver_cache then Solver.Qcache.set_enabled false;
@@ -943,15 +613,7 @@ let experiment_cmd =
           Printf.printf "%-26s %s\n" e.id e.descr)
         Castan.Harness.all
     else begin
-      let config =
-        {
-          (if quick then Castan.Experiment.quick_config
-           else Castan.Experiment.default_config)
-          with
-          max_states;
-          mem_budget_mb;
-        }
-      in
+      let config = { config with Castan.Experiment.max_states; mem_budget_mb } in
       let ids = Castan.Harness.expand_id id in
       (* The journal opens after the injector is installed (the injection
          signature is part of the cell identity) and before any campaign
@@ -968,12 +630,21 @@ let experiment_cmd =
             Printf.eprintf "castan: --resume requires --journal DIR\n%!";
             exit 1
           end);
+      (* Wall seconds per entry in run order, prewarm first when it ran:
+         the manifest's experiments_timed. *)
+      let timed = ref [] in
+      let record id seconds = timed := (id, seconds) :: !timed in
       install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
+          let entry (id, seconds) =
+            Obs.Json.Obj
+              [ ("id", Obs.Json.Str id); ("seconds", Obs.Json.Float seconds) ]
+          in
           Castan.Manifest.make ~ids ~config
             ~extra:
-              (if Castan.Journal.active () then
-                 [ ("journal", Castan.Journal.stats_json ()) ]
-               else [])
+              (("experiments_timed", Obs.Json.List (List.rev_map entry !timed))
+              :: (if Castan.Journal.active () then
+                    [ ("journal", Castan.Journal.stats_json ()) ]
+                  else []))
             ());
       (* Exit codes: 0 = clean, 2 = completed but degraded (failures were
          contained and summarized), 1 = fatal (fail-fast or unknown id). *)
@@ -984,11 +655,11 @@ let experiment_cmd =
             (* Parallel phase: run the per-NF campaigns on the pool so the
                serial rendering loop below hits the memo table. *)
             (match Castan.Harness.prewarm config ids with
-            | Some dt -> Printf.printf "[prewarm done in %.1fs]\n%!" dt
+            | Some dt ->
+                record "prewarm" dt;
+                Printf.printf "[prewarm done in %.1fs]\n%!" dt
             | None -> ());
-            List.iter
-              (fun i -> ignore (Castan.Harness.run_id config i : float))
-              ids)
+            List.iter (fun i -> record i (Castan.Harness.run_id config i)) ids)
       with
       | () ->
           let failures = Util.Resilience.recorded () in
@@ -1013,7 +684,7 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate one of the paper's tables, figures or ablations")
     Term.(
-      const run $ id $ quick $ fail_fast $ inject $ journal $ resume
+      const run $ id $ scale $ fail_fast $ inject $ journal $ resume
       $ crash_after $ max_states_arg $ mem_budget_arg $ no_solver_cache_arg
       $ jobs_arg $ batch_arg $ compile_mode_arg $ trace_arg $ metrics_arg
       $ log_level_arg)
@@ -1024,4 +695,4 @@ let () =
   let info = Cmd.info "castan" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
     [ list_cmd; analyze_cmd; profile_cmd; probe_cmd; replay_cmd; dump_cmd;
-      experiment_cmd; lab_cmd ]))
+      experiment_cmd ]))

@@ -321,45 +321,6 @@ let ablation_ddio (config : Experiment.config) =
   Util.Table.print ~header ~rows
 
 (* ------------------------------------------------------------------ *)
-(* Replay-only experiments                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The testbed stage of fig13/fig15 in isolation: no symbolic execution —
-   the workload is deterministic synthetic traffic — so wall time is
-   dominated by [Dut.replay].  These are the entries bench_diff gates the
-   replay engine's performance on; the full figures bury the replay under
-   the (much larger) analysis stage. *)
-let replay_experiment ~fid ~nf_name (config : Experiment.config) =
-  Printf.printf "\n== %s: replay-only testbed stage (%s) ==\n" fid nf_name;
-  let nf = Nf.Registry.find nf_name in
-  let samples = max 400_000 (config.samples * 20) in
-  (* Quick-scale workloads on purpose: replay loops over the trace, so a
-     small trace yields the same measured stream while keeping synthesis
-     (which this experiment does not gate) off the critical path. *)
-  let workloads =
-    [
-      ("UniRand", Testbed.Traffic.unirand ~scale:`Quick ~seed:config.seed ());
-      ("Zipfian", Testbed.Traffic.zipfian ~scale:`Quick ~seed:config.seed ());
-    ]
-  in
-  let header =
-    [ "workload"; "median latency (ns)"; "median instrs"; "tput (Mpps)" ]
-  in
-  let rows =
-    List.map
-      (fun (label, w) ->
-        let m = Testbed.Tg.measure ~samples ~seed:config.seed nf w in
-        [
-          label;
-          Printf.sprintf "%.0f" (Testbed.Tg.median_latency_ns m);
-          string_of_int (Testbed.Tg.median_instrs m);
-          Printf.sprintf "%.2f" (Testbed.Tg.max_throughput_mpps m);
-        ])
-      workloads
-  in
-  Util.Table.print ~header ~rows
-
-(* ------------------------------------------------------------------ *)
 (* §5.5 discussion experiments                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -491,12 +452,6 @@ let all =
       { id = "ablation-ddio";
         descr = "DDIO on/off (§3.3 claim)";
         run = ablation_ddio };
-      { id = "fig13-replay";
-        descr = "replay-only testbed stage of fig13 (lb-hash-ring)";
-        run = replay_experiment ~fid:"fig13-replay" ~nf_name:"lb-hash-ring" };
-      { id = "fig15-replay";
-        descr = "replay-only testbed stage of fig15 (nat-hash-ring)";
-        run = replay_experiment ~fid:"fig15-replay" ~nf_name:"nat-hash-ring" };
       { id = "discussion-mixed-traffic";
         descr = "partially adversarial traffic under load (§5.5)";
         run = discussion_mixed_traffic };

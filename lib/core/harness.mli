@@ -1,9 +1,10 @@
-(** The experiment registry behind `bench/main.exe` and
-    `castan experiment`.
+(** The experiment registry behind `castan experiment`.
 
     Every table and figure of the paper's §5, the ablation studies of the
     design choices DESIGN.md calls out, and the §5.5 discussion experiments,
-    addressable by id.  Running an entry prints its report to stdout. *)
+    addressable by id.  Running an entry prints its report to stdout;
+    [castan experiment --metrics] records the wall times {!prewarm} and
+    {!run_id} return as the manifest's ["experiments_timed"]. *)
 
 type entry = {
   id : string;

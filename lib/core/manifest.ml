@@ -77,8 +77,7 @@ let identity_of_json j =
     | _ -> Error (Printf.sprintf "identity: missing int field %S" k)
   in
   (* [batch]/[compile_mode] postdate the replay-pipeline work; identities
-     recorded before it parse with the "unknown" markers (0 / ""), which the
-     comparability gates treat like a missing jobs count. *)
+     recorded before it parse with the "unknown" markers (0 / ""). *)
   let batch = match Obs.Json.member "batch" j with
     | Some (Obs.Json.Int n) -> n
     | _ -> 0
@@ -99,34 +98,20 @@ let identity_of_json j =
   | _, _, _, _, Error e ->
       Error e
 
-(* Feasibility slicing at a glance: queries and constraints sliced away.
-   Nothing is cached, so the hit fields, [queries_avoided] and [hit_rate]
-   always read 0; they stay because the lab and check_telemetry read this
-   section's keys. *)
+(* Feasibility slicing at a glance: whether it was on, how many queries it
+   sliced, and how many constraints it removed from them. *)
 let solver_cache_json () =
   let s = Solver.Qcache.stats () in
-  let avoided = s.hits + s.subset_hits + s.model_reuse in
-  let rate =
-    if s.queries = 0 then 0.0 else float_of_int avoided /. float_of_int s.queries
-  in
   Obs.Json.Obj
     [
       ("enabled", Obs.Json.Bool (Solver.Qcache.enabled ()));
       ("queries", Obs.Json.Int s.queries);
-      ("hits", Obs.Json.Int s.hits);
-      ("subset_hits", Obs.Json.Int s.subset_hits);
-      ("model_reuse", Obs.Json.Int s.model_reuse);
-      ("misses", Obs.Json.Int s.misses);
-      ("queries_avoided", Obs.Json.Int avoided);
-      ("hit_rate", Obs.Json.Float rate);
       ("constraints_dropped", Obs.Json.Int s.constraints_dropped);
-      ("evictions", Obs.Json.Int s.evictions);
     ]
 
 (* Worker-pool accounting: how parallel the run actually was.  [tasks] and
    [steals]/[worker_busy_ns] let a manifest reader tell a genuinely serial
-   run (jobs = 1, zero tasks) from a parallel one, and [bench_diff] warns
-   when two compared runs used different job counts. *)
+   run (jobs = 1, zero tasks) from a parallel one. *)
 let pool_json () =
   let s = Util.Pool.stats () in
   Obs.Json.Obj
@@ -144,13 +129,6 @@ let make ?ids ?config ?(extra = []) () =
        ("generated_at_unix", Obs.Json.Float (Unix.gettimeofday ()));
        ("git", Obs.Json.Str (git_describe ()));
        ("jobs", Obs.Json.Int (Util.Pool.default_jobs ()));
-       (* Replay configuration: burst size and NFIR compile mode.  Top-level
-          (like [jobs]) so bench_diff's comparability gate can read them
-          without digging into per-entry identities. *)
-       ("batch", Obs.Json.Int (Testbed.Dut.default_batch ()));
-       ( "compile_mode",
-         Obs.Json.Str (Ir.Compile.mode_to_string (Ir.Compile.default_mode ()))
-       );
      ]
     @ (match ids with
       | Some l -> [ ("experiments", Obs.Json.List (List.map (fun i -> Obs.Json.Str i) l)) ]

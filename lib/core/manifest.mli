@@ -3,9 +3,10 @@
     {!Experiment.config} (including the seed), and the final
     {!Obs.Metrics.snapshot}.
 
-    Written by [castan experiment --metrics FILE] and (with bench timings
-    spliced in) by [bench/main.exe --json PATH], so every artifact of a run
-    names the code and configuration that made it. *)
+    Written by the [--metrics FILE] flag of [castan analyze], [profile],
+    [replay] and [experiment] (the last adds per-experiment wall times), so
+    every artifact of a run names the code and configuration that made
+    it. *)
 
 val git_describe : unit -> string
 (** [git describe --always --dirty] of the working tree, or ["unknown"] when
@@ -15,13 +16,11 @@ val config_json : Experiment.config -> Obs.Json.t
 
 (** {2 Run identity}
 
-    The five facts that decide whether two results are comparable — and
-    whether a journal cell or lab-ledger run may be reused: git revision,
-    a digest of the canonical config JSON, the seed, the worker-pool job
-    count, and the fault-injection signature.  {!Journal} keys its cells by
-    this record; {!Lab} keys ledger runs by it; [bench --json] (schema 3)
-    embeds it in every per-experiment entry so ingestion never guesses
-    provenance. *)
+    The facts that decide whether two results are comparable — and whether
+    a journal cell may be reused: git revision, a digest of the canonical
+    config JSON, the seed, the worker-pool job count, the fault-injection
+    signature and the replay configuration.  {!Journal} keys its cells by
+    this record, and experiment manifests carry it as ["identity"]. *)
 
 type identity = {
   git : string;  (** [git describe --always --dirty] *)
@@ -52,15 +51,18 @@ val make :
   unit ->
   Obs.Json.t
 (** Builds the manifest object.  [extra] fields are appended at the top
-    level (the bench harness adds per-experiment wall times).  The metrics
-    snapshot is taken at call time — build the manifest {e after} the run.
-    When the {!Obs.Profile} registry holds attribution samples, a
-    ["profile"] section (site-level cycles/accesses plus wall-time buckets)
-    is embedded too.  A top-level ["jobs"] field records the worker-pool
-    default in effect ([-j]), and a ["pool"] section its
-    [tasks]/[steals]/[worker_busy_ns] counters; apart from those (and the
-    timestamp and wall times), manifests are byte-identical across job
-    counts. *)
+    level ([castan experiment] adds ["experiments_timed"], the
+    per-experiment wall times).  The metrics snapshot is taken at call
+    time — build the manifest {e after} the run.  A ["solver_cache"]
+    section records feasibility slicing ([enabled], [queries],
+    [constraints_dropped]) and a ["replay"] section the burst size and
+    compile mode; each fact appears once.  When the {!Obs.Profile} registry
+    holds attribution samples, a ["profile"] section (site-level
+    cycles/accesses plus wall-time buckets) is embedded too.  A top-level
+    ["jobs"] field records the worker-pool default in effect ([-j]), and a
+    ["pool"] section its [tasks]/[steals]/[worker_busy_ns] counters; apart
+    from those (and the timestamp and wall times), manifests are
+    byte-identical across job counts. *)
 
 val write : path:string -> Obs.Json.t -> unit
 (** Writes the manifest followed by a newline, atomically: the bytes land

@@ -10,8 +10,8 @@
     decided one; with no models left to reuse, a query cache has nothing to
     answer that is cheaper than refuting again.  The [hits], [subset_hits],
     [model_reuse] and [evictions] fields of {!stats} are kept so that
-    existing readers of the record and of run manifests still load, and are
-    always 0.
+    existing readers of the record still build, and are always 0; run
+    manifests omit them.
 
     Statistics are cumulative and domain-safe: each {!Util.Pool} task counts
     privately and its counts are added to the main totals at join. *)

@@ -16,7 +16,6 @@ let () =
       ("core", Test_core.tests);
       ("resilience", Test_resilience.tests);
       ("journal", Test_journal.tests);
-      ("lab", Test_lab.tests);
       ("obs", Test_obs.tests);
       ("profile", Test_profile.tests);
     ]

@@ -1,4 +1,4 @@
-(* The replay pipeline's determinism contract (DESIGN.md §14): burst
+(* The replay pipeline's determinism contract (DESIGN.md §12): burst
    processing, superblock compilation and sharded replay are pure wall-time
    optimizations — samples, metrics and profile attribution are bit-identical
    to the per-packet, per-instruction baseline for every batch size, compile

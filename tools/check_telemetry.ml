@@ -2,7 +2,10 @@
    leg runs it against a real `castan experiment --trace/--metrics` run.
 
      check_telemetry trace FILE.jsonl   -- Chrome trace_event JSONL
-     check_telemetry metrics FILE.json  -- run-manifest JSON
+     check_telemetry metrics FILE.json  -- run-manifest JSON; one that lists
+                                           experiments must time each of
+                                           them, in order, in
+                                           experiments_timed
      check_telemetry cache FILE.json    -- manifest must show feasibility
                                            queries and slicing removing
                                            constraints from them
@@ -37,19 +40,6 @@
      check_telemetry journal-eq A B     -- two journal directories converged
                                            on the same cell fingerprints
                                            (the crash/resume contract)
-     check_telemetry lab REPORT.json [MIN_REGRESSIONS [MIN_SUGGESTED]]
-                                        -- `castan lab report --json` output:
-                                           schema, rankings, regression
-                                           findings and suggested_next are
-                                           well-formed (and at least the
-                                           given minimums are present)
-     check_telemetry loop LAB_DIR [MIN_VERDICTS [MAX_VERDICTS]]
-                                        -- the hypothesis loop's trail:
-                                           verdict records resolve against
-                                           the ledger's runs, events.jsonl
-                                           is a well-formed stream with sane
-                                           seq numbering, and the verdict
-                                           count is within bounds
 
    Exit 0 when the file is well formed, 1 (with a diagnostic on stderr) when
    it is not.  Uses the same Obs.Json parser the tests use, so "well formed"
@@ -135,8 +125,37 @@ let check_metrics path =
             (fun k ->
               if not (List.mem_assoc k sc) then
                 fail "%s: solver_cache section missing %s" path k)
-            [ "enabled"; "queries"; "hits"; "queries_avoided"; "hit_rate" ]
+            [ "enabled"; "queries"; "constraints_dropped" ]
       | _ -> fail "%s: no solver_cache section" path);
+      (* An experiment manifest times every entry it ran, in run order,
+         after an optional leading prewarm entry. *)
+      (match Obs.Json.member "experiments" obj with
+      | None -> ()
+      | Some (Obs.Json.List ids) ->
+          let timed =
+            match Obs.Json.member "experiments_timed" obj with
+            | Some (Obs.Json.List l) -> l
+            | _ -> fail "%s: experiments listed but no experiments_timed" path
+          in
+          let timed_ids =
+            List.map
+              (fun e ->
+                match (get_str e "id", Obs.Json.member "seconds" e) with
+                | Some id, Some (Obs.Json.Int n) when n >= 0 -> id
+                | Some id, Some (Obs.Json.Float s) when s >= 0.0 -> id
+                | Some id, _ ->
+                    fail "%s: experiments_timed %s: seconds is not a \
+                          non-negative number" path id
+                | None, _ -> fail "%s: experiments_timed entry without id" path)
+              timed
+          in
+          let timed_ids =
+            match timed_ids with "prewarm" :: rest -> rest | l -> l
+          in
+          if List.map (fun i -> Obs.Json.Str i) timed_ids <> ids then
+            fail "%s: experiments_timed ids [%s] do not match experiments" path
+              (String.concat ", " timed_ids)
+      | Some _ -> fail "%s: experiments is not a list" path);
       Printf.printf "%s: manifest ok\n" path
 
 (* `check_telemetry cache FILE.json`: beyond manifest well-formedness, the
@@ -336,37 +355,30 @@ let check_pool_eq path_a path_b =
     path_a path_b
 
 (* `check_telemetry replay FILE.json [MIN_PACKETS]`: a manifest from a run
-   that replayed packets must carry the replay configuration (top-level
-   [batch]/[compile_mode] and the [replay] section that mirrors them) and
-   the replay.* counters — with packets >= bursts >= 1 (a burst holds at
-   least one packet) and, when MIN_PACKETS is given, at least that many
-   packets replayed. *)
+   that replayed packets must carry the replay configuration (the [replay]
+   section's [batch]/[compile_mode]) and the replay.* counters — with
+   packets >= bursts >= 1 (a burst holds at least one packet) and, when
+   MIN_PACKETS is given, at least that many packets replayed. *)
 let check_replay path min_packets =
   match Obs.Json.parse (read_file path) with
   | Error e -> fail "%s: not JSON: %s" path e
   | Ok obj ->
+      let r =
+        match Obs.Json.member "replay" obj with
+        | Some r -> r
+        | None -> fail "%s: no replay section" path
+      in
       let batch =
-        match Obs.Json.member "batch" obj with
+        match Obs.Json.member "batch" r with
         | Some (Obs.Json.Int b) when b >= 1 -> b
-        | _ -> fail "%s: missing or non-positive batch field" path
+        | _ -> fail "%s: missing or non-positive replay.batch" path
       in
       let mode =
-        match get_str obj "compile_mode" with
-        | Some ("instr" | "superblock") as m -> Option.get m
-        | Some m -> fail "%s: unknown compile_mode %S" path m
-        | None -> fail "%s: missing compile_mode field" path
+        match get_str r "compile_mode" with
+        | Some (("instr" | "superblock") as m) -> m
+        | Some m -> fail "%s: unknown replay.compile_mode %S" path m
+        | None -> fail "%s: missing replay.compile_mode" path
       in
-      (match Obs.Json.member "replay" obj with
-      | Some r -> (
-          (match Obs.Json.member "batch" r with
-          | Some (Obs.Json.Int b) when b = batch -> ()
-          | _ -> fail "%s: replay.batch disagrees with top-level batch" path);
-          match get_str r "compile_mode" with
-          | Some m when m = mode -> ()
-          | _ ->
-              fail "%s: replay.compile_mode disagrees with top-level field"
-                path)
-      | None -> fail "%s: no replay section" path);
       let counters =
         match Obs.Json.member "metrics" obj with
         | Some m -> (
@@ -572,175 +584,6 @@ let check_journal_eq dir_a dir_b =
   Printf.printf "journal-eq: %s and %s agree on %d cell(s)\n" dir_a dir_b
     (List.length a)
 
-(* `check_telemetry lab REPORT.json [MIN_REGRESSIONS [MIN_SUGGESTED]]`: a
-   `castan lab report --json` file.  Structural: schema version this build
-   knows, a ledger summary, a non-empty wall-time ranking whose entries
-   carry the full stat record, well-formed regression findings (each
-   pointing at the run pair it came from) and suggested_next entries (each
-   with a runnable action and a rationale).  With minimums given, the
-   report must contain at least that many regressions / suggestions — the
-   @lab-smoke leg pins the synthetic-regression fixtures this way. *)
-let check_lab path mins =
-  let obj =
-    match Obs.Json.parse (read_file path) with
-    | Error e -> fail "%s: not JSON: %s" path e
-    | Ok o -> o
-  in
-  (match Obs.Json.member "schema_version" obj with
-  | Some (Obs.Json.Int v) when v = Castan.Lab.report_schema_version -> ()
-  | Some (Obs.Json.Int v) ->
-      fail "%s: report schema_version %d (this build reads %d)" path v
-        Castan.Lab.report_schema_version
-  | _ -> fail "%s: no integer schema_version" path);
-  (match get_str obj "kind" with
-  | Some "lab-report" -> ()
-  | _ -> fail "%s: kind is not \"lab-report\"" path);
-  (match Obs.Json.member "ledger" obj with
-  | Some ledger -> (
-      match Obs.Json.member "runs" ledger with
-      | Some (Obs.Json.Int n) when n > 0 -> ()
-      | Some (Obs.Json.Int _) -> fail "%s: ledger.runs is 0" path
-      | _ -> fail "%s: ledger.runs missing" path)
-  | None -> fail "%s: no ledger section" path);
-  let list_member parent key =
-    match Obs.Json.member key parent with
-    | Some (Obs.Json.List l) -> l
-    | _ -> fail "%s: %s is not a list" path key
-  in
-  let require_fields what fields entry =
-    List.iter
-      (fun f ->
-        if Obs.Json.member f entry = None then
-          fail "%s: a %s entry lacks %s" path what f)
-      fields
-  in
-  (match Obs.Json.member "rankings" obj with
-  | Some rankings ->
-      let by_wall = list_member rankings "by_wall_time" in
-      if by_wall = [] then fail "%s: rankings.by_wall_time is empty" path;
-      List.iter
-        (require_fields "ranking"
-           [ "id"; "runs"; "latest_seconds"; "best_seconds"; "worst_seconds";
-             "mean_seconds"; "solver_queries"; "cache_hit_rate"; "bound" ])
-        by_wall;
-      ignore (list_member rankings "by_solver_queries");
-      ignore (list_member rankings "by_cache_hit_rate")
-  | None -> fail "%s: no rankings section" path);
-  let regressions = list_member obj "regressions" in
-  List.iter
-    (require_fields "regression"
-       [ "id"; "jobs"; "streak"; "base_seconds"; "last_seconds"; "pct";
-         "bound"; "from_run"; "to_run" ])
-    regressions;
-  let suggested = list_member obj "suggested_next" in
-  List.iter
-    (fun entry ->
-      require_fields "suggested_next" [ "kind"; "action"; "rationale" ] entry;
-      match get_str entry "rationale" with
-      | Some r when String.length r > 10 -> ()
-      | _ -> fail "%s: a suggested_next entry has no real rationale" path)
-    suggested;
-  ignore (list_member obj "failure_patterns");
-  (match mins with
-  | None -> ()
-  | Some (min_regressions, min_suggested) ->
-      if List.length regressions < min_regressions then
-        fail "%s: %d regression finding(s), expected >= %d" path
-          (List.length regressions) min_regressions;
-      if List.length suggested < min_suggested then
-        fail "%s: %d suggested_next entries, expected >= %d" path
-          (List.length suggested) min_suggested);
-  Printf.printf
-    "lab: %s well-formed (%d regression(s), %d suggestion(s))\n" path
-    (List.length regressions) (List.length suggested)
-
-(* `check_telemetry loop LAB_DIR [MIN_V [MAX_V]]`: the hypothesis loop's
-   durable trail.  The ledger must load, every verdict record must carry a
-   non-empty hypothesis, sane thresholds and arm run_ids that resolve
-   against the ledger's runs; `events.jsonl` must be a well-formed event
-   stream whose seq numbers only ever advance by one or reset to 1 (a new
-   session).  With MIN_V >= 1 the stream must show at least one
-   action_started, artifact_ingested and verdict event, and the ledger's
-   verdict count must land in [MIN_V, MAX_V]. *)
-let check_loop dir mins =
-  let store =
-    match Castan.Lab.load ~dir with
-    | Ok s -> s
-    | Error e -> fail "%s: ledger unreadable: %s" dir e
-  in
-  if store.Castan.Lab.rejected > 0 then
-    fail "%s: ledger has %d rejected record(s)" dir
-      store.Castan.Lab.rejected;
-  let run_ids =
-    List.map (fun (r : Castan.Lab.run) -> r.Castan.Lab.run_id)
-      store.Castan.Lab.runs
-  in
-  List.iter
-    (fun (v : Castan.Lab.verdict) ->
-      let where = String.sub v.Castan.Lab.vd_id 0 12 in
-      if v.Castan.Lab.vd_hypothesis = "" then
-        fail "%s: verdict %s has an empty hypothesis" dir where;
-      if v.Castan.Lab.vd_noise < 0.0 || v.Castan.Lab.vd_max_regress < 0.0
-      then fail "%s: verdict %s has negative thresholds" dir where;
-      if v.Castan.Lab.vd_runs_performed < 0 then
-        fail "%s: verdict %s has negative runs_performed" dir where;
-      List.iter
-        (fun arm ->
-          if arm <> "" && not (List.mem arm run_ids) then
-            fail "%s: verdict %s references run %s, not in the ledger" dir
-              where (String.sub arm 0 12))
-        [ v.Castan.Lab.vd_base_run; v.Castan.Lab.vd_test_run ])
-    store.Castan.Lab.verdicts;
-  let events_path = Filename.concat dir "events.jsonl" in
-  if not (Sys.file_exists events_path) then
-    fail "%s: no events.jsonl" dir;
-  let lines =
-    read_file events_path |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  if lines = [] then fail "%s: empty event stream" events_path;
-  let counts = Hashtbl.create 8 in
-  let prev = ref 0 in
-  List.iteri
-    (fun i line ->
-      let ln = i + 1 in
-      match Obs.Json.parse line with
-      | Error e -> fail "%s:%d: not JSON: %s" events_path ln e
-      | Ok j -> (
-          match Obs.Events.event_of_json j with
-          | Error e -> fail "%s:%d: %s" events_path ln e
-          | Ok e ->
-              if e.Obs.Events.ev_seq <> !prev + 1
-                 && e.Obs.Events.ev_seq <> 1 then
-                fail "%s:%d: seq %d after %d (must advance by 1 or reset)"
-                  events_path ln e.Obs.Events.ev_seq !prev;
-              prev := e.Obs.Events.ev_seq;
-              let name = e.Obs.Events.ev_name in
-              Hashtbl.replace counts name
-                (1 + try Hashtbl.find counts name with Not_found -> 0)))
-    lines;
-  let count name = try Hashtbl.find counts name with Not_found -> 0 in
-  let n_verdicts = List.length store.Castan.Lab.verdicts in
-  (match mins with
-  | None -> ()
-  | Some (min_v, max_v) ->
-      if min_v >= 1 then
-        List.iter
-          (fun name ->
-            if count name = 0 then
-              fail "%s: no %s event in the stream" events_path name)
-          [ "action_started"; "artifact_ingested"; "verdict" ];
-      if n_verdicts < min_v || n_verdicts > max_v then
-        fail "%s: %d verdict(s) in the ledger, expected %d..%d" dir
-          n_verdicts min_v max_v);
-  Printf.printf
-    "loop: %s ok (%d verdict(s); %d event(s): %d started, %d ingested, %d \
-     judged)\n"
-    dir n_verdicts (List.length lines)
-    (count "action_started")
-    (count "artifact_ingested")
-    (count "verdict")
-
 let () =
   match Sys.argv with
   | [| _; "trace"; path |] -> check_trace path
@@ -766,25 +609,6 @@ let () =
       check_journal dir (Some manifest)
         (Some (int_of_string ew, int_of_string er))
   | [| _; "journal-eq"; a; b |] -> check_journal_eq a b
-  | [| _; "lab"; path |] -> check_lab path None
-  | [| _; "lab"; path; min_r |] -> (
-      match int_of_string_opt min_r with
-      | Some r when r >= 0 -> check_lab path (Some (r, 0))
-      | _ -> fail "lab: MIN_REGRESSIONS must be a non-negative integer")
-  | [| _; "lab"; path; min_r; min_s |] -> (
-      match (int_of_string_opt min_r, int_of_string_opt min_s) with
-      | Some r, Some s when r >= 0 && s >= 0 -> check_lab path (Some (r, s))
-      | _ -> fail "lab: minimums must be non-negative integers")
-  | [| _; "loop"; dir |] -> check_loop dir None
-  | [| _; "loop"; dir; min_v |] -> (
-      match int_of_string_opt min_v with
-      | Some v when v >= 0 -> check_loop dir (Some (v, max_int))
-      | _ -> fail "loop: MIN_VERDICTS must be a non-negative integer")
-  | [| _; "loop"; dir; min_v; max_v |] -> (
-      match (int_of_string_opt min_v, int_of_string_opt max_v) with
-      | Some lo, Some hi when lo >= 0 && hi >= lo ->
-          check_loop dir (Some (lo, hi))
-      | _ -> fail "loop: verdict bounds must satisfy 0 <= MIN <= MAX")
   | _ ->
       fail
         "usage: check_telemetry {trace|metrics|cache|collapsed} FILE\n\
@@ -793,7 +617,4 @@ let () =
         \       check_telemetry pool-eq A.json B.json\n\
         \       check_telemetry replay FILE.json [MIN_PACKETS]\n\
         \       check_telemetry journal DIR [MANIFEST [WRITTEN REUSED]]\n\
-        \       check_telemetry journal-eq DIR_A DIR_B\n\
-        \       check_telemetry lab REPORT.json [MIN_REGRESSIONS \
-         [MIN_SUGGESTED]]\n\
-        \       check_telemetry loop LAB_DIR [MIN_VERDICTS [MAX_VERDICTS]]"
+        \       check_telemetry journal-eq DIR_A DIR_B"
