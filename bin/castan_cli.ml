@@ -64,33 +64,24 @@ let set_jobs j =
   Util.Pool.set_default_jobs
     (if j <= 0 then Util.Pool.recommended_jobs () else j)
 
-let batch_arg =
-  Arg.(value & opt int 0 & info [ "batch" ] ~docv:"N"
-         ~doc:"Replay burst size: packets pushed through the DUT per burst \
-               (DPDK-style).  Output is bit-identical for every N; the flag \
-               only moves wall time.  0 (default) keeps the process default \
-               of 32.")
+(* Packet counts for the replaying commands: a non-positive value is a
+   usage error (exit 124), refused before any work or output. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
 
-let compile_mode_arg =
-  Arg.(value & opt (some string) None & info [ "compile-mode" ] ~docv:"MODE"
-         ~doc:"NFIR execution engine: $(b,superblock) (default; fuses \
-               straight-line runs into single closures) or $(b,instr) (one \
-               closure per instruction).  Samples, metrics and profiles are \
-               bit-identical across modes; the flag exists for performance \
-               comparison and for pinning that equivalence in CI.")
-
-let set_replay batch compile_mode =
-  if batch > 0 then Testbed.Dut.set_default_batch batch;
-  match compile_mode with
-  | None -> ()
-  | Some s -> (
-      match Ir.Compile.mode_of_string s with
-      | Some m -> Ir.Compile.set_default_mode m
-      | None ->
-          Printf.eprintf
-            "castan: unknown compile mode %s (expected instr or superblock)\n%!"
-            s;
-          exit 1)
+(* A header-only pcap leaves nothing to replay; refuse it by name. *)
+let load_workload path =
+  let w = Testbed.Workload.load_pcap ~name:path path in
+  if Testbed.Workload.length w = 0 then begin
+    Printf.eprintf "castan: %s holds no packets\n%!" path;
+    exit 1
+  end;
+  w
 
 let max_states_arg =
   Arg.(value & opt int 0 & info [ "max-states" ] ~docv:"N"
@@ -269,7 +260,7 @@ let profile_cmd =
                  traffic.")
   in
   let samples =
-    Arg.(value & opt int 2_000 & info [ "samples" ] ~docv:"N"
+    Arg.(value & opt positive_int 2_000 & info [ "samples" ] ~docv:"N"
            ~doc:"Packets to replay through the DUT.")
   in
   let analyze =
@@ -323,10 +314,9 @@ let profile_cmd =
           first
   in
   let run name workload samples analyze budget seed top collapsed profile_json
-      no_solver_cache jobs batch compile_mode trace metrics log_level =
+      no_solver_cache jobs trace metrics log_level =
     if no_solver_cache then Solver.Qcache.set_enabled false;
     set_jobs jobs;
-    set_replay batch compile_mode;
     let name = resolve name in
     install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
         Castan.Manifest.make ~extra:[ ("nf", Obs.Json.Str name) ] ());
@@ -335,7 +325,7 @@ let profile_cmd =
     Obs.Profile.set_enabled true;
     let w =
       match workload with
-      | Some path -> Testbed.Workload.load_pcap ~name:path path
+      | Some path -> load_workload path
       | None ->
           if analyze then begin
             let config =
@@ -384,8 +374,8 @@ let profile_cmd =
              JSON)")
     Term.(
       const run $ nf_name $ workload $ samples $ analyze $ budget $ seed $ top
-      $ collapsed $ profile_json $ no_solver_cache_arg $ jobs_arg $ batch_arg
-      $ compile_mode_arg $ trace_arg $ metrics_arg $ log_level_arg)
+      $ collapsed $ profile_json $ no_solver_cache_arg $ jobs_arg $ trace_arg
+      $ metrics_arg $ log_level_arg)
 
 (* ---------------- probe-cache ---------------- *)
 
@@ -440,7 +430,7 @@ let replay_cmd =
            ~doc:"Workload to replay.")
   in
   let samples =
-    Arg.(value & opt int 20_000 & info [ "samples" ] ~docv:"N"
+    Arg.(value & opt positive_int 20_000 & info [ "samples" ] ~docv:"N"
            ~doc:"Packets to measure.")
   in
   let samples_out =
@@ -448,17 +438,14 @@ let replay_cmd =
            ~doc:"Dump the raw per-packet samples (cycles, instrs, L3 misses, \
                  verdict — one line each) to FILE.  The dump is a pure \
                  function of the NF, workload and sample count: byte-\
-                 identical for every $(b,--batch), $(b,--compile-mode) and \
-                 $(b,-j), which is what the replay-smoke CI leg pins.")
+                 identical with and without $(b,--trace)/$(b,--metrics), \
+                 which is what the replay-smoke CI leg pins.")
   in
-  let run name pcap samples jobs batch compile_mode samples_out trace metrics
-      log_level =
-    set_jobs jobs;
-    set_replay batch compile_mode;
+  let run name pcap samples samples_out trace metrics log_level =
     let nf = Nf.Registry.find name in
+    let w = load_workload pcap in
     install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
         Castan.Manifest.make ~extra:[ ("nf", Obs.Json.Str name) ] ());
-    let w = Testbed.Workload.load_pcap ~name:pcap pcap in
     let nop = Testbed.Tg.nop_baseline ~samples () in
     let m = Testbed.Tg.measure ~samples nf w in
     Printf.printf "%s x %s (%d packets, %d flows):\n" name pcap
@@ -486,9 +473,8 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay" ~doc:"Measure a PCAP workload against an NF on the testbed")
     Term.(
-      const run $ nf_arg $ pcap $ samples $ jobs_arg $ batch_arg
-      $ compile_mode_arg $ samples_out $ trace_arg $ metrics_arg
-      $ log_level_arg)
+      const run $ nf_arg $ pcap $ samples $ samples_out $ trace_arg
+      $ metrics_arg $ log_level_arg)
 
 (* ---------------- dump ---------------- *)
 
@@ -595,11 +581,9 @@ let experiment_cmd =
                  crash half of the journal's crash/resume contract.")
   in
   let run id config fail_fast inject journal resume crash_after max_states
-      mem_budget_mb no_solver_cache jobs batch compile_mode trace metrics
-      log_level =
+      mem_budget_mb no_solver_cache jobs trace metrics log_level =
     if no_solver_cache then Solver.Qcache.set_enabled false;
     set_jobs jobs;
-    set_replay batch compile_mode;
     Util.Resilience.reset ();
     Util.Resilience.set_fail_fast fail_fast;
     Util.Resilience.set_injection
@@ -686,8 +670,7 @@ let experiment_cmd =
     Term.(
       const run $ id $ scale $ fail_fast $ inject $ journal $ resume
       $ crash_after $ max_states_arg $ mem_budget_arg $ no_solver_cache_arg
-      $ jobs_arg $ batch_arg $ compile_mode_arg $ trace_arg $ metrics_arg
-      $ log_level_arg)
+      $ jobs_arg $ trace_arg $ metrics_arg $ log_level_arg)
 
 let () =
   install_signal_handlers ();

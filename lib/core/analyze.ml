@@ -115,8 +115,8 @@ let cache_model kind =
   | Contention_sets sets -> Cache.Model.contention geom sets
   | Baseline -> Cache.Model.baseline geom
   | Oracle ->
-      (* Perfect knowledge of the DUT machine: same seeds as Dut.create. *)
-      let m = Cache.Probe.machine ~slice_seed:0 ~vmem_seed:17 geom in
+      (* Perfect knowledge of the DUT machine. *)
+      let m = Testbed.Dut.machine () in
       Cache.Model.oracle geom ~slice_of:(fun vaddr ->
           Cache.Hierarchy.ground_truth_slice m.Cache.Probe.hier
             (Cache.Vmem.translate m.Cache.Probe.vmem vaddr))

@@ -4,8 +4,6 @@ type identity = Manifest.identity = {
   seed : int;
   jobs : int;
   injection : string;
-  batch : int;
-  compile_mode : string;
 }
 
 type stats = {

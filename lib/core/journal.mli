@@ -33,8 +33,6 @@ type identity = Manifest.identity = {
   seed : int;
   jobs : int;
   injection : string;  (** {!Util.Resilience.injection_signature} *)
-  batch : int;  (** replay burst size; [0] = unknown *)
-  compile_mode : string;  (** {!Ir.Compile.mode_to_string}; [""] = unknown *)
 }
 
 val current_identity : Experiment.config -> identity

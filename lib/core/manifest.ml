@@ -21,8 +21,6 @@ type identity = {
   seed : int;
   jobs : int;
   injection : string;
-  batch : int;
-  compile_mode : string;
 }
 
 let config_json (c : Experiment.config) =
@@ -49,8 +47,6 @@ let current_identity ?config () =
     seed = (match config with Some c -> c.Experiment.seed | None -> 0);
     jobs = Util.Pool.default_jobs ();
     injection = Util.Resilience.injection_signature ();
-    batch = Testbed.Dut.default_batch ();
-    compile_mode = Ir.Compile.mode_to_string (Ir.Compile.default_mode ());
   }
 
 let identity_json (i : identity) =
@@ -61,8 +57,6 @@ let identity_json (i : identity) =
       ("seed", Obs.Json.Int i.seed);
       ("jobs", Obs.Json.Int i.jobs);
       ("injection", Obs.Json.Str i.injection);
-      ("batch", Obs.Json.Int i.batch);
-      ("compile_mode", Obs.Json.Str i.compile_mode);
     ]
 
 let identity_of_json j =
@@ -76,21 +70,11 @@ let identity_of_json j =
     | Some (Obs.Json.Int n) -> Ok n
     | _ -> Error (Printf.sprintf "identity: missing int field %S" k)
   in
-  (* [batch]/[compile_mode] postdate the replay-pipeline work; identities
-     recorded before it parse with the "unknown" markers (0 / ""). *)
-  let batch = match Obs.Json.member "batch" j with
-    | Some (Obs.Json.Int n) -> n
-    | _ -> 0
-  in
-  let compile_mode = match Obs.Json.member "compile_mode" j with
-    | Some (Obs.Json.Str s) -> s
-    | _ -> ""
-  in
   match (str "git", str "config_digest", int "seed", int "jobs",
          str "injection")
   with
   | Ok git, Ok config_digest, Ok seed, Ok jobs, Ok injection ->
-      Ok { git; config_digest; seed; jobs; injection; batch; compile_mode }
+      Ok { git; config_digest; seed; jobs; injection }
   | Error e, _, _, _, _
   | _, Error e, _, _, _
   | _, _, Error e, _, _
@@ -146,14 +130,6 @@ let make ?ids ?config ?(extra = []) () =
         ("metrics", Obs.Metrics.snapshot ());
         ("solver_cache", solver_cache_json ());
         ("pool", pool_json ());
-        ( "replay",
-          Obs.Json.Obj
-            [
-              ("batch", Obs.Json.Int (Testbed.Dut.default_batch ()));
-              ( "compile_mode",
-                Obs.Json.Str
-                  (Ir.Compile.mode_to_string (Ir.Compile.default_mode ())) );
-            ] );
       ]
     (* Profiled runs carry their site-level attribution alongside the
        metrics snapshot, so one manifest fully describes the run. *)

@@ -18,8 +18,8 @@ val config_json : Experiment.config -> Obs.Json.t
 
     The facts that decide whether two results are comparable — and whether
     a journal cell may be reused: git revision, a digest of the canonical
-    config JSON, the seed, the worker-pool job count, the fault-injection
-    signature and the replay configuration.  {!Journal} keys its cells by
+    config JSON, the seed, the worker-pool job count and the
+    fault-injection signature.  {!Journal} keys its cells by
     this record, and experiment manifests carry it as ["identity"]. *)
 
 type identity = {
@@ -29,9 +29,6 @@ type identity = {
   seed : int;
   jobs : int;
   injection : string;  (** {!Util.Resilience.injection_signature} *)
-  batch : int;  (** replay burst size; [0] = unknown (identity predates the
-                    replay pipeline) *)
-  compile_mode : string;  (** {!Ir.Compile.mode_to_string}; [""] = unknown *)
 }
 
 val config_digest : Experiment.config -> string
@@ -55,10 +52,10 @@ val make :
     per-experiment wall times).  The metrics snapshot is taken at call
     time — build the manifest {e after} the run.  A ["solver_cache"]
     section records feasibility slicing ([enabled], [queries],
-    [constraints_dropped]) and a ["replay"] section the burst size and
-    compile mode; each fact appears once.  When the {!Obs.Profile} registry
-    holds attribution samples, a ["profile"] section (site-level
-    cycles/accesses plus wall-time buckets) is embedded too.  A top-level
+    [constraints_dropped]); each fact appears once.  When the
+    {!Obs.Profile} registry holds attribution samples, a ["profile"]
+    section (site-level cycles/accesses plus wall-time buckets) is
+    embedded too.  A top-level
     ["jobs"] field records the worker-pool default in effect ([-j]), and a
     ["pool"] section its [tasks]/[steals]/[worker_busy_ns] counters; apart
     from those (and the timestamp and wall times), manifests are

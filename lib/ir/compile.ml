@@ -4,52 +4,29 @@
    closure returning the next program counter.  Function calls recurse
    through a patched table, returns unwind with a local exception.
 
-   On top of the per-instruction closures, [Superblock] mode (the default)
-   fuses maximal straight-line runs of statically-weighted instructions —
+   On top of the per-instruction closures, {!program} fuses maximal
+   straight-line runs of statically-weighted instructions —
    Assign/Load/Store/Alloc, chained through unconditional jumps — into one
    closure per run head that charges the whole run's retirement weight once
    and then executes effect-only action closures back to back.  The fused
    closure keeps a guard to the original per-instruction path, taken when
    the profiler is live (per-instruction attribution must stay bit-identical)
    or when the remaining budget is below the run's total weight (so
-   {!Interp.Budget_exhausted} fires at exactly the same instruction as the
-   unfused executor).  Dynamic-weight instructions (Call, Havoc) and control
+   {!Interp.Budget_exhausted} fires at exactly the same instruction as
+   {!Interp}).  Dynamic-weight instructions (Call, Havoc) and control
    (Branch, Return) always terminate a run.
 
    One semantic delta vs {!Interp}: reading a never-written variable yields
    0 instead of raising — well-formed NF code never does either. *)
 
-type mode = Instr | Superblock
-
-let default_mode_ref = ref Superblock
-let set_default_mode m = default_mode_ref := m
-let default_mode () = !default_mode_ref
-let mode_to_string = function Instr -> "instr" | Superblock -> "superblock"
-
-let mode_of_string = function
-  | "instr" -> Some Instr
-  | "superblock" -> Some Superblock
-  | _ -> None
-
-(* Concrete memory backing: the persistent overlay (rollback-on-raise, used
-   by {!call}/{!call_fn}) or the flat mutable store (no per-access tree
-   descent or allocation, used by the replay path).  The values read and
-   written are identical either way. *)
-type cmem = Persistent of int Memory.t | Flat of Memory.Flat.t
-
 type ctx = {
-  mutable mem : cmem;
+  mem : Memory.Flat.t;
   hooks : Interp.hooks;
   mutable instrs : int;
   mutable loads : int;
   mutable stores : int;
   mutable remaining : int;
 }
-
-let mem_read m ~addr ~width =
-  match m with
-  | Persistent m -> Memory.read m ~addr ~width
-  | Flat f -> Memory.Flat.read f ~addr ~width
 
 exception Ret of int
 
@@ -60,7 +37,7 @@ type cfunc = {
   mutable code : (ctx -> int array -> int) array;
 }
 
-type t = { funcs : (string, cfunc) Hashtbl.t; entry : string }
+type t = { funcs : (string, cfunc) Hashtbl.t }
 
 (* ------------------------------------------------------------------ *)
 (* Slot assignment                                                      *)
@@ -180,7 +157,7 @@ let compile_instr funcs slots pc (instr : Cfg.instr) : ctx -> int array -> int =
         let a = fa env in
         ctx.hooks.Interp.on_access ~addr:a ~width ~write:false;
         ctx.loads <- ctx.loads + 1;
-        env.(sd) <- mem_read ctx.mem ~addr:a ~width;
+        env.(sd) <- Memory.Flat.read ctx.mem ~addr:a ~width;
         next
   | Cfg.Store { addr; value; width } ->
       let fa = compile_expr slots addr and fv = compile_expr slots value in
@@ -190,21 +167,13 @@ let compile_instr funcs slots pc (instr : Cfg.instr) : ctx -> int array -> int =
         let a = fa env in
         ctx.hooks.Interp.on_access ~addr:a ~width ~write:true;
         ctx.stores <- ctx.stores + 1;
-        (match ctx.mem with
-        | Persistent m ->
-            ctx.mem <- Persistent (Memory.write m ~addr:a ~width (fv env))
-        | Flat f -> Memory.Flat.write f ~addr:a ~width (fv env));
+        Memory.Flat.write ctx.mem ~addr:a ~width (fv env);
         next
   | Cfg.Alloc { dst; bytes } ->
       let sd = slot dst and next = pc + 1 in
       fun ctx env ->
         spend ctx w;
-        (match ctx.mem with
-        | Persistent m ->
-            let mem', base = Memory.alloc m ~bytes in
-            ctx.mem <- Persistent mem';
-            env.(sd) <- base
-        | Flat f -> env.(sd) <- Memory.Flat.alloc f ~bytes);
+        env.(sd) <- Memory.Flat.alloc ctx.mem ~bytes;
         next
   | Cfg.Branch { cond; if_true; if_false; loop_head = _ } ->
       let fc = compile_expr slots cond in
@@ -291,26 +260,17 @@ let compile_action slots (instr : Cfg.instr) : ctx -> int array -> unit =
         let a = fa env in
         ctx.hooks.Interp.on_access ~addr:a ~width ~write:false;
         ctx.loads <- ctx.loads + 1;
-        env.(sd) <- mem_read ctx.mem ~addr:a ~width
+        env.(sd) <- Memory.Flat.read ctx.mem ~addr:a ~width
   | Cfg.Store { addr; value; width } ->
       let fa = compile_expr slots addr and fv = compile_expr slots value in
       fun ctx env ->
         let a = fa env in
         ctx.hooks.Interp.on_access ~addr:a ~width ~write:true;
         ctx.stores <- ctx.stores + 1;
-        (match ctx.mem with
-        | Persistent m ->
-            ctx.mem <- Persistent (Memory.write m ~addr:a ~width (fv env))
-        | Flat f -> Memory.Flat.write f ~addr:a ~width (fv env))
+        Memory.Flat.write ctx.mem ~addr:a ~width (fv env)
   | Cfg.Alloc { dst; bytes } ->
       let sd = slot dst in
-      fun ctx env ->
-        (match ctx.mem with
-        | Persistent m ->
-            let mem', base = Memory.alloc m ~bytes in
-            ctx.mem <- Persistent mem';
-            env.(sd) <- base
-        | Flat f -> env.(sd) <- Memory.Flat.alloc f ~bytes)
+      fun ctx env -> env.(sd) <- Memory.Flat.alloc ctx.mem ~bytes
   | Cfg.Branch _ | Cfg.Jump _ | Cfg.Call _ | Cfg.Return _ | Cfg.Havoc _ ->
       invalid_arg "Compile.compile_action: not a fusible instruction"
 
@@ -410,8 +370,7 @@ let exec ctx (f : cfunc) argv =
 
 let () = exec_ref := exec
 
-let program ?mode (p : Cfg.t) =
-  let mode = match mode with Some m -> m | None -> !default_mode_ref in
+let program (p : Cfg.t) =
   let funcs = Hashtbl.create 16 in
   (* placeholders first so calls can resolve in one pass *)
   Hashtbl.iter
@@ -437,12 +396,9 @@ let program ?mode (p : Cfg.t) =
               (compile_instr funcs slots pc instr))
           f.body
       in
-      cf.code <-
-        (match mode with
-        | Instr -> base
-        | Superblock -> superblockify slots f.body base))
+      cf.code <- superblockify slots f.body base)
     p.Cfg.funcs;
-  { funcs; entry = p.Cfg.entry }
+  { funcs }
 
 type fn = cfunc
 
@@ -451,34 +407,9 @@ let lookup t fname =
   | Some f -> f
   | None -> invalid_arg ("Compile.lookup: unknown function " ^ fname)
 
-let call_fn (f : fn) ~mem ~hooks ?(budget = 10_000_000) argv =
+let call (f : fn) ~mem ~hooks ?(budget = 10_000_000) argv =
   let ctx =
-    {
-      mem = Persistent !mem;
-      hooks;
-      instrs = 0;
-      loads = 0;
-      stores = 0;
-      remaining = budget;
-    }
-  in
-  let ret = exec ctx f argv in
-  (match ctx.mem with Persistent m -> mem := m | Flat _ -> assert false);
-  { Interp.ret; instrs = ctx.instrs; loads = ctx.loads; stores = ctx.stores }
-
-let call_fn_flat (f : fn) ~fmem ~hooks ?(budget = 10_000_000) argv =
-  let ctx =
-    {
-      mem = Flat fmem;
-      hooks;
-      instrs = 0;
-      loads = 0;
-      stores = 0;
-      remaining = budget;
-    }
+    { mem; hooks; instrs = 0; loads = 0; stores = 0; remaining = budget }
   in
   let ret = exec ctx f argv in
   { Interp.ret; instrs = ctx.instrs; loads = ctx.loads; stores = ctx.stores }
-
-let call t ~mem ~hooks ?budget fname args =
-  call_fn (lookup t fname) ~mem ~hooks ?budget (Array.of_list args)

@@ -1,38 +1,26 @@
-(** A closure-compiling NFIR executor.
+(** A closure-compiling NFIR executor over a {!Memory.Flat} store.
 
     Compiles each function once — variables resolved to integer slots,
     expressions to nested closures — and then runs packets without any
     per-instruction dispatch on syntax.  Semantically identical to
-    {!Interp} (a differential qcheck property in the test suite), several
-    times faster; the testbed DUT replays millions of packets through it.
+    {!Interp}, the reference oracle (differential qcheck properties in the
+    test suite compare outcomes, memory-access sequences, budget-exhaustion
+    points and profile attribution), several times faster; the testbed DUT
+    replays millions of packets through it.
 
-    In [Superblock] mode (the default), maximal straight-line runs of
-    statically-weighted instructions (chained through unconditional jumps)
-    are additionally fused into single closures that charge the run's
-    retirement weight once.  Outcomes, memory effects, hook-access
-    sequences, budget-exhaustion points and — when the profiler is live —
-    per-instruction attribution are all bit-identical to [Instr] mode,
-    which executes one closure per instruction.
+    Maximal straight-line runs of statically-weighted instructions
+    (chained through unconditional jumps) are fused into single closures
+    that charge the run's retirement weight once.  A fused run falls back
+    to one closure per instruction while the profiler is live or when the
+    remaining budget cannot cover the run, so per-instruction attribution
+    and the instruction at which the budget runs out match {!Interp}.
 
     Restrictions match {!Interp}: concrete values only, budget-guarded. *)
 
 type t
 
-type mode = Instr | Superblock
-
-val set_default_mode : mode -> unit
-(** Process-wide default for {!program} calls that don't pass [?mode]
-    (set once at startup by the CLI's [--compile-mode]). *)
-
-val default_mode : unit -> mode
-
-val mode_to_string : mode -> string
-(** ["instr"] / ["superblock"] — the manifest/CLI spelling. *)
-
-val mode_of_string : string -> mode option
-
-val program : ?mode:mode -> Cfg.t -> t
-(** Compile all functions; [mode] defaults to {!default_mode}. *)
+val program : Cfg.t -> t
+(** Compile all functions. *)
 
 type fn
 (** A resolved compiled function: look it up once, call it per packet
@@ -41,37 +29,16 @@ type fn
 val lookup : t -> string -> fn
 (** @raise Invalid_argument on an unknown function name. *)
 
-val call_fn :
-  fn ->
-  mem:int Memory.t ref ->
-  hooks:Interp.hooks ->
-  ?budget:int ->
-  int array ->
-  Interp.outcome
-(** Same contract as {!call}, minus the name resolution and argument-list
-    conversion.
-    @raise Interp.Budget_exhausted when the instruction bound is hit. *)
-
-val call_fn_flat :
-  fn ->
-  fmem:Memory.Flat.t ->
-  hooks:Interp.hooks ->
-  ?budget:int ->
-  int array ->
-  Interp.outcome
-(** {!call_fn} against a {!Memory.Flat} store — the replay hot path: no
-    per-access map descent, no per-store allocation.  Reads and writes the
-    same values as the persistent path; on raise (budget exhaustion),
-    partial writes stay in [fmem] instead of rolling back.
-    @raise Interp.Budget_exhausted when the instruction bound is hit. *)
-
 val call :
-  t ->
-  mem:int Memory.t ref ->
+  fn ->
+  mem:Memory.Flat.t ->
   hooks:Interp.hooks ->
   ?budget:int ->
-  string ->
-  int list ->
+  int array ->
   Interp.outcome
-(** Same contract as {!Interp.call}.
-    @raise Interp.Budget_exhausted when the instruction bound is hit. *)
+(** Same contract as {!Interp.call}, against a flat store: no per-access
+    map descent, no per-store allocation.  Reads and writes the same values
+    as {!Interp}; on raise (budget exhaustion), partial writes stay in
+    [mem] instead of rolling back.
+    @raise Interp.Budget_exhausted when the instruction bound is hit.
+    @raise Invalid_argument on arity mismatch. *)

@@ -1,6 +1,5 @@
 type t = {
   nf : Nf.Nf_def.t;
-  compiled : Ir.Compile.t;
   (* Resolved once at creation: the entry point's compiled body, its packet-
      field parameter order, and a reusable argument buffer — the per-packet
      path never re-resolves the NF or allocates an argument list. *)
@@ -8,9 +7,6 @@ type t = {
   entry_fields : Ir.Expr.field array;
   argv : int array;
   machine : Cache.Probe.machine;
-  (* Flat mutable memory: replay never needs snapshot/rollback, and the
-     persistent overlay's tree descent per access would dominate the
-     packet loop. *)
   fmem : Ir.Memory.Flat.t;
   hooks : Ir.Interp.hooks;
   cycles_acc : int ref;
@@ -32,12 +28,8 @@ let mbuf_pool_lines = 4096
 let desc_ring_lines = 512
 
 (* DPDK-style burst size: how many packets one replay dispatch pushes
-   through the DUT back to back.  Replay output is identical for every
-   value (bursts only group the same per-packet pipeline); the knob exists
-   for the perf gate and is recorded in run manifests. *)
-let default_batch_ref = ref 32
-let set_default_batch b = if b >= 1 then default_batch_ref := b
-let default_batch () = !default_batch_ref
+   through the DUT back to back. *)
+let burst_size = 32
 
 let op_cycles weight = max 1 (weight * 3 / 5)
 
@@ -47,9 +39,13 @@ let profile_level = function
   | Cache.Hierarchy.L3 -> Obs.Profile.L3
   | Cache.Hierarchy.Dram -> Obs.Profile.Dram
 
-let create ?(slice_seed = 0) ?(vmem_seed = 17) ?(geom = Cache.Geometry.xeon_e5_2667v2)
-    ?(prefetch = false) ?(ddio = false) nf =
-  let machine = Cache.Probe.machine ~slice_seed ~vmem_seed ~prefetch geom in
+let machine ?(slice_seed = 0) ?(prefetch = false) () =
+  Cache.Probe.machine ~slice_seed ~vmem_seed:17 ~prefetch
+    Cache.Geometry.xeon_e5_2667v2
+
+let create ?slice_seed ?prefetch ?(ddio = false) nf =
+  let machine = machine ?slice_seed ?prefetch () in
+  let geom = machine.Cache.Probe.geom in
   let cycles_acc = ref 0 and misses_acc = ref 0 in
   let hooks =
     {
@@ -72,7 +68,6 @@ let create ?(slice_seed = 0) ?(vmem_seed = 17) ?(geom = Cache.Geometry.xeon_e5_2
   let entry_fields = Nf.Packet.fields_for entry in
   {
     nf;
-    compiled;
     entry_fn = Ir.Compile.lookup compiled "process";
     entry_fields;
     argv = Array.make (Array.length entry_fields) 0;
@@ -89,7 +84,6 @@ let create ?(slice_seed = 0) ?(vmem_seed = 17) ?(geom = Cache.Geometry.xeon_e5_2
 
 let geometry t = t.machine.Cache.Probe.geom
 let nf t = t.nf
-let machine t = t.machine
 
 (* The per-packet DPDK path: poll the descriptor ring, then read the frame
    the NIC just DMA-wrote into the next mbuf (mandatory DRAM trip: the DMA
@@ -130,7 +124,7 @@ let process t p =
   dpdk_path t;
   incr t.pkt_count;
   Nf.Packet.fill_args t.entry_fields p t.argv;
-  let o = Ir.Compile.call_fn_flat t.entry_fn ~fmem:t.fmem ~hooks:t.hooks t.argv in
+  let o = Ir.Compile.call t.entry_fn ~mem:t.fmem ~hooks:t.hooks t.argv in
   (* Non-memory work: instruction retirement at the calibrated CPI.  Memory
      latencies were accumulated by the access hook. *)
   let nf_cycles = op_cycles o.Ir.Interp.instrs in
@@ -142,8 +136,7 @@ let process t p =
   }
 
 (* Observationally [Array.map (process t)]: the burst only amortizes
-   dispatch around the identical per-packet pipeline, which is what makes
-   batch size a pure performance knob (pinned by qcheck). *)
+   dispatch around the identical per-packet pipeline (pinned by qcheck). *)
 let process_burst t pkts =
   let n = Array.length pkts in
   let out =
@@ -156,16 +149,11 @@ let process_burst t pkts =
 
 let m_replay_packets = Obs.Metrics.counter "replay.packets"
 let m_replay_bursts = Obs.Metrics.counter "replay.bursts"
-let m_replay_shards = Obs.Metrics.counter "replay.shards"
 
-let replay ?batch t w ~samples =
-  let batch = match batch with Some b -> max 1 b | None -> !default_batch_ref in
+let replay t w ~samples =
   let r, dt =
     Obs.Trace.timed "dut.replay"
-      ~args:
-        [
-          ("samples", Obs.Json.Int samples); ("batch", Obs.Json.Int batch);
-        ]
+      ~args:[ ("samples", Obs.Json.Int samples) ]
       (fun () ->
         let out =
           Array.make samples { cycles = 0; instrs = 0; l3_misses = 0; ret = 0 }
@@ -173,7 +161,7 @@ let replay ?batch t w ~samples =
         let burst = ref [||] in
         let k = ref 0 in
         while !k < samples do
-          let n = min batch (samples - !k) in
+          let n = min burst_size (samples - !k) in
           if Array.length !burst <> n then
             burst := Array.make n (Workload.nth_looped w 0);
           let b = !burst in
@@ -190,39 +178,3 @@ let replay ?batch t w ~samples =
   in
   if Obs.Profile.enabled () then Obs.Profile.add_timer "replay" dt;
   r
-
-(* Shard boundaries depend only on (samples, shards) — never on the job
-   count — so the merged stream is bit-identical for every [-j]. *)
-let shard_range ~samples ~shards i =
-  let base = samples / shards and rem = samples mod shards in
-  let lo = (i * base) + min i rem in
-  let hi = lo + base + (if i < rem then 1 else 0) in
-  (lo, hi)
-
-let replay_sharded ?batch ?(shards = 1) ~make w ~samples =
-  if shards <= 1 then replay ?batch (make ~shard:0) w ~samples
-  else begin
-    (* Each shard is its own simulated core: a fresh DUT (own cache
-       hierarchy, own page placement, own descriptor/mbuf rings) replaying
-       a contiguous slice of the packet index space; slices are then
-       concatenated in shard-index order.  One pool task per shard. *)
-    let slices =
-      Util.Pool.map
-        (fun i ->
-          let lo, hi = shard_range ~samples ~shards i in
-          let dut = make ~shard:i in
-          let shifted =
-            {
-              Workload.name = w.Workload.name;
-              packets =
-                Array.init (max 1 (hi - lo)) (fun j ->
-                    Workload.nth_looped w (lo + j));
-            }
-          in
-          if hi > lo then replay ?batch dut shifted ~samples:(hi - lo)
-          else [||])
-        (List.init shards (fun i -> i))
-    in
-    Obs.Metrics.incr ~by:shards m_replay_shards;
-    Array.concat slices
-  end

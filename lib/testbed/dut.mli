@@ -3,20 +3,24 @@
     Per packet, the DUT models the full DPDK receive/transmit path — a fixed
     instruction/cycle overhead, a descriptor-ring access, and a DMA write
     landing the frame in a rotating mbuf pool (which costs the mandatory
-    DRAM access the paper discusses under DDIO) — then interprets the NF
-    concretely, sending every data-structure access through the cache
-    hierarchy and charging per-level latencies. *)
+    DRAM access the paper discusses under DDIO) — then runs the NF through
+    {!Ir.Compile} over flat memory, sending every data-structure access
+    through the cache hierarchy and charging per-level latencies. *)
 
 type t
 
-val create :
-  ?slice_seed:int -> ?vmem_seed:int -> ?geom:Cache.Geometry.t ->
-  ?prefetch:bool -> ?ddio:bool -> Nf.Nf_def.t -> t
-(** A fresh DUT: cold caches, empty flow state.  [prefetch] enables the
-    next-line prefetcher; [ddio] makes the NIC's DMA write allocate into the
-    cache instead of invalidating (Intel Data Direct I/O) — both off by
-    default, matching the paper's model; the ablation experiments turn them
-    on. *)
+val machine : ?slice_seed:int -> ?prefetch:bool -> unit -> Cache.Probe.machine
+(** A fresh copy of the simulated machine every DUT runs on: the
+    Xeon E5-2667v2 geometry, the CPU's hidden slice hash selected by
+    [slice_seed] (default 0), and one fixed page placement.  The oracle
+    cache model builds its ground truth from the same call. *)
+
+val create : ?slice_seed:int -> ?prefetch:bool -> ?ddio:bool -> Nf.Nf_def.t -> t
+(** A fresh DUT on a fresh {!machine}: cold caches, empty flow state.
+    [prefetch] enables the next-line prefetcher; [ddio] makes the NIC's DMA
+    write allocate into the cache instead of invalidating (Intel Data
+    Direct I/O) — both off by default, matching the paper's model; the
+    ablation experiments turn them on. *)
 
 type sample = {
   cycles : int;  (** total, including the DPDK path *)
@@ -33,37 +37,10 @@ val process_burst : t -> Nf.Packet.t array -> sample array
     [Array.map (process t)] (pinned by qcheck); exists to amortize
     dispatch and bookkeeping across the burst. *)
 
-val set_default_batch : int -> unit
-(** Process-wide replay burst size (default 32; values < 1 are ignored).
-    Replay output is bit-identical for every batch size. *)
-
-val default_batch : unit -> int
-
-val replay : ?batch:int -> t -> Workload.t -> samples:int -> sample array
+val replay : t -> Workload.t -> samples:int -> sample array
 (** Replays the workload (looping as needed) for [samples] packets, in
-    bursts of [batch] (default {!default_batch}).  The sample array is
-    identical for every [batch]. *)
-
-val shard_range : samples:int -> shards:int -> int -> (int * int)
-(** [shard_range ~samples ~shards i] is shard [i]'s half-open packet-index
-    slice [\[lo, hi)].  The slices partition [\[0, samples)] contiguously in
-    shard order and depend only on [samples] and [shards] — never on the job
-    count — which is what makes the sharded merge deterministic. *)
-
-val replay_sharded :
-  ?batch:int ->
-  ?shards:int ->
-  make:(shard:int -> t) ->
-  Workload.t ->
-  samples:int ->
-  sample array
-(** Shards the packet index space into [shards] contiguous slices (split
-    arithmetic depends only on [samples] and [shards]), replays each slice
-    on its own DUT — [make ~shard:i] builds shard [i]'s simulated core,
-    typically with a {!Util.Rng.split_ix}-derived page placement — as one
-    {!Util.Pool} task per shard, and concatenates the slices in shard-index
-    order.  Bit-identical for every job count and batch size; [shards = 1]
-    (the default) is exactly [replay (make ~shard:0)]. *)
+    bursts of 32 through {!process_burst}, counting them in the
+    [replay.packets] and [replay.bursts] metrics. *)
 
 val overhead_instrs : int
 (** The DPDK/driver path: 270 instructions... *)
@@ -75,7 +52,3 @@ val overhead_cycles : int
 
 val geometry : t -> Cache.Geometry.t
 val nf : t -> Nf.Nf_def.t
-
-val machine : t -> Cache.Probe.machine
-(** The underlying simulated machine (exposed for the oracle cache model and
-    diagnostics). *)

@@ -13,25 +13,15 @@ let tg_base_ns rng =
 
 let clock_ghz = 3.3
 
-let measure ?(seed = 42) ?(samples = 20_000) ?(prefetch = false) ?(ddio = false)
-    ?(slice_seed = 0) ?(shards = 1) ?batch nf w =
-  (* Shard [i] is its own simulated core: shard 0 keeps the canonical page
-     placement (so [shards = 1] is bit-for-bit the classic serial replay);
-     each further shard draws a fresh placement from an index-derived
-     stream, like a separate process pinned to another core. *)
-  let shard_root = Util.Rng.create (0xd0 + seed) in
-  let make ~shard =
-    if shard = 0 then Dut.create ~slice_seed ~prefetch ~ddio nf
-    else
-      let vmem_seed = Util.Rng.int (Util.Rng.split_ix shard_root shard) 0x3FFFFFFF in
-      Dut.create ~slice_seed ~vmem_seed ~prefetch ~ddio nf
-  in
+let measure ?(seed = 42) ?(samples = 20_000) ?prefetch ?ddio ?slice_seed nf w =
   (* Packet [i]'s TG-path noise comes from its own index-derived stream
      ({!Util.Rng.split_ix}), so the latency array depends only on (seed, i)
      — not on how many draws preceded it — which keeps measurements
      identical whether workloads run serially or on pool workers. *)
   let root = Util.Rng.create (0x7b + seed) in
-  let dut_samples = Dut.replay_sharded ?batch ~shards ~make w ~samples in
+  let dut_samples =
+    Dut.replay (Dut.create ?slice_seed ?prefetch ?ddio nf) w ~samples
+  in
   let latencies =
     Array.mapi
       (fun i (s : Dut.sample) ->
@@ -41,12 +31,10 @@ let measure ?(seed = 42) ?(samples = 20_000) ?(prefetch = false) ?(ddio = false)
   in
   { workload = w.Workload.name; latencies_ns = latencies; samples = dut_samples }
 
-let measure_all ?seed ?samples ?prefetch ?ddio ?slice_seed ?shards ?batch nf
-    pairs =
+let measure_all ?seed ?samples nf pairs =
   (* One pool task per workload.  The DUT is stateful across packets (cache
      warming), so the parallel grain is a whole measurement, never slices of
-     one; each task builds its own DUT from the same seeds.  (Sharded
-     replay inside a task runs serial: nested pool maps don't spawn.) *)
+     one; each task builds its own DUT from the same seeds. *)
   Util.Pool.map
     (fun (label, w) ->
       Obs.Trace.with_span "measure"
@@ -55,10 +43,7 @@ let measure_all ?seed ?samples ?prefetch ?ddio ?slice_seed ?shards ?batch nf
             ("workload", Obs.Json.Str label);
             ("nf", Obs.Json.Str nf.Nf.Nf_def.name);
           ]
-        (fun () ->
-          ( label,
-            measure ?seed ?samples ?prefetch ?ddio ?slice_seed ?shards ?batch
-              nf w )))
+        (fun () -> (label, measure ?seed ?samples nf w)))
     pairs
 
 let latency_cdf m = Util.Stats.cdf_of_samples m.latencies_ns

@@ -4,7 +4,9 @@
     end-to-end latency is the fixed TG↔DUT path (wire, NIC timestamping, DMA
     — modeled as a seeded noise distribution around 4µs, matching the NOP
     baseline of Fig. 4) plus the DUT's processing time.  Dropped packets are
-    still forwarded back and measured, as in §5.1.
+    still forwarded back and measured, as in §5.1.  A measurement replays
+    the whole workload, in order, on one fresh DUT, so caches and flow
+    state carry over from packet to packet as on the real testbed.
 
     Throughput experiments find the highest offered rate at which the DUT
     drops less than 1% of packets: the replay's recorded per-packet service
@@ -19,24 +21,17 @@ type measurement = {
 
 val measure :
   ?seed:int -> ?samples:int -> ?prefetch:bool -> ?ddio:bool ->
-  ?slice_seed:int -> ?shards:int -> ?batch:int -> Nf.Nf_def.t -> Workload.t ->
-  measurement
-(** Fresh DUT, replay for [samples] packets (default 20,000).  [prefetch]
-    and [ddio] configure the DUT machine (both default off); [slice_seed]
-    selects the CPU's hidden slice hash (a different value models running
-    the workload on a different processor model).  Packet [i]'s TG-path
-    noise is drawn from an index-derived RNG stream, so the result is a
-    pure function of the arguments.
-
-    [shards] (default 1) splits the replay across per-shard DUTs — shard 0
-    keeps the canonical page placement, so [shards = 1] reproduces the
-    classic serial replay byte for byte; [batch] overrides the replay burst
-    size ({!Dut.default_batch}), with identical output for every value. *)
+  ?slice_seed:int -> Nf.Nf_def.t -> Workload.t -> measurement
+(** {!Dut.replay} on a fresh {!Dut.create} for [samples] packets (default
+    20,000).  [prefetch] and [ddio] configure the DUT machine (both default
+    off); [slice_seed] selects the CPU's hidden slice hash (a different
+    value models running the workload on a different processor model).
+    Packet [i]'s TG-path noise is drawn from an index-derived RNG stream,
+    so the result is a pure function of the arguments. *)
 
 val measure_all :
-  ?seed:int -> ?samples:int -> ?prefetch:bool -> ?ddio:bool ->
-  ?slice_seed:int -> ?shards:int -> ?batch:int -> Nf.Nf_def.t ->
-  (string * Workload.t) list -> (string * measurement) list
+  ?seed:int -> ?samples:int -> Nf.Nf_def.t -> (string * Workload.t) list ->
+  (string * measurement) list
 (** [measure_all nf [(label, w); ...]] measures each labeled workload —
     one {!Util.Pool} task per workload, each wrapped in a ["measure"] trace
     span — and returns results in input order.  Each task builds its own

@@ -325,43 +325,67 @@ let weight_counts_ops () =
     (Ir.Cfg.weight
        (Ir.Cfg.Assign ("x", Binop (Add, Binop (Mul, Leaf "a", Const 2), Const 1))))
 
+(* Hooks that resolve hashes for real and log every memory access, newest
+   first. *)
+let recording_hooks () =
+  let log = ref [] in
+  ( {
+      Ir.Interp.on_access =
+        (fun ~addr ~width ~write -> log := (addr, width, write) :: !log);
+      hash_apply = (fun n k -> (Hashrev.Hashes.lookup n).apply k);
+      hash_weight = (fun n -> (Hashrev.Hashes.lookup n).weight);
+    },
+    log )
+
 (* The compiled executor must agree with the reference interpreter on every
-   NF: same results, same retired instructions, loads, stores. *)
+   NF: same results, same retired instructions, loads and stores, and the
+   same (addr, width, write) access sequence — what the testbed's cache
+   model is driven by. *)
 let compiled_matches_interp =
   QCheck.Test.make ~name:"Compile agrees with Interp on the NFs" ~count:12
     (QCheck.oneofl
        [ "lpm-btrie"; "lpm-1stage-dl"; "lpm-2stage-dl"; "nat-hash-table";
-         "lb-hash-ring"; "nat-red-black-tree"; "lb-unbalanced-tree" ])
+         "lb-hash-ring"; "nat-hash-ring"; "nat-red-black-tree";
+         "lb-unbalanced-tree" ])
     (fun name ->
       let nf = Nf.Registry.find name in
-      let hooks =
-        { Ir.Interp.no_hooks with
-          hash_apply = (fun n k -> (Hashrev.Hashes.lookup n).apply k);
-          hash_weight = (fun n -> (Hashrev.Hashes.lookup n).weight) }
+      let hooks_i, log_i = recording_hooks () in
+      let hooks_c, log_c = recording_hooks () in
+      let process =
+        Ir.Compile.lookup (Ir.Compile.program nf.program) "process"
       in
-      let compiled = Ir.Compile.program nf.program in
-      let mem1 = ref (Nf.Nf_def.fresh_memory nf) in
-      let mem2 = ref (Nf.Nf_def.fresh_memory nf) in
+      let mem_i = ref (Nf.Nf_def.fresh_memory nf) in
+      let mem_c = Ir.Memory.flat_of_memory (Nf.Nf_def.fresh_memory nf) in
       let entry = Ir.Cfg.entry_func nf.program in
       let rng = Util.Rng.create 1234 in
       let ok = ref true in
       for _ = 1 to 40 do
         let p = nf.shape (Testbed.Traffic.random_packet rng) in
         let args = Nf.Packet.args_for entry p in
-        let a = Ir.Interp.call nf.program ~mem:mem1 ~hooks "process" args in
-        let b = Ir.Compile.call compiled ~mem:mem2 ~hooks "process" args in
+        let a =
+          Ir.Interp.call nf.program ~mem:mem_i ~hooks:hooks_i "process" args
+        in
+        let b =
+          Ir.Compile.call process ~mem:mem_c ~hooks:hooks_c
+            (Array.of_list args)
+        in
         if a <> b then ok := false
       done;
-      !ok)
+      !ok && !log_i <> [] && !log_i = !log_c)
 
 let compiled_budget () =
   let prog =
     program ~name:"t" ~entry:"main"
       [ func "main" [] [ while_ (i 1) [ "x" <-- i 0 ]; ret (i 0) ] ]
   in
-  let compiled = Ir.Compile.program (Ir.Lower.program prog) in
-  let mem = ref (Ir.Memory.create ~regions:[] ~heap_bytes:0x1000 ~inject:Fun.id) in
-  match Ir.Compile.call compiled ~mem ~hooks:Ir.Interp.no_hooks ~budget:1000 "main" [] with
+  let main =
+    Ir.Compile.lookup (Ir.Compile.program (Ir.Lower.program prog)) "main"
+  in
+  let mem =
+    Ir.Memory.flat_of_memory
+      (Ir.Memory.create ~regions:[] ~heap_bytes:0x1000 ~inject:Fun.id)
+  in
+  match Ir.Compile.call main ~mem ~hooks:Ir.Interp.no_hooks ~budget:1000 [||] with
   | exception Ir.Interp.Budget_exhausted -> ()
   | _ -> Alcotest.fail "expected budget exhaustion"
 

@@ -115,15 +115,17 @@ let lowering_agrees =
       let expected = ref_run fdef [ 5 ] in
       let prog = Ir.Lower.program (program ~name:"t" ~entry:"main" [ fdef ]) in
       let mem () =
-        ref (Ir.Memory.create ~regions:[] ~heap_bytes:4096 ~inject:Fun.id)
+        Ir.Memory.create ~regions:[] ~heap_bytes:4096 ~inject:Fun.id
       in
       let interp =
-        (Ir.Interp.call prog ~mem:(mem ()) ~hooks:Ir.Interp.no_hooks
+        (Ir.Interp.call prog ~mem:(ref (mem ())) ~hooks:Ir.Interp.no_hooks
            ~budget:2_000_000 "main" [ 5 ]).ret
       in
       let compiled =
-        (Ir.Compile.call (Ir.Compile.program prog) ~mem:(mem ())
-           ~hooks:Ir.Interp.no_hooks ~budget:2_000_000 "main" [ 5 ]).ret
+        (Ir.Compile.call
+           (Ir.Compile.lookup (Ir.Compile.program prog) "main")
+           ~mem:(Ir.Memory.flat_of_memory (mem ()))
+           ~hooks:Ir.Interp.no_hooks ~budget:2_000_000 [| 5 |]).ret
       in
       interp = expected && compiled = expected)
 

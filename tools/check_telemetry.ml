@@ -24,9 +24,8 @@
                                            bit-identical (metrics, config,
                                            solver_cache) regardless of -j
      check_telemetry replay FILE.json [MIN_PACKETS]
-                                        -- manifest records the replay
-                                           configuration (batch/compile
-                                           mode) and coherent replay.*
+                                        -- manifest records coherent
+                                           replay.packets/replay.bursts
                                            counters (>= MIN_PACKETS packets
                                            if given)
      check_telemetry journal DIR [MANIFEST [WRITTEN REUSED]]
@@ -355,30 +354,14 @@ let check_pool_eq path_a path_b =
     path_a path_b
 
 (* `check_telemetry replay FILE.json [MIN_PACKETS]`: a manifest from a run
-   that replayed packets must carry the replay configuration (the [replay]
-   section's [batch]/[compile_mode]) and the replay.* counters — with
-   packets >= bursts >= 1 (a burst holds at least one packet) and, when
-   MIN_PACKETS is given, at least that many packets replayed. *)
+   that replayed packets must carry the replay.packets/replay.bursts
+   counters — with packets >= bursts >= 1 (a burst holds at least one
+   packet) and, when MIN_PACKETS is given, at least that many packets
+   replayed. *)
 let check_replay path min_packets =
   match Obs.Json.parse (read_file path) with
   | Error e -> fail "%s: not JSON: %s" path e
   | Ok obj ->
-      let r =
-        match Obs.Json.member "replay" obj with
-        | Some r -> r
-        | None -> fail "%s: no replay section" path
-      in
-      let batch =
-        match Obs.Json.member "batch" r with
-        | Some (Obs.Json.Int b) when b >= 1 -> b
-        | _ -> fail "%s: missing or non-positive replay.batch" path
-      in
-      let mode =
-        match get_str r "compile_mode" with
-        | Some (("instr" | "superblock") as m) -> m
-        | Some m -> fail "%s: unknown replay.compile_mode %S" path m
-        | None -> fail "%s: missing replay.compile_mode" path
-      in
       let counters =
         match Obs.Json.member "metrics" obj with
         | Some m -> (
@@ -395,7 +378,6 @@ let check_replay path min_packets =
       in
       let packets = counter "replay.packets"
       and bursts = counter "replay.bursts" in
-      ignore (counter "replay.shards" : int);
       if packets < 1 then fail "%s: replay.packets is 0" path;
       if bursts < 1 then fail "%s: replay.bursts is 0" path;
       if packets < bursts then
@@ -406,9 +388,8 @@ let check_replay path min_packets =
           fail "%s: expected at least %d replayed packet(s), saw %d" path m
             packets
       | _ -> ());
-      Printf.printf
-        "%s: replay ok (batch %d, %s, %d packet(s) in %d burst(s))\n" path
-        batch mode packets bursts
+      Printf.printf "%s: replay ok (%d packet(s) in %d burst(s))\n" path
+        packets bursts
 
 (* ------------------------------------------------------------------ *)
 (* Run journals                                                        *)
