@@ -9,7 +9,10 @@
      castan dump <nf>                 -- print an NF's NFIR listing
      castan experiment <id>           -- regenerate a table/figure at
                                          --quick, default or --full scale;
-                                         --metrics records its wall times *)
+                                         --metrics records its wall times
+
+   Manifests, ktest files, profiles and sample dumps are written atomically
+   (Util.Durable); a killed run is re-run, not resumed. *)
 
 open Cmdliner
 
@@ -91,16 +94,9 @@ let max_states_arg =
                degraded (exit code 2) instead of exhausting memory.  0 \
                (default) disables the cap.")
 
-let mem_budget_arg =
-  Arg.(value & opt int 0 & info [ "mem-budget-mb" ] ~docv:"MB"
-         ~doc:"Resource watchdog: when the major heap exceeds MB megabytes \
-               during exploration, kill the deeper half of the pending \
-               states ($(b,watchdog-memory)) and compact, rather than \
-               dying to the OOM killer.  0 (default) disables the budget.")
-
 (* A caught SIGINT/SIGTERM becomes a clean [exit], so the [at_exit]
-   telemetry/manifest/journal flushes run and a half-written run is
-   resumable.  Conventional 128+signo codes. *)
+   telemetry/manifest flushes run and an interrupted run still leaves
+   complete --metrics/--trace files.  Conventional 128+signo codes. *)
 let install_signal_handlers () =
   let clean code _ = exit code in
   (try Sys.set_signal Sys.sigint (Sys.Signal_handle (clean 130))
@@ -169,7 +165,7 @@ let analyze_cmd =
                  outputs of the paper's §4).")
   in
   let run name output packets budget no_contention cache_model_file ktest
-      max_states mem_budget_mb no_solver_cache jobs trace metrics log_level =
+      max_states no_solver_cache jobs trace metrics log_level =
     if no_solver_cache then Solver.Qcache.set_enabled false;
     set_jobs jobs;
     install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
@@ -195,7 +191,6 @@ let analyze_cmd =
         n_packets = packets;
         time_budget = budget;
         max_states;
-        mem_budget_mb;
       }
     in
     let o =
@@ -242,9 +237,8 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Synthesize an adversarial workload for an NF")
     Term.(
       const run $ nf_arg $ output $ packets $ budget $ no_contention
-      $ cache_model_file $ ktest $ max_states_arg $ mem_budget_arg
-      $ no_solver_cache_arg $ jobs_arg $ trace_arg $ metrics_arg
-      $ log_level_arg)
+      $ cache_model_file $ ktest $ max_states_arg $ no_solver_cache_arg
+      $ jobs_arg $ trace_arg $ metrics_arg $ log_level_arg)
 
 (* ---------------- profile ---------------- *)
 
@@ -560,28 +554,8 @@ let experiment_cmd =
                  degradation paths.  RATE 0.0 is bit-identical to no \
                  injection.")
   in
-  let journal =
-    Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR"
-           ~doc:"Record every completed per-NF campaign cell in a crash-safe \
-                 journal at DIR (an fsynced append-only ledger plus one \
-                 atomically-written segment per cell), so a killed run can \
-                 be resumed with $(b,--resume).")
-  in
-  let resume =
-    Arg.(value & flag & info [ "resume" ]
-           ~doc:"Before running, hydrate the campaign memo from the journal \
-                 at $(b,--journal) DIR: cells recorded under the same \
-                 identity (git revision, config, seed, jobs, fault \
-                 injection) are reused and their campaigns are not re-run.")
-  in
-  let crash_after =
-    Arg.(value & opt (some int) None & info [ "crash-after" ] ~docv:"K"
-           ~doc:"Testing hook: die (uncleanly, bypassing failure \
-                 containment) at the K-th pipeline checkpoint reached — the \
-                 crash half of the journal's crash/resume contract.")
-  in
-  let run id config fail_fast inject journal resume crash_after max_states
-      mem_budget_mb no_solver_cache jobs trace metrics log_level =
+  let run id config fail_fast inject max_states no_solver_cache jobs trace
+      metrics log_level =
     if no_solver_cache then Solver.Qcache.set_enabled false;
     set_jobs jobs;
     Util.Resilience.reset ();
@@ -590,30 +564,14 @@ let experiment_cmd =
       (Option.map
          (fun (rate, seed) -> Util.Resilience.inject ~rate ~seed)
          inject);
-    Util.Resilience.set_crash_point crash_after;
     if id = "list" then
       List.iter
         (fun (e : Castan.Harness.entry) ->
           Printf.printf "%-26s %s\n" e.id e.descr)
         Castan.Harness.all
     else begin
-      let config = { config with Castan.Experiment.max_states; mem_budget_mb } in
+      let config = { config with Castan.Experiment.max_states } in
       let ids = Castan.Harness.expand_id id in
-      (* The journal opens after the injector is installed (the injection
-         signature is part of the cell identity) and before any campaign
-         can run. *)
-      (match journal with
-      | Some dir -> (
-          match Castan.Journal.enable ~dir ~config ~resume with
-          | Ok () -> ()
-          | Error e ->
-              Printf.eprintf "castan: %s\n%!" e;
-              exit 1)
-      | None ->
-          if resume then begin
-            Printf.eprintf "castan: --resume requires --journal DIR\n%!";
-            exit 1
-          end);
       (* Wall seconds per entry in run order, prewarm first when it ran:
          the manifest's experiments_timed. *)
       let timed = ref [] in
@@ -623,12 +581,9 @@ let experiment_cmd =
             Obs.Json.Obj
               [ ("id", Obs.Json.Str id); ("seconds", Obs.Json.Float seconds) ]
           in
+          let timed_json = Obs.Json.List (List.rev_map entry !timed) in
           Castan.Manifest.make ~ids ~config
-            ~extra:
-              (("experiments_timed", Obs.Json.List (List.rev_map entry !timed))
-              :: (if Castan.Journal.active () then
-                    [ ("journal", Castan.Journal.stats_json ()) ]
-                  else []))
+            ~extra:[ ("experiments_timed", timed_json) ]
             ());
       (* Exit codes: 0 = clean, 2 = completed but degraded (failures were
          contained and summarized), 1 = fatal (fail-fast or unknown id). *)
@@ -668,9 +623,9 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate one of the paper's tables, figures or ablations")
     Term.(
-      const run $ id $ scale $ fail_fast $ inject $ journal $ resume
-      $ crash_after $ max_states_arg $ mem_budget_arg $ no_solver_cache_arg
-      $ jobs_arg $ trace_arg $ metrics_arg $ log_level_arg)
+      const run $ id $ scale $ fail_fast $ inject $ max_states_arg
+      $ no_solver_cache_arg $ jobs_arg $ trace_arg $ metrics_arg
+      $ log_level_arg)
 
 let () =
   install_signal_handlers ();

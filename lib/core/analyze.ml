@@ -13,7 +13,6 @@ type config = {
   max_states_tried : int;
   seed : int;
   max_states : int;
-  mem_budget_mb : int;
 }
 
 let default_config ?(cache = Baseline) () =
@@ -27,7 +26,6 @@ let default_config ?(cache = Baseline) () =
     max_states_tried = 16;
     seed = 7;
     max_states = 0;
-    mem_budget_mb = 0;
   }
 
 type outcome = {
@@ -223,7 +221,6 @@ let run ?config (nf : Nf.Nf_def.t) =
             time_budget = cfg.time_budget;
             instr_budget = cfg.instr_budget;
             max_states = cfg.max_states;
-            mem_budget_mb = cfg.mem_budget_mb;
           }
         in
         (driver_cfg, Nf.Nf_def.fresh_symbolic_memory nf, cache_model cfg.cache))

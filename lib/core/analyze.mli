@@ -26,12 +26,11 @@ type config = {
   max_states_tried : int;  (** ranked states to attempt solving *)
   seed : int;
   max_states : int;  (** watchdog pending-state budget, 0 = unlimited *)
-  mem_budget_mb : int;  (** watchdog heap budget in MB, 0 = unlimited *)
 }
 
 val default_config : ?cache:cache_kind -> unit -> config
-(** Castan searcher, M = 2, 30s/5M-instruction budget, watchdog budgets
-    off, baseline-free contention model must be provided by [cache]
+(** Castan searcher, M = 2, 30s/5M-instruction budget, watchdog off,
+    baseline-free contention model must be provided by [cache]
     (default {!Baseline} so the call works without a discovery run;
     experiments pass discovered sets). *)
 

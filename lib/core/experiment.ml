@@ -15,7 +15,6 @@ type config = {
   use_contention_model : bool;
   seed : int;
   max_states : int;
-  mem_budget_mb : int;
 }
 
 let default_config =
@@ -27,7 +26,6 @@ let default_config =
     use_contention_model = true;
     seed = 42;
     max_states = 0;
-    mem_budget_mb = 0;
   }
 
 let quick_config =
@@ -39,58 +37,21 @@ let quick_config =
     use_contention_model = true;
     seed = 42;
     max_states = 0;
-    mem_budget_mb = 0;
   }
 
 (* The memo table is shared across pool workers (Harness prewarms campaigns
    in parallel), so access is Mutex-guarded with double-checked insertion:
    two workers racing on the same key both run the (deterministic) campaign
-   but agree on one canonical cached value. *)
+   but agree on one canonical cached value.  The key is the NF name and the
+   whole config: every field is a plain value, and every field can change
+   the campaign. *)
 let cache_mu = Mutex.create ()
 
-let cache : (string, (nf_run, Util.Resilience.failure) result) Hashtbl.t =
+let cache :
+    (string * config, (nf_run, Util.Resilience.failure) result) Hashtbl.t =
   Hashtbl.create 16
 
-(* Keys seeded from a journal (guarded by [cache_mu]); an entry leaves the
-   set on its first reuse so each resumed cell is counted once. *)
-let hydrated : (string, unit) Hashtbl.t = Hashtbl.create 16
-
-let clear_cache () =
-  Mutex.protect cache_mu (fun () ->
-      Hashtbl.reset cache;
-      Hashtbl.reset hydrated)
-
-let cache_key name (c : config) =
-  Printf.sprintf "%s/%s/%d/%b/%d/%d" name
-    (match c.scale with `Quick -> "q" | `Default -> "d" | `Paper -> "p")
-    c.samples c.use_contention_model c.max_states c.mem_budget_mb
-
-(* Journal integration.  The journal module (which depends on this one)
-   installs observers instead of this module calling it directly:
-   [on_fresh] fires once per key actually computed in this process, with
-   the canonical memoized value; [on_reuse] fires the first time a
-   journal-hydrated entry satisfies a lookup.  Hooks are called outside
-   the cache mutex — the journal takes its own lock. *)
-let on_fresh :
-    (key:string -> nf:string -> (nf_run, Util.Resilience.failure) result -> unit)
-    option
-    ref =
-  ref None
-
-let set_on_fresh f = on_fresh := f
-
-let on_reuse : (key:string -> unit) option ref = ref None
-let set_on_reuse f = on_reuse := f
-
-let seed_cache entries =
-  Mutex.protect cache_mu (fun () ->
-      List.iter
-        (fun (key, r) ->
-          if not (Hashtbl.mem cache key) then begin
-            Hashtbl.replace cache key r;
-            Hashtbl.replace hydrated key ()
-          end)
-        entries)
+let clear_cache () = Mutex.protect cache_mu (fun () -> Hashtbl.reset cache)
 
 (* One NF campaign, split into guarded stages so a failure names where the
    pipeline died.  The [checkpoint] calls are the fault-injection points:
@@ -119,7 +80,6 @@ let campaign name config =
             instr_budget = config.analysis_instrs;
             seed = config.seed;
             max_states = config.max_states;
-            mem_budget_mb = config.mem_budget_mb;
           }
         in
         (nf, Analyze.run ~config:analysis_cfg nf))
@@ -163,36 +123,17 @@ let campaign name config =
       { nf; nop = Testbed.Tg.nop_baseline ~seed ~samples (); rows; castan })
 
 let try_run ?(config = default_config) name =
-  let key = cache_key name config in
-  let lookup () =
-    Mutex.protect cache_mu (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some r ->
-            let reused = Hashtbl.mem hydrated key in
-            if reused then Hashtbl.remove hydrated key;
-            Some (r, reused)
-        | None -> None)
-  in
-  match lookup () with
-  | Some (r, reused) ->
-      if reused then
-        (match !on_reuse with Some f -> f ~key | None -> ());
-      r
-  | None -> (
+  let key = (name, config) in
+  match Mutex.protect cache_mu (fun () -> Hashtbl.find_opt cache key) with
+  | Some r -> r
+  | None ->
       let r = campaign name config in
-      let canonical, inserted =
-        Mutex.protect cache_mu (fun () ->
-            match Hashtbl.find_opt cache key with
-            | Some canonical -> (canonical, false)
-            | None ->
-                Hashtbl.replace cache key r;
-                (r, true))
-      in
-      (* Only the insertion winner journals the cell: a racing loser holds
-         an identical value, and one ledger record per key is enough. *)
-      if inserted then
-        (match !on_fresh with Some f -> f ~key ~nf:name canonical | None -> ());
-      canonical)
+      Mutex.protect cache_mu (fun () ->
+          match Hashtbl.find_opt cache key with
+          | Some canonical -> canonical
+          | None ->
+              Hashtbl.replace cache key r;
+              r)
 
 let run ?(config = default_config) name =
   match try_run ~config name with

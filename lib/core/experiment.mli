@@ -4,7 +4,7 @@
     baseline, the generic workloads (1 Packet, Zipfian, UniRand), the
     volume-fair UniRand-CASTAN, the synthesized CASTAN workload, and — where
     the paper has one — the hand-crafted Manual workload.  Runs are memoized
-    by (NF, scale), since every table and figure draws on the same eleven
+    by (NF, config), since every table and figure draws on the same eleven
     campaigns. *)
 
 type row = { label : string; measurement : Testbed.Tg.measurement }
@@ -24,7 +24,6 @@ type config = {
   use_contention_model : bool;  (** false = baseline cache-model ablation *)
   seed : int;
   max_states : int;  (** symbex watchdog pending-state budget, 0 = off *)
-  mem_budget_mb : int;  (** symbex watchdog heap budget in MB, 0 = off *)
 }
 
 val default_config : config
@@ -57,29 +56,4 @@ val workload_labels : nf_run -> string list
 
 val clear_cache : unit -> unit
 (** Forget memoized campaigns (tests use it to vary configurations).
-    Also forgets which entries were journal-hydrated.  Thread-safe. *)
-
-(** {2 Journal integration}
-
-    The run journal ({!Journal}) depends on this module, so the coupling
-    runs through observers installed here rather than direct calls. *)
-
-val cache_key : string -> config -> string
-(** The memo (and journal cell) key for one NF campaign under one config. *)
-
-val seed_cache :
-  (string * (nf_run, Util.Resilience.failure) result) list -> unit
-(** Pre-populate the memo with journal-hydrated cells.  Existing entries
-    win; seeded keys are tracked so their first reuse can be counted. *)
-
-val set_on_fresh :
-  (key:string -> nf:string -> (nf_run, Util.Resilience.failure) result -> unit)
-  option ->
-  unit
-(** Observer called once per key actually computed in this process (the
-    insertion winner under races), with the canonical memoized value.
-    Called outside the memo lock. *)
-
-val set_on_reuse : (key:string -> unit) option -> unit
-(** Observer called the first time a {!seed_cache}-hydrated entry satisfies
-    a lookup — i.e. once per cell a resumed run did not have to re-run. *)
+    Thread-safe. *)

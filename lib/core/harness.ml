@@ -529,12 +529,7 @@ let run_id config id : float =
                 e.run config))
       in
       (match result with
-      | Ok () ->
-          (* Progress marker: with a journal enabled, a resumed run can see
-             which experiment ids already rendered (their cells are in the
-             ledger regardless — marks are the human-readable breadcrumb). *)
-          Journal.mark id;
-          Printf.printf "[%s done in %.1fs]\n%!" id elapsed
+      | Ok () -> Printf.printf "[%s done in %.1fs]\n%!" id elapsed
       | Error f ->
           Printf.printf "[%s failed: %s]\n%!" id (Util.Resilience.to_string f));
       elapsed

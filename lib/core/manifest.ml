@@ -11,18 +11,6 @@ let git_describe () =
 
 let scale_name = function `Quick -> "quick" | `Default -> "default" | `Paper -> "paper"
 
-(* ------------------------------------------------------------------ *)
-(* Run identity                                                        *)
-(* ------------------------------------------------------------------ *)
-
-type identity = {
-  git : string;
-  config_digest : string;
-  seed : int;
-  jobs : int;
-  injection : string;
-}
-
 let config_json (c : Experiment.config) =
   Obs.Json.Obj
     [
@@ -33,54 +21,7 @@ let config_json (c : Experiment.config) =
       ("use_contention_model", Obs.Json.Bool c.Experiment.use_contention_model);
       ("seed", Obs.Json.Int c.Experiment.seed);
       ("max_states", Obs.Json.Int c.Experiment.max_states);
-      ("mem_budget_mb", Obs.Json.Int c.Experiment.mem_budget_mb);
     ]
-
-let config_digest c =
-  Digest.to_hex (Digest.string (Obs.Json.to_string (config_json c)))
-
-let current_identity ?config () =
-  {
-    git = git_describe ();
-    config_digest =
-      (match config with Some c -> config_digest c | None -> "");
-    seed = (match config with Some c -> c.Experiment.seed | None -> 0);
-    jobs = Util.Pool.default_jobs ();
-    injection = Util.Resilience.injection_signature ();
-  }
-
-let identity_json (i : identity) =
-  Obs.Json.Obj
-    [
-      ("git", Obs.Json.Str i.git);
-      ("config_digest", Obs.Json.Str i.config_digest);
-      ("seed", Obs.Json.Int i.seed);
-      ("jobs", Obs.Json.Int i.jobs);
-      ("injection", Obs.Json.Str i.injection);
-    ]
-
-let identity_of_json j =
-  let str k =
-    match Obs.Json.member k j with
-    | Some (Obs.Json.Str s) -> Ok s
-    | _ -> Error (Printf.sprintf "identity: missing string field %S" k)
-  in
-  let int k =
-    match Obs.Json.member k j with
-    | Some (Obs.Json.Int n) -> Ok n
-    | _ -> Error (Printf.sprintf "identity: missing int field %S" k)
-  in
-  match (str "git", str "config_digest", int "seed", int "jobs",
-         str "injection")
-  with
-  | Ok git, Ok config_digest, Ok seed, Ok jobs, Ok injection ->
-      Ok { git; config_digest; seed; jobs; injection }
-  | Error e, _, _, _, _
-  | _, Error e, _, _, _
-  | _, _, Error e, _, _
-  | _, _, _, Error e, _
-  | _, _, _, _, Error e ->
-      Error e
 
 (* Feasibility slicing at a glance: whether it was on, how many queries it
    sliced, and how many constraints it removed from them. *)
@@ -122,7 +63,6 @@ let make ?ids ?config ?(extra = []) () =
           [
             ("config", config_json c);
             ("seed", Obs.Json.Int c.Experiment.seed);
-            ("identity", identity_json (current_identity ~config:c ()));
           ]
       | None -> [])
     @ extra

@@ -1,7 +1,7 @@
-(** Run manifests: a machine-readable record of what produced a set of
-    results — tool version, git revision, experiment ids, the full
-    {!Experiment.config} (including the seed), and the final
-    {!Obs.Metrics.snapshot}.
+(** Run manifests: the one machine-readable record of what produced a set
+    of results — tool version, git revision, worker-pool job count,
+    experiment ids, the full {!Experiment.config} (including the seed), and
+    the final {!Obs.Metrics.snapshot}.
 
     Written by the [--metrics FILE] flag of [castan analyze], [profile],
     [replay] and [experiment] (the last adds per-experiment wall times), so
@@ -13,33 +13,6 @@ val git_describe : unit -> string
     git (or the repository) is unavailable.  Never raises. *)
 
 val config_json : Experiment.config -> Obs.Json.t
-
-(** {2 Run identity}
-
-    The facts that decide whether two results are comparable — and whether
-    a journal cell may be reused: git revision, a digest of the canonical
-    config JSON, the seed, the worker-pool job count and the
-    fault-injection signature.  {!Journal} keys its cells by
-    this record, and experiment manifests carry it as ["identity"]. *)
-
-type identity = {
-  git : string;  (** [git describe --always --dirty] *)
-  config_digest : string;  (** MD5 of the canonical config JSON; [""] when
-                               no config describes the run *)
-  seed : int;
-  jobs : int;
-  injection : string;  (** {!Util.Resilience.injection_signature} *)
-}
-
-val config_digest : Experiment.config -> string
-(** MD5 hex of {!config_json}'s rendering — the canonical config digest. *)
-
-val current_identity : ?config:Experiment.config -> unit -> identity
-(** The identity a result produced {e now} would carry.  Without [?config],
-    [config_digest] is [""] and [seed] is [0]. *)
-
-val identity_json : identity -> Obs.Json.t
-val identity_of_json : Obs.Json.t -> (identity, string) result
 
 val make :
   ?ids:string list ->

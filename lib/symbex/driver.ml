@@ -9,7 +9,6 @@ type config = {
   time_budget : float;
   max_completed : int;
   max_states : int;
-  mem_budget_mb : int;
 }
 
 let default_config ?(n_packets = 30) costs =
@@ -24,7 +23,6 @@ let default_config ?(n_packets = 30) costs =
     time_budget = 30.0;
     max_completed = 32;
     max_states = 0;
-    mem_budget_mb = 0;
   }
 
 type stats = {
@@ -118,30 +116,16 @@ let run program ~mem ~cache config =
         && (deadline_hit := true;
             true))
   in
-  (* Resource watchdog (max_states / mem_budget_mb).  Both budgets degrade
+  (* Resource watchdog (max_states).  The pending-state budget degrades
      the exploration instead of letting the OOM killer abort the process:
      excess pending states are killed deepest-first — depth ordered by
      (packet index, raw steps into the packet, state id), the later-forked
-     state dying first on ties — under a structured [watchdog-*] kill
-     reason, and survivors re-enter the searcher in their original queue
-     order.  The heap budget is polled in-slice at the deadline's
-     1024-instruction cadence ([Gc.quick_stat] reads the major-heap size
-     without walking it); a trip ends the slice so the prune runs between
-     slices, where the only live states are the pending ones. *)
+     state dying first on ties — under the [watchdog-states] kill reason,
+     and survivors re-enter the searcher in their original queue order.
+     The check runs between slices, where the only live states are the
+     pending ones; it counts states, not heap bytes, so its kills are a
+     pure function of the exploration. *)
   let watchdog = ref 0 in
-  let mem_budget_words =
-    if config.mem_budget_mb <= 0 then 0
-    else config.mem_budget_mb * 1024 * 1024 / (Sys.word_size / 8)
-  in
-  let mem_tripped = ref false in
-  let over_mem_budget () =
-    !mem_tripped
-    || (mem_budget_words > 0
-        && !executed land 1023 = 0
-        && (Gc.quick_stat ()).Gc.heap_words > mem_budget_words
-        && (mem_tripped := true;
-            true))
-  in
   let out_of_budget () =
     !executed >= config.instr_budget
     || !deadline_hit
@@ -152,7 +136,7 @@ let run program ~mem ~cache config =
      or dies; loop-head forks continue greedily on the "one more iteration"
      side (§3.4). *)
   let rec advance s slice =
-    if slice = 0 || over_deadline () || over_mem_budget () then
+    if slice = 0 || over_deadline () then
       Searcher.add searcher s
     else
       match Exec.step exec_cfg s with
@@ -183,11 +167,11 @@ let run program ~mem ~cache config =
           count_kill reason
   in
   let depth_key (s : State.t) = (s.State.pkt, s.State.steps, s.State.id) in
-  let kill_deepest ~keep ~label =
-    let pending = Searcher.drain searcher in
-    let n = List.length pending in
-    if n <= keep then List.iter (Searcher.add searcher) pending
-    else begin
+  let watchdog_check () =
+    let keep = config.max_states in
+    if keep > 0 && Searcher.size searcher > keep then begin
+      let pending = Searcher.drain searcher in
+      let n = List.length pending in
       let doomed = Hashtbl.create 16 in
       List.stable_sort (fun a b -> compare (depth_key b) (depth_key a)) pending
       |> List.iteri (fun i s ->
@@ -198,28 +182,14 @@ let run program ~mem ~cache config =
             incr killed;
             incr watchdog;
             let cur =
-              match Hashtbl.find_opt kill_counts label with
+              match Hashtbl.find_opt kill_counts "watchdog-states" with
               | Some n -> n
               | None -> 0
             in
-            Hashtbl.replace kill_counts label (cur + 1)
+            Hashtbl.replace kill_counts "watchdog-states" (cur + 1)
           end
           else Searcher.add searcher s)
         pending
-    end
-  in
-  let watchdog_check () =
-    if config.max_states > 0 && Searcher.size searcher > config.max_states then
-      kill_deepest ~keep:config.max_states ~label:"watchdog-states";
-    if !mem_tripped then begin
-      (* Keep the shallow half (at least one state so exploration can
-         still make progress), then actually return the freed memory —
-         re-tripping next slice prunes further if that was not enough. *)
-      mem_tripped := false;
-      kill_deepest
-        ~keep:(max 1 (Searcher.size searcher / 2))
-        ~label:"watchdog-memory";
-      Gc.full_major ()
     end
   in
   let initial = State.initial program ~cache ~n_packets:config.n_packets ~mem in

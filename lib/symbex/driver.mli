@@ -21,17 +21,11 @@ type config = {
       (** watchdog: pending-state budget, 0 = unlimited.  When the queue
           exceeds it, the deepest pending states are killed (reason
           ["watchdog-states"]) until it fits. *)
-  mem_budget_mb : int;
-      (** watchdog: major-heap budget in MB, 0 = unlimited.  Polled
-          in-slice at the deadline cadence via [Gc.quick_stat]; a trip
-          kills the deeper half of the pending queue (reason
-          ["watchdog-memory"]) and compacts, instead of letting the OS OOM
-          killer abort the process. *)
 }
 
 val default_config : ?n_packets:int -> Costs.t -> config
-(** 30 packets, castan searcher, M = 2, 5M total instructions, 30s, both
-    watchdog budgets off. *)
+(** 30 packets, castan searcher, M = 2, 5M total instructions, 30s,
+    watchdog off. *)
 
 type stats = {
   explored : int;  (** states whose execution advanced at least once *)
@@ -47,9 +41,9 @@ type stats = {
           resource watchdog pruned states *)
   watchdog_kills : int;
       (** states killed by the resource watchdog (the ["watchdog-states"]
-          and ["watchdog-memory"] entries of [kill_reasons]).  The kill set
-          is deterministic in the budgets: deepest pending states first,
-          depth ordered by (packet, steps, state id). *)
+          entry of [kill_reasons]).  The kill set is deterministic in the
+          budgets: deepest pending states first, depth ordered by (packet,
+          steps, state id). *)
 }
 
 type result = {

@@ -1,3 +1,5 @@
+(* Fsync a directory fd so the rename inside it is durable.  A no-op on
+   systems where opening a directory for reading fails. *)
 let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | fd ->
@@ -5,42 +7,17 @@ let fsync_dir dir =
       Unix.close fd
   | exception Unix.Unix_error _ -> ()
 
-let fsync_out oc =
-  flush oc;
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
-
-let with_out ~path f =
+let write_string ~path s =
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  (try f oc
+  (try
+     output_string oc s;
+     flush oc;
+     try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
    with e ->
      close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
-  fsync_out oc;
   close_out oc;
   Sys.rename tmp path;
   fsync_dir (Filename.dirname path)
-
-let write_string ~path s = with_out ~path (fun oc -> output_string oc s)
-
-type appender = { oc : out_channel; mutable closed : bool }
-
-let append_open path =
-  let existed = Sys.file_exists path in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  if not existed then fsync_dir (Filename.dirname path);
-  { oc; closed = false }
-
-let append_line a line =
-  if not a.closed then begin
-    output_string a.oc line;
-    output_char a.oc '\n';
-    fsync_out a.oc
-  end
-
-let append_close a =
-  if not a.closed then begin
-    a.closed <- true;
-    close_out_noerr a.oc
-  end

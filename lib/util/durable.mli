@@ -1,44 +1,15 @@
 (** Crash-safe file writes.
 
-    Every artifact the tool leaves behind (manifests, [BENCH_*.json],
-    [--trace]/[--metrics] files, ktest fingerprints, journal segments) goes
-    through one of two disciplines:
-
-    - {e atomic replace}: the content is written to [<path>.tmp], flushed
-      and fsynced, then [rename]d over [path].  A crash at any instant
-      leaves either the old file or the new one — never a torn JSON that a
-      strict parser (or a resumed run) then chokes on.
-    - {e durable append}: an append-only line writer that fsyncs after
-      every line, for ledgers whose records must survive the very crash
-      they are journaling against.  A torn {e final} line (the crash hit
-      mid-[write]) is the only possible damage, and readers skip it.
-
-    Both are plain [Unix] + [Stdlib]; no new dependencies. *)
+    The run artifacts — [--metrics] manifests, ktest and metrics files,
+    profile reports, [--samples-out] dumps — are written by {e atomic
+    replace}: the content goes to [<path>.tmp], is flushed and fsynced, then
+    [rename]d over [path].  A crash at any instant leaves either the old
+    file or the new one — never a torn JSON that a strict parser then
+    chokes on.  Plain [Unix] + [Stdlib]; no new dependencies. *)
 
 val write_string : path:string -> string -> unit
 (** [write_string ~path s] atomically replaces [path] with [s]: write to
-    [path ^ ".tmp"], flush, fsync, close, rename.
+    [path ^ ".tmp"], flush, fsync, close, rename, fsync the directory.  If
+    the write fails, the tmp file is removed and the old [path] (if any)
+    survives untouched.
     @raise Sys_error when the directory is missing or not writable. *)
-
-val with_out : path:string -> (out_channel -> unit) -> unit
-(** Like {!write_string} for callers that stream into the channel.  The
-    rename happens only if [f] returns normally; on an exception the tmp
-    file is removed and the old [path] (if any) survives untouched. *)
-
-type appender
-(** An open append-only line writer (the journal ledger). *)
-
-val append_open : string -> appender
-(** Opens [path] for appending, creating it (and fsyncing the containing
-    directory so the creation itself is durable) if needed. *)
-
-val append_line : appender -> string -> unit
-(** Writes [line ^ "\n"], flushes and fsyncs before returning: once
-    [append_line] returns, the record survives a crash. *)
-
-val append_close : appender -> unit
-(** Idempotent. *)
-
-val fsync_dir : string -> unit
-(** Fsync a directory fd so renames/creations inside it are durable.  A
-    no-op on systems where opening a directory for reading fails. *)

@@ -25,12 +25,10 @@ let by_stage failures =
   |> List.sort compare
 
 exception Injected of failure
-exception Crashed of failure
 
 let () =
   Printexc.register_printer (function
     | Injected f -> Some ("injected fault: " ^ to_string f)
-    | Crashed f -> Some ("injected crash: " ^ to_string f)
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -73,8 +71,7 @@ let capture_end () =
 
 let guard ?nf ~stage f =
   try Ok (f ())
-  with
-  e when (match e with Crashed _ -> false | _ -> not !fail_fast_flag) ->
+  with e when not !fail_fast_flag ->
     let fl =
       match e with
       | Injected fl -> fl
@@ -104,80 +101,22 @@ let remaining = function
   | Some t -> Float.max 0. (t -. Unix.gettimeofday ())
 
 (* ------------------------------------------------------------------ *)
-(* Retry with backoff                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let retry ?(attempts = 3) ?(base_delay = 0.05) ?(max_delay = 1.0)
-    ?(sleep = Unix.sleepf) ~rng ~stage ?nf f =
-  let attempts = max 1 attempts in
-  let rec go k =
-    match f k with
-    | Ok _ as ok -> ok
-    | Error _ as err when k + 1 >= attempts -> err
-    | Error _ ->
-        let backoff = Float.min max_delay (base_delay *. (2. ** float_of_int k)) in
-        let jitter = 0.5 +. Rng.float rng in
-        sleep (backoff *. jitter);
-        go (k + 1)
-  in
-  match go 0 with
-  | Ok _ as ok -> ok
-  | Error last ->
-      Error
-        { last with
-          stage = (if last.stage = "" then stage else last.stage);
-          nf = (match last.nf with None -> nf | some -> some);
-          reason = Printf.sprintf "%s (after %d attempts)" last.reason attempts;
-        }
-
-(* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type injector = { rate : float; seed : int; rng : Rng.t; draw_mu : Mutex.t }
+type injector = { rate : float; rng : Rng.t; draw_mu : Mutex.t }
 
 let inject ~rate ~seed =
-  { rate; seed; rng = Rng.create (0xfa17 lxor seed); draw_mu = Mutex.create () }
+  { rate; rng = Rng.create (0xfa17 lxor seed); draw_mu = Mutex.create () }
 
 let ambient : injector option ref = ref None
 let set_injection i = ambient := i
 let injection_active () = !ambient <> None
 
-let injection_signature () =
-  match !ambient with
-  | None -> "none"
-  | Some { rate; seed; _ } -> Printf.sprintf "%g:%d" rate seed
-
-(* ------------------------------------------------------------------ *)
-(* Crash points                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike probabilistic fault injection (converted to [Error] by the
-   enclosing guard), a crash point models the process dying: the K-th
-   checkpoint site reached raises {!Crashed}, which no guard contains.
-   The counter is atomic because checkpoints run on pool workers too; with
-   [-j 1] the K-th site is exactly the K-th a serial trace would list. *)
-let crash_target = ref 0 (* 0 = disarmed *)
-let crash_seen = Atomic.make 0
-
-let set_crash_point target =
-  (match target with
-  | None -> crash_target := 0
-  | Some k -> crash_target := max 1 k);
-  Atomic.set crash_seen 0
-
-let crash_points_seen () = Atomic.get crash_seen
-
 let checkpoint ?nf ~stage () =
-  (let k = Atomic.fetch_and_add crash_seen 1 + 1 in
-   if !crash_target > 0 && k = !crash_target then
-     raise
-       (Crashed
-          (failure ?nf ~stage
-             (Printf.sprintf "injected crash at checkpoint %d" k))));
   match !ambient with
   | None -> ()
-  | Some { rate; rng; draw_mu; _ } ->
+  | Some { rate; rng; draw_mu } ->
       (* rate = 0. must not even draw: a disabled injector is bit-identical
          to no injector at all.  The draw is Mutex-guarded because guarded
          stages may run on pool workers; with jobs > 1 the injection

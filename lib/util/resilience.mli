@@ -12,8 +12,6 @@
       stage name, the NF being analyzed, the reason and a backtrace;
     - long stages run against {e deadlines} that can be polled cheaply from
       inner loops;
-    - transient stages can be {e retried} with deterministic,
-      seeded-jitter exponential backoff;
     - the degradation paths are themselves testable through a seeded
       {e fault injector} that probabilistically trips guarded stages.
 
@@ -42,11 +40,6 @@ val by_stage : failure list -> (string * int) list
 
 exception Injected of failure
 (** Raised by {!checkpoint} when the ambient fault injector fires. *)
-
-exception Crashed of failure
-(** Raised by {!checkpoint} when an armed crash point (see
-    {!set_crash_point}) is reached.  Models the process dying at that
-    site: {!guard} never contains it, regardless of fail-fast. *)
 
 (* ------------------------------------------------------------------ *)
 (* Guards                                                              *)
@@ -78,28 +71,6 @@ val remaining : deadline -> float
 (** Seconds left; [infinity] for {!no_deadline}, clamped at [0.]. *)
 
 (* ------------------------------------------------------------------ *)
-(* Retry with backoff                                                  *)
-(* ------------------------------------------------------------------ *)
-
-val retry :
-  ?attempts:int ->
-  ?base_delay:float ->
-  ?max_delay:float ->
-  ?sleep:(float -> unit) ->
-  rng:Rng.t ->
-  stage:string ->
-  ?nf:string ->
-  (int -> ('a, failure) result) ->
-  ('a, failure) result
-(** [retry ~rng ~stage f] calls [f 0], [f 1], ... until one returns [Ok] or
-    [attempts] (default 3) are exhausted; the last [Error] is returned.
-    Between attempts it sleeps [min max_delay (base_delay * 2^k)] scaled by
-    a jitter factor in [\[0.5, 1.5)] drawn from [rng] — equal seeds yield
-    equal delay sequences, which is what makes retrying stages testable.
-    Defaults: [base_delay = 0.05]s, [max_delay = 1.0]s, [sleep =
-    Unix.sleepf]. *)
-
-(* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -117,32 +88,10 @@ val set_injection : injector option -> unit
 
 val injection_active : unit -> bool
 
-val injection_signature : unit -> string
-(** ["none"] without an ambient injector, else ["<rate>:<seed>"].  Part of
-    the journal's run identity: cells produced under fault injection must
-    not be reused by (or leak into) clean runs. *)
-
 val checkpoint : ?nf:string -> stage:string -> unit -> unit
 (** Marks the entry of a guarded stage.  No-op unless an ambient injector
     is installed and fires, in which case {!Injected} is raised (and
-    subsequently converted to [Error] by the enclosing {!guard}) — or an
-    armed crash point is reached, which raises {!Crashed} instead. *)
-
-(* ------------------------------------------------------------------ *)
-(* Crash points                                                        *)
-(* ------------------------------------------------------------------ *)
-
-val set_crash_point : int option -> unit
-(** [set_crash_point (Some k)] arms a deterministic crash at the [k]-th
-    (1-based) {!checkpoint} site reached from now on; the site raises
-    {!Crashed}, which propagates through every guard — the crash-safety
-    tests (and the CLI's [--crash-after]) use this to prove that dying at
-    any checkpoint and resuming from the journal reproduces an
-    uninterrupted run.  [None] disarms.  Arming resets the site counter. *)
-
-val crash_points_seen : unit -> int
-(** Checkpoint sites passed since the last {!set_crash_point} — lets a test
-    first count a run's sites, then quickcheck a crash at each. *)
+    subsequently converted to [Error] by the enclosing {!guard}). *)
 
 (* ------------------------------------------------------------------ *)
 (* Fail-fast and the failure sink                                      *)

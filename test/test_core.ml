@@ -137,6 +137,26 @@ let experiment_and_report_plumbing () =
   Castan.Report.print_analysis_table [ r ];
   Castan.Experiment.clear_cache ()
 
+(* Every config field can change a campaign, so each must key its own
+   memo cell: a second config must never be served the first one's run. *)
+let memo_key_is_whole_config () =
+  let config =
+    { Castan.Experiment.quick_config with samples = 200;
+      analysis_instrs = 2_000; use_contention_model = false }
+  in
+  Castan.Experiment.clear_cache ();
+  let r = Castan.Experiment.run ~config "nop" in
+  Alcotest.(check bool) "same config, same cell" true
+    (Castan.Experiment.run ~config "nop" == r);
+  let fresh field config =
+    Alcotest.(check bool) (field ^ " keys its own cell") false
+      (Castan.Experiment.run ~config "nop" == r)
+  in
+  fresh "seed" { config with seed = config.seed + 1 };
+  fresh "analysis_instrs" { config with analysis_instrs = 3_000 };
+  fresh "analysis_time" { config with analysis_time = 4.0 };
+  Castan.Experiment.clear_cache ()
+
 let pcap_export_import_workload () =
   let _, o = quick_analysis "lpm-btrie" in
   let path = Filename.temp_file "castan" ".pcap" in
@@ -205,6 +225,8 @@ let tests =
     Alcotest.test_case "predicted metrics" `Quick predicted_metrics_nonempty;
     Alcotest.test_case "searcher ablation" `Slow searcher_ablation_directed_wins;
     Alcotest.test_case "experiment plumbing" `Slow experiment_and_report_plumbing;
+    Alcotest.test_case "memo key is the whole config" `Quick
+      memo_key_is_whole_config;
     Alcotest.test_case "pcap export/import" `Quick pcap_export_import_workload;
     Alcotest.test_case "analysis deterministic" `Quick analysis_deterministic;
     Alcotest.test_case "harness registry" `Quick harness_registry;

@@ -15,7 +15,6 @@ let () =
       ("replay", Test_replay.tests);
       ("core", Test_core.tests);
       ("resilience", Test_resilience.tests);
-      ("journal", Test_journal.tests);
       ("obs", Test_obs.tests);
       ("profile", Test_profile.tests);
     ]

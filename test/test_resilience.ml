@@ -1,63 +1,11 @@
-(* Tests for the resilience layer: retry/backoff determinism, guards, fault
-   injection, structured kill accounting in the driver, and per-NF isolation
-   of the experiment harness under injected faults. *)
+(* Tests for the resilience layer: guards, fault injection, structured kill
+   accounting in the driver, per-NF isolation of the experiment harness
+   under injected faults, and the resource watchdog's determinism. *)
 
 open Ir.Dsl
 
 let geom = Cache.Geometry.xeon_e5_2667v2
 let costs = Symbex.Costs.default geom
-
-(* ---------------- retry / backoff ---------------- *)
-
-let retry_deterministic () =
-  let run () =
-    let delays = ref [] in
-    let calls = ref 0 in
-    let rng = Util.Rng.create 99 in
-    let r =
-      Util.Resilience.retry ~attempts:5 ~base_delay:0.01
-        ~sleep:(fun d -> delays := d :: !delays)
-        ~rng ~stage:"test"
-        (fun k ->
-          incr calls;
-          if k < 3 then Error (Util.Resilience.failure ~stage:"test" "transient")
-          else Ok (k * 10))
-    in
-    (r, !calls, List.rev !delays)
-  in
-  let r1, calls1, delays1 = run () in
-  let r2, calls2, delays2 = run () in
-  (match r1 with
-  | Ok v -> Alcotest.(check int) "succeeds on 4th attempt" 30 v
-  | Error _ -> Alcotest.fail "expected success");
-  Alcotest.(check int) "four calls" 4 calls1;
-  Alcotest.(check int) "three backoffs" 3 (List.length delays1);
-  Alcotest.(check int) "same call count" calls1 calls2;
-  Alcotest.(check (list (float 0.0))) "equal seeds, equal delays" delays1 delays2;
-  (match r2 with Ok _ -> () | Error _ -> Alcotest.fail "expected success");
-  (* backoff grows: every delay is positive and the cap is respected *)
-  List.iter
-    (fun d -> Alcotest.(check bool) "positive bounded delay" true (d > 0.0 && d <= 1.5))
-    delays1
-
-let retry_exhausts_attempts () =
-  let calls = ref 0 in
-  let rng = Util.Rng.create 7 in
-  let r =
-    Util.Resilience.retry ~attempts:3 ~base_delay:0.001
-      ~sleep:(fun _ -> ())
-      ~rng ~stage:"flaky" ~nf:"some-nf"
-      (fun _ ->
-        incr calls;
-        Error (Util.Resilience.failure ~stage:"flaky" "still broken"))
-  in
-  Alcotest.(check int) "all attempts used" 3 !calls;
-  match r with
-  | Ok _ -> Alcotest.fail "expected failure"
-  | Error f ->
-      Alcotest.(check string) "stage preserved" "flaky" f.Util.Resilience.stage;
-      Alcotest.(check bool) "reason mentions attempts" true
-        (String.length f.Util.Resilience.reason > 0)
 
 (* ---------------- guards and the failure sink ---------------- *)
 
@@ -275,7 +223,7 @@ let contention_load_errors () =
 let injection_config =
   {
     Castan.Experiment.quick_config with
-    samples = 401;  (* distinct cache key: never collides with other tests *)
+    samples = 401;
     analysis_time = 0.5;
     analysis_instrs = 100_000;
     use_contention_model = false;
@@ -339,6 +287,68 @@ let harness_tables_survive_injection () =
       (* the failure summary renders *)
       Castan.Report.print_failure_summary (Util.Resilience.recorded ()))
 
+(* ---------------- watchdog determinism ---------------- *)
+
+(* The symbex budget is pinned by instructions (a huge [analysis_time], a
+   small [analysis_instrs]): wall-clock truncation is load-dependent, so
+   only an instruction-bound campaign is a pure function of its config. *)
+let watchdog_config =
+  {
+    Castan.Experiment.quick_config with
+    samples = 403;
+    analysis_time = 1e6;
+    analysis_instrs = 20_000;
+    use_contention_model = false;
+    max_states = 4;
+  }
+
+let watchdog_deterministic () =
+  Symbex.Driver.reset_watchdog_total ();
+  let saved_jobs = Util.Pool.default_jobs () in
+  let run_at jobs =
+    Util.Pool.set_default_jobs jobs;
+    Castan.Experiment.clear_cache ();
+    let r =
+      match
+        Castan.Experiment.try_run ~config:watchdog_config "lb-hash-ring"
+      with
+      | Ok r -> r
+      | Error f -> Alcotest.fail (Util.Resilience.to_string f)
+    in
+    Castan.Experiment.clear_cache ();
+    r
+  in
+  let r1 = run_at 1 in
+  let r4 = run_at 4 in
+  Util.Pool.set_default_jobs saved_jobs;
+  let outcome (r : Castan.Experiment.nf_run) = r.Castan.Experiment.castan in
+  let stats r = (outcome r).Castan.Analyze.stats in
+  Alcotest.(check bool) "the 4-state budget trips the watchdog" true
+    ((stats r1).Symbex.Driver.watchdog_kills > 0);
+  Alcotest.(check int) "same kill count at -j 1 and -j 4"
+    (stats r1).Symbex.Driver.watchdog_kills
+    (stats r4).Symbex.Driver.watchdog_kills;
+  Alcotest.(check (list (pair string int))) "same kill reasons"
+    (stats r1).Symbex.Driver.kill_reasons
+    (stats r4).Symbex.Driver.kill_reasons;
+  Alcotest.(check bool) "watchdog kills degrade the run" true
+    (stats r1).Symbex.Driver.degraded;
+  Alcotest.(check bool) "kills are accounted as watchdog-states" true
+    (List.mem_assoc "watchdog-states" (stats r1).Symbex.Driver.kill_reasons);
+  Alcotest.(check string) "identical ktest regardless of -j"
+    (Castan.Ktest.ktest_string (outcome r1))
+    (Castan.Ktest.ktest_string (outcome r4));
+  Alcotest.(check string) "identical predicted metrics regardless of -j"
+    (Castan.Ktest.metrics_string (outcome r1))
+    (Castan.Ktest.metrics_string (outcome r4));
+  Alcotest.(check bool) "identical NOP baseline regardless of -j" true
+    (r1.Castan.Experiment.nop = r4.Castan.Experiment.nop);
+  Alcotest.(check bool) "identical workload rows regardless of -j" true
+    (r1.Castan.Experiment.rows = r4.Castan.Experiment.rows);
+  Alcotest.(check bool) "process-level kill total advanced" true
+    (Symbex.Driver.watchdog_kill_total () > 0);
+  Symbex.Driver.reset_watchdog_total ()
+
 let expand_id_groups () =
   Alcotest.(check (list string)) "tables"
     [ "table1"; "table2"; "table3"; "table4"; "table5" ]
@@ -353,8 +363,6 @@ let expand_id_groups () =
 
 let tests =
   [
-    Alcotest.test_case "retry determinism" `Quick retry_deterministic;
-    Alcotest.test_case "retry exhausts attempts" `Quick retry_exhausts_attempts;
     Alcotest.test_case "guard contains + records" `Quick guard_contains_and_records;
     Alcotest.test_case "guard fail-fast re-raises" `Quick guard_fail_fast_reraises;
     Alcotest.test_case "deadline basics" `Quick deadline_basics;
@@ -370,4 +378,6 @@ let tests =
     Alcotest.test_case "tables survive fault injection" `Slow
       harness_tables_survive_injection;
     Alcotest.test_case "expand_id groups" `Quick expand_id_groups;
+    Alcotest.test_case "watchdog determinism (-j 1 = -j 4)" `Slow
+      watchdog_deterministic;
   ]

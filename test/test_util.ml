@@ -1,4 +1,5 @@
-(* Tests for castan.util: PRNG, Zipf sampling, statistics, tables. *)
+(* Tests for castan.util: PRNG, Zipf sampling, statistics, tables, durable
+   writes. *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -142,6 +143,23 @@ let table_render () =
   (* short row padded, no exception *)
   Alcotest.(check bool) "has separator" true (String.contains s '-')
 
+let durable_write_basics () =
+  let dir = Filename.temp_file "castan-durable" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path = Filename.concat dir "artifact.txt" in
+  Util.Durable.write_string ~path "first\n";
+  Util.Durable.write_string ~path "second\n";
+  let ic = open_in_bin path in
+  let content = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "rename replaces atomically" "second\n" content;
+  Alcotest.(check (list string)) "no temp files left behind"
+    [ "artifact.txt" ]
+    (Array.to_list (Sys.readdir dir) |> List.sort compare);
+  Sys.remove path;
+  Sys.rmdir dir
+
 let tests =
   [
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
@@ -160,4 +178,5 @@ let tests =
     Alcotest.test_case "stats median_int" `Quick stats_median_int;
     Alcotest.test_case "stats mean/stddev" `Quick stats_mean_stddev;
     Alcotest.test_case "table render" `Quick table_render;
+    Alcotest.test_case "durable write basics" `Quick durable_write_basics;
   ]

@@ -1,5 +1,5 @@
-(* Validates the files the telemetry flags emit; the `dune build @obs-smoke`
-   leg runs it against a real `castan experiment --trace/--metrics` run.
+(* Validates the files the telemetry flags emit; the `dune build @smoke`
+   legs (bin/dune) run it against real `castan` runs.
 
      check_telemetry trace FILE.jsonl   -- Chrome trace_event JSONL
      check_telemetry metrics FILE.json  -- run-manifest JSON; one that lists
@@ -28,17 +28,6 @@
                                            replay.packets/replay.bursts
                                            counters (>= MIN_PACKETS packets
                                            if given)
-     check_telemetry journal DIR [MANIFEST [WRITTEN REUSED]]
-                                        -- a --journal directory: ledger
-                                           well-formedness, segment md5 and
-                                           fingerprint verification, and
-                                           (optionally) consistency with the
-                                           run manifest's journal section,
-                                           whose cells_written/cells_reused
-                                           must equal WRITTEN/REUSED if given
-     check_telemetry journal-eq A B     -- two journal directories converged
-                                           on the same cell fingerprints
-                                           (the crash/resume contract)
 
    Exit 0 when the file is well formed, 1 (with a diagnostic on stderr) when
    it is not.  Uses the same Obs.Json parser the tests use, so "well formed"
@@ -391,180 +380,6 @@ let check_replay path min_packets =
       Printf.printf "%s: replay ok (%d packet(s) in %d burst(s))\n" path
         packets bursts
 
-(* ------------------------------------------------------------------ *)
-(* Run journals                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Parse a ledger into (kind, json) records.  A torn *final* line is the
-   crash the journal is designed around, so it is dropped with a note;
-   anything else unparsable is a hard failure. *)
-let ledger_records dir =
-  let path = Filename.concat dir "ledger.jsonl" in
-  let lines =
-    read_file path |> String.split_on_char '\n'
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  if lines = [] then fail "%s: empty ledger" path;
-  let n = List.length lines in
-  List.filteri
-    (fun i line ->
-      match Obs.Json.parse line with
-      | Ok _ -> true
-      | Error e ->
-          if i = n - 1 then begin
-            Printf.printf "%s: note: dropping torn final line\n" path;
-            false
-          end
-          else fail "%s:%d: not JSON: %s" path (i + 1) e)
-    lines
-  |> List.map (fun line ->
-         let j = Result.get_ok (Obs.Json.parse line) in
-         match get_str j "kind" with
-         | Some kind -> (kind, j)
-         | None -> fail "%s: ledger record without kind" path)
-
-(* `check_telemetry journal DIR [MANIFEST]`: ledger well-formedness, every
-   ok-cell's segment exists with the recorded md5 and decodes back to the
-   recorded fingerprint, and (with MANIFEST) the manifest's journal section
-   agrees with the ledger's last session. *)
-let check_journal dir manifest expect =
-  let records = ledger_records dir in
-  (match records with
-  | ("open", j) :: _ ->
-      (match Obs.Json.member "schema_version" j with
-      | Some (Obs.Json.Int 1) -> ()
-      | _ -> fail "%s: first open record lacks schema_version 1" dir);
-      (match Obs.Json.member "identity" j with
-      | Some id -> (
-          match Castan.Journal.identity_of_json id with
-          | Ok _ -> ()
-          | Error e -> fail "%s: malformed identity: %s" dir e)
-      | None -> fail "%s: open record without identity" dir)
-  | _ -> fail "%s: ledger does not start with an open record" dir);
-  let opens = ref 0 and cells = ref 0 and marks = ref 0 in
-  let last_session_cells = ref 0 in
-  List.iter
-    (fun (kind, j) ->
-      match kind with
-      | "open" ->
-          incr opens;
-          last_session_cells := 0
-      | "mark" -> incr marks
-      | "cell" -> (
-          incr cells;
-          incr last_session_cells;
-          let str k =
-            match get_str j k with
-            | Some s -> s
-            | None -> fail "%s: cell record without %s" dir k
-          in
-          let key = str "key" and status = str "status" in
-          let fp = str "fingerprint" in
-          if status = "ok" then begin
-            let seg = Filename.concat (Filename.concat dir "cells") (str "segment") in
-            let content = read_file seg in
-            if Digest.to_hex (Digest.string content) <> str "segment_md5" then
-              fail "%s: segment %s does not match its ledger md5" dir seg;
-            match Obs.Json.parse content with
-            | Error e -> fail "%s: segment %s: not JSON: %s" dir seg e
-            | Ok sj -> (
-                match Castan.Journal.decode_run sj with
-                | Error e -> fail "%s: segment %s: %s" dir seg e
-                | Ok run ->
-                    if Castan.Journal.fingerprint (Ok run) <> fp then
-                      fail "%s: cell %s decodes to a different fingerprint"
-                        dir key)
-          end
-          else if not (String.length status > 7 && String.sub status 0 7 = "failed:")
-          then fail "%s: cell %s has unknown status %s" dir key status)
-      | _ -> (* forward compatibility *) ())
-    records;
-  (match manifest with
-  | None -> ()
-  | Some mpath -> (
-      match Obs.Json.parse (read_file mpath) with
-      | Error e -> fail "%s: not JSON: %s" mpath e
-      | Ok obj -> (
-          match Obs.Json.member "journal" obj with
-          | Some jn ->
-              let int k =
-                match Obs.Json.member k jn with
-                | Some (Obs.Json.Int n) -> n
-                | _ -> fail "%s: journal.%s missing" mpath k
-              in
-              if int "cells_written" <> !last_session_cells then
-                fail
-                  "%s: journal.cells_written is %d but the ledger's last \
-                   session wrote %d cell(s)"
-                  mpath (int "cells_written") !last_session_cells;
-              if int "cells_reused" > int "hydrated" then
-                fail "%s: journal.cells_reused exceeds hydrated cells" mpath;
-              (match expect with
-              | None -> ()
-              | Some (ew, er) ->
-                  if int "cells_written" <> ew then
-                    fail "%s: journal.cells_written is %d, expected %d" mpath
-                      (int "cells_written") ew;
-                  if int "cells_reused" <> er then
-                    fail "%s: journal.cells_reused is %d, expected %d" mpath
-                      (int "cells_reused") er)
-          | None -> fail "%s: no journal section" mpath)));
-  Printf.printf "%s: journal ok (%d session(s), %d cell(s), %d mark(s))\n" dir
-    !opens !cells !marks
-
-(* `check_telemetry journal-eq A B`: the two journals' final cell sets —
-   key -> (status, fingerprint), last record per key, cells under each
-   ledger's most recent identity only — must be equal and non-empty.  This
-   is the crash/resume contract: a run crashed at an arbitrary checkpoint
-   and resumed must converge on the same fingerprints as an uninterrupted
-   one. *)
-let check_journal_eq dir_a dir_b =
-  let cell_map dir =
-    let records = ledger_records dir in
-    let last_ident =
-      List.fold_left
-        (fun acc (kind, j) ->
-          if kind = "open" then Obs.Json.member "identity" j else acc)
-        None records
-    in
-    let ident =
-      match last_ident with
-      | Some id -> Obs.Json.to_string id
-      | None -> fail "%s: no open record" dir
-    in
-    let cur = ref "" in
-    let cells = Hashtbl.create 16 in
-    List.iter
-      (fun (kind, j) ->
-        match kind with
-        | "open" ->
-            cur :=
-              (match Obs.Json.member "identity" j with
-              | Some id -> Obs.Json.to_string id
-              | None -> "")
-        | "cell" when !cur = ident -> (
-            match (get_str j "key", get_str j "status", get_str j "fingerprint")
-            with
-            | Some key, Some status, Some fp ->
-                Hashtbl.replace cells key (status, fp)
-            | _ -> fail "%s: malformed cell record" dir)
-        | _ -> ())
-      records;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) cells []
-    |> List.sort compare
-  in
-  let a = cell_map dir_a and b = cell_map dir_b in
-  if a = [] then fail "journal-eq: %s has no cells" dir_a;
-  if a <> b then begin
-    let show (k, (status, fp)) = Printf.sprintf "  %s %s %s" k status fp in
-    fail "journal-eq: cell sets differ\n%s:\n%s\n%s:\n%s" dir_a
-      (String.concat "\n" (List.map show a))
-      dir_b
-      (String.concat "\n" (List.map show b))
-  end;
-  Printf.printf "journal-eq: %s and %s agree on %d cell(s)\n" dir_a dir_b
-    (List.length a)
-
 let () =
   match Sys.argv with
   | [| _; "trace"; path |] -> check_trace path
@@ -584,18 +399,10 @@ let () =
       match int_of_string_opt min_packets with
       | Some m when m >= 0 -> check_replay path (Some m)
       | _ -> fail "replay: MIN_PACKETS must be a non-negative integer")
-  | [| _; "journal"; dir |] -> check_journal dir None None
-  | [| _; "journal"; dir; manifest |] -> check_journal dir (Some manifest) None
-  | [| _; "journal"; dir; manifest; ew; er |] ->
-      check_journal dir (Some manifest)
-        (Some (int_of_string ew, int_of_string er))
-  | [| _; "journal-eq"; a; b |] -> check_journal_eq a b
   | _ ->
       fail
         "usage: check_telemetry {trace|metrics|cache|collapsed} FILE\n\
         \       check_telemetry profile FILE.json [COLLAPSED]\n\
         \       check_telemetry pool FILE.json [MIN_TASKS]\n\
         \       check_telemetry pool-eq A.json B.json\n\
-        \       check_telemetry replay FILE.json [MIN_PACKETS]\n\
-        \       check_telemetry journal DIR [MANIFEST [WRITTEN REUSED]]\n\
-        \       check_telemetry journal-eq DIR_A DIR_B"
+        \       check_telemetry replay FILE.json [MIN_PACKETS]"
