@@ -36,16 +36,23 @@ let create ~sets ~ways =
     last_evicted = -1;
   }
 
+(* The way of [set] holding [tag], or -1.  A loop over the set, not a local
+   recursive function: a closure over [tag] and the set's bounds would be
+   allocated on every simulated memory access, at every level. *)
+let find t ~set ~tag =
+  let base = set * t.ways in
+  let limit = base + t.ways in
+  let i = ref base in
+  while !i < limit && Array.unsafe_get t.tags !i <> tag do
+    incr i
+  done;
+  if !i < limit then !i else -1
+
 let access t ~set ~tag =
   let base = set * t.ways in
   let tags = t.tags and stamps = t.stamps in
   let limit = base + t.ways in
-  let rec find i =
-    if i >= limit then -1
-    else if Array.unsafe_get tags i = tag then i
-    else find (i + 1)
-  in
-  let pos = find base in
+  let pos = find t ~set ~tag in
   t.tick <- t.tick + 1;
   if pos >= 0 then begin
     Array.unsafe_set stamps pos t.tick;
@@ -80,14 +87,7 @@ let access t ~set ~tag =
 let last_evicted t = t.last_evicted
 
 let invalidate t ~set ~tag =
-  let base = set * t.ways in
-  let limit = base + t.ways in
-  let rec find i =
-    if i >= limit then -1
-    else if Array.unsafe_get t.tags i = tag then i
-    else find (i + 1)
-  in
-  let pos = find base in
+  let pos = find t ~set ~tag in
   if pos >= 0 then begin
     Array.unsafe_set t.tags pos (-1);
     (* Stamp 0 parks the freed way at the back of the LRU order, exactly
@@ -95,15 +95,7 @@ let invalidate t ~set ~tag =
     Array.unsafe_set t.stamps pos 0
   end
 
-let resident t ~set ~tag =
-  let base = set * t.ways in
-  let limit = base + t.ways in
-  let rec find i =
-    if i >= limit then false
-    else if Array.unsafe_get t.tags i = tag then true
-    else find (i + 1)
-  in
-  find base
+let resident t ~set ~tag = find t ~set ~tag >= 0
 
 let flush t =
   for k = 0 to t.n_dirty - 1 do

@@ -2,7 +2,16 @@
    slot in a flat int array; a second turns each expression into nested
    closures over that array and each instruction into a [ctx -> env -> int]
    closure returning the next program counter.  Function calls recurse
-   through a patched table, returns unwind with a local exception.
+   through a patched table.  A return stores its value in the context and
+   yields the sentinel pc [-1], which ends the callee's dispatch loop.
+
+   Steady-state execution allocates nothing.  Each call site owns the buffer
+   its arguments are evaluated into ([exec] copies them into the callee's
+   frame before the callee runs, so a recursive call may refill it), each
+   function keeps a pool of frames it zeroes on entry, and a Havoc site
+   resolves its hash once per hooks value.  A frame abandoned by an
+   exception (budget exhaustion) is simply not returned to its pool.  All of
+   this is mutable state owned by the compiled program.
 
    On top of the per-instruction closures, {!program} fuses maximal
    straight-line runs of statically-weighted instructions —
@@ -26,15 +35,19 @@ type ctx = {
   mutable loads : int;
   mutable stores : int;
   mutable remaining : int;
+  mutable ret : int;  (* the value of the last executed return *)
 }
 
-exception Ret of int
+(* The pc a return yields: ends the dispatch loop of the running function. *)
+let returned = -1
 
 type cfunc = {
   cf_name : string;
   nslots : int;
   param_slots : int array;
   mutable code : (ctx -> int array -> int) array;
+  mutable pool : int array array;  (* free frames in [0, n_free) *)
+  mutable n_free : int;
 }
 
 type t = { funcs : (string, cfunc) Hashtbl.t }
@@ -186,6 +199,7 @@ let compile_instr funcs slots pc (instr : Cfg.instr) : ctx -> int array -> int =
         target
   | Cfg.Call { dst; func; args } ->
       let fargs = Array.of_list (List.map (compile_expr slots) args) in
+      let argv = Array.make (Array.length fargs) 0 in
       let sd = match dst with Some d -> slot d | None -> -1 in
       let next = pc + 1 in
       let callee =
@@ -195,29 +209,45 @@ let compile_instr funcs slots pc (instr : Cfg.instr) : ctx -> int array -> int =
       in
       fun ctx env ->
         spend ctx w;
-        let argv = Array.map (fun f -> f env) fargs in
+        for k = 0 to Array.length fargs - 1 do
+          Array.unsafe_set argv k ((Array.unsafe_get fargs k) env)
+        done;
         let v = !exec_ref ctx callee argv in
         if sd >= 0 then env.(sd) <- v;
         next
   | Cfg.Return None ->
       fun ctx _ ->
         spend ctx w;
-        raise (Ret 0)
+        ctx.ret <- 0;
+        returned
   | Cfg.Return (Some e) ->
       let fe = compile_expr slots e in
       fun ctx env ->
         spend ctx w;
-        raise (Ret (fe env))
+        ctx.ret <- fe env;
+        returned
   | Cfg.Havoc { dst; input; hash } ->
       let fi = compile_expr slots input in
       let sd = slot dst and next = pc + 1 in
+      (* The hash as the hooks resolve it, kept for the hooks it came from:
+         [hash_apply] is applied to the name alone, so hooks that look the
+         name up before taking the key pay for the lookup once, not once
+         per packet. *)
+      let resolved_for = ref None and apply = ref Fun.id and weight = ref 0 in
       fun ctx env ->
         spend ctx w;
         let v = fi env in
-        let hw = ctx.hooks.Interp.hash_weight hash in
+        let hooks = ctx.hooks in
+        (match !resolved_for with
+        | Some h when h == hooks -> ()
+        | _ ->
+            weight := hooks.Interp.hash_weight hash;
+            apply := hooks.Interp.hash_apply hash;
+            resolved_for := Some hooks);
+        let hw = !weight in
         if Obs.Profile.enabled () then Obs.Profile.add_retire ~weight:hw;
         spend ctx hw;
-        env.(sd) <- ctx.hooks.Interp.hash_apply hash v;
+        env.(sd) <- !apply v;
         next
 
 (* Profiler shim around one compiled instruction: marks the attribution site
@@ -355,18 +385,45 @@ let superblockify slots (body : Cfg.instr array) base =
   done;
   code
 
-let exec ctx (f : cfunc) argv =
-  if Array.length argv <> Array.length f.param_slots then
-    invalid_arg ("Compile: arity mismatch calling " ^ f.cf_name);
-  let env = Array.make f.nslots 0 in
-  Array.iteri (fun k s -> env.(s) <- argv.(k)) f.param_slots;
-  let pc = ref 0 in
-  try
-    while true do
-      pc := f.code.(!pc) ctx env
+(* A zeroed frame from [f]'s pool (a fresh one when every pooled frame is
+   in use by an active call), so a never-written variable reads 0.  Frames
+   are a few dozen slots: a loop clears them faster than [Array.fill], a C
+   call. *)
+let take_frame f =
+  if f.n_free = 0 then Array.make f.nslots 0
+  else begin
+    f.n_free <- f.n_free - 1;
+    let env = Array.unsafe_get f.pool f.n_free in
+    for i = 0 to f.nslots - 1 do
+      Array.unsafe_set env i 0
     done;
-    assert false
-  with Ret v -> v
+    env
+  end
+
+let release_frame f env =
+  if f.n_free = Array.length f.pool then begin
+    let pool = Array.make (max 1 (2 * f.n_free)) env in
+    Array.blit f.pool 0 pool 0 f.n_free;
+    f.pool <- pool
+  end;
+  Array.unsafe_set f.pool f.n_free env;
+  f.n_free <- f.n_free + 1
+
+let exec ctx (f : cfunc) argv =
+  let params = f.param_slots in
+  if Array.length argv <> Array.length params then
+    invalid_arg ("Compile: arity mismatch calling " ^ f.cf_name);
+  let env = take_frame f in
+  for k = 0 to Array.length params - 1 do
+    env.(Array.unsafe_get params k) <- Array.unsafe_get argv k
+  done;
+  let code = f.code in
+  let pc = ref 0 in
+  while !pc <> returned do
+    pc := code.(!pc) ctx env
+  done;
+  release_frame f env;
+  ctx.ret
 
 let () = exec_ref := exec
 
@@ -383,6 +440,8 @@ let program (p : Cfg.t) =
           param_slots =
             Array.of_list (List.map (Hashtbl.find slots) f.params);
           code = [||];
+          pool = [||];
+          n_free = 0;
         })
     p.Cfg.funcs;
   Hashtbl.iter
@@ -407,9 +466,27 @@ let lookup t fname =
   | Some f -> f
   | None -> invalid_arg ("Compile.lookup: unknown function " ^ fname)
 
-let call (f : fn) ~mem ~hooks ?(budget = 10_000_000) argv =
-  let ctx =
-    { mem; hooks; instrs = 0; loads = 0; stores = 0; remaining = budget }
-  in
-  let ret = exec ctx f argv in
-  { Interp.ret; instrs = ctx.instrs; loads = ctx.loads; stores = ctx.stores }
+let context ~mem ~hooks =
+  { mem; hooks; instrs = 0; loads = 0; stores = 0; remaining = 0; ret = 0 }
+
+let run ctx ?(budget = 10_000_000) (f : fn) argv =
+  ctx.instrs <- 0;
+  ctx.loads <- 0;
+  ctx.stores <- 0;
+  ctx.remaining <- budget;
+  exec ctx f argv
+
+let instrs ctx = ctx.instrs
+
+let outcome ctx =
+  {
+    Interp.ret = ctx.ret;
+    instrs = ctx.instrs;
+    loads = ctx.loads;
+    stores = ctx.stores;
+  }
+
+let call (f : fn) ~mem ~hooks ?budget argv =
+  let ctx = context ~mem ~hooks in
+  ignore (run ctx ?budget f argv : int);
+  outcome ctx

@@ -15,7 +15,13 @@
     remaining budget cannot cover the run, so per-instruction attribution
     and the instruction at which the budget runs out match {!Interp}.
 
-    Restrictions match {!Interp}: concrete values only, budget-guarded. *)
+    Restrictions match {!Interp}: concrete values only, budget-guarded.
+
+    Running a compiled program allocates nothing per call once it is warm:
+    returns, argument passing and frames all reuse storage the program
+    owns.  A compiled program therefore holds mutable per-call state and
+    must be used from one domain at a time; compile one per domain (the
+    testbed compiles one per DUT). *)
 
 type t
 
@@ -29,6 +35,28 @@ type fn
 val lookup : t -> string -> fn
 (** @raise Invalid_argument on an unknown function name. *)
 
+type ctx
+(** A caller-owned execution context: the flat store and hooks calls run
+    against, and the counters of the last call.  Reusing one context for
+    every packet keeps the per-packet path allocation-free. *)
+
+val context : mem:Memory.Flat.t -> hooks:Interp.hooks -> ctx
+
+val run : ctx -> ?budget:int -> fn -> int array -> int
+(** [run ctx f argv] executes [f] as {!call} does and returns its return
+    value; {!instrs} and {!outcome} then describe this call.  [budget]
+    defaults to 10 million.  [argv] is copied into the callee's frame
+    before it runs, so the caller may refill it for the next call.
+    @raise Interp.Budget_exhausted when the instruction bound is hit.
+    @raise Invalid_argument on arity mismatch. *)
+
+val instrs : ctx -> int
+(** Weighted instructions the last {!run} retired. *)
+
+val outcome : ctx -> Interp.outcome
+(** The last completed {!run}'s result, counters included, as {!call}
+    returns it. *)
+
 val call :
   fn ->
   mem:Memory.Flat.t ->
@@ -37,8 +65,9 @@ val call :
   int array ->
   Interp.outcome
 (** Same contract as {!Interp.call}, against a flat store: no per-access
-    map descent, no per-store allocation.  Reads and writes the same values
-    as {!Interp}; on raise (budget exhaustion), partial writes stay in
-    [mem] instead of rolling back.
+    map descent, no per-store allocation.  Runs on a fresh {!context}.
+    Reads and writes the same values as {!Interp}; on raise (budget
+    exhaustion), partial writes stay in [mem], as they stay in the
+    reference {!Interp.call} rebinds per store.
     @raise Interp.Budget_exhausted when the instruction bound is hit.
     @raise Invalid_argument on arity mismatch. *)

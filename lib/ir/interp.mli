@@ -9,9 +9,13 @@ type hooks = {
   on_access : addr:int -> width:int -> write:bool -> unit;
       (** Called for every executed [Load]/[Store]. *)
   hash_apply : string -> int -> int;
-      (** Resolves a [Havoc]'s hash function by name. *)
+      (** Resolves a [Havoc]'s hash function by name.  {!Compile} applies
+          it to the name alone once per hooks value and keeps the
+          resulting function, so hooks that look the name up before
+          taking the key pay for the lookup once. *)
   hash_weight : string -> int;
-      (** Instructions-retired cost of computing that hash once. *)
+      (** Instructions-retired cost of computing that hash once; {!Compile}
+          also asks once per hooks value. *)
 }
 
 val no_hooks : hooks

@@ -226,25 +226,26 @@ module Flat = struct
     in
     (t, Imap.bindings m.overlay)
 
+  (* Binary search over the regions.  The hit is carried as an index, -1
+     for none: an option would allocate on every load and store. *)
   let find t addr =
     let n = Array.length t.fregions in
     let lo = ref 0 and hi = ref (n - 1) in
-    let found = ref None in
+    let found = ref (-1) in
     while !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
       let fr = Array.unsafe_get t.fregions mid in
       if addr < fr.r.base then hi := mid - 1
       else if addr >= region_end fr.r then lo := mid + 1
       else begin
-        found := Some fr;
+        found := mid;
         lo := !hi + 1
       end
     done;
-    match !found with
-    | Some fr -> fr
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Memory.find_region: 0x%x out of bounds" addr)
+    if !found < 0 then
+      invalid_arg
+        (Printf.sprintf "Memory.find_region: 0x%x out of bounds" addr);
+    Array.unsafe_get t.fregions !found
 
   let checked_index fr addr width =
     if width <> fr.r.elem_width then

@@ -92,13 +92,16 @@ val written_cells : 'v t -> int
 
 (** {2 Flat concrete store}
 
-    A mutable view for concrete replay: written cells live in chunked
-    arrays allocated on first write (with a per-chunk written bitmap), and
-    untouched cells still read through the region's lazy initializer — so
+    A mutable view for concrete replay: written cells live in a dense
+    per-region value array with a written bitmap, or, for regions of more
+    than 2^18 elements, in a hash table keyed by element index; untouched
+    cells still read through the region's lazy initializer — so
     gigabyte-scale tables stay unmaterialized, while the hot path is an
-    array index instead of a persistent-map descent.  Same addressing
-    discipline and error messages as {!read}/{!write}/{!alloc}.  Because
-    updates mutate in place, a computation aborted mid-way (e.g. on
+    array index instead of a persistent-map descent.  Loads and stores
+    allocate nothing outside the hash tables (a hit returns an option, a
+    first write adds a cell).  Same addressing discipline and error
+    messages as {!read}/{!write}/{!alloc}.  Because updates mutate in
+    place, a computation aborted mid-way (e.g. on
     {!Interp.Budget_exhausted}) leaves its partial writes behind — use the
     persistent [t] where rollback-on-raise matters. *)
 module Flat : sig

@@ -44,10 +44,14 @@ let default =
     ring_entries = 1 lsl 24;
   }
 
-let lpm_lookup routes ip =
-  List.fold_left
-    (fun (best_len, best_nh) r ->
-      if route_matches r ip && r.len >= best_len then (r.len, r.next_hop)
-      else (best_len, best_nh))
-    (-1, 0) routes
-  |> snd
+(* A top-level walk with the best match in its arguments: a lazily
+   initialized table runs this on every read of an unwritten cell, so it
+   allocates neither a closure nor an accumulator tuple. *)
+let rec best_match ip best_len best_nh = function
+  | [] -> best_nh
+  | r :: rest ->
+      if route_matches r ip && r.len >= best_len then
+        best_match ip r.len r.next_hop rest
+      else best_match ip best_len best_nh rest
+
+let lpm_lookup routes ip = best_match ip (-1) 0 routes

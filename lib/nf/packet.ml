@@ -45,7 +45,9 @@ let fields_for (f : Ir.Cfg.func) =
   Array.of_list (List.map field_of_name f.params)
 
 let fill_args fields p argv =
-  Array.iteri (fun i fld -> argv.(i) <- field p fld) fields
+  for i = 0 to Array.length fields - 1 do
+    argv.(i) <- field p (Array.unsafe_get fields i)
+  done
 
 let of_model m ~n =
   List.init n (fun pkt ->

@@ -1,14 +1,14 @@
 type t = {
   nf : Nf.Nf_def.t;
   (* Resolved once at creation: the entry point's compiled body, its packet-
-     field parameter order, and a reusable argument buffer — the per-packet
-     path never re-resolves the NF or allocates an argument list. *)
+     field parameter order, a reusable argument buffer and the execution
+     context over the NF's flat memory — the per-packet path never
+     re-resolves the NF or allocates arguments, frames or outcomes. *)
   entry_fn : Ir.Compile.fn;
   entry_fields : Ir.Expr.field array;
   argv : int array;
+  ctx : Ir.Compile.ctx;
   machine : Cache.Probe.machine;
-  fmem : Ir.Memory.Flat.t;
-  hooks : Ir.Interp.hooks;
   cycles_acc : int ref;
   misses_acc : int ref;
   pkt_count : int ref;
@@ -59,21 +59,23 @@ let create ?slice_seed ?prefetch ?(ddio = false) nf =
              instruction, so replay and symbex profile the same places. *)
           if Obs.Profile.enabled () then
             Obs.Profile.add_access ~write (profile_level hit) ~cycles:lat);
-      hash_apply = (fun name key -> (Hashrev.Hashes.lookup name).apply key);
+      (* Looks the hash up before taking the key: the compiled Havoc site
+         applies this to the name once and keeps the result. *)
+      hash_apply = (fun name -> (Hashrev.Hashes.lookup name).apply);
       hash_weight = (fun name -> (Hashrev.Hashes.lookup name).weight);
     }
   in
   let compiled = Ir.Compile.program nf.Nf.Nf_def.program in
   let entry = Ir.Cfg.entry_func nf.Nf.Nf_def.program in
   let entry_fields = Nf.Packet.fields_for entry in
+  let mem = Ir.Memory.flat_of_memory (Nf.Nf_def.fresh_memory nf) in
   {
     nf;
     entry_fn = Ir.Compile.lookup compiled "process";
     entry_fields;
     argv = Array.make (Array.length entry_fields) 0;
+    ctx = Ir.Compile.context ~mem ~hooks;
     machine;
-    fmem = Ir.Memory.flat_of_memory (Nf.Nf_def.fresh_memory nf);
-    hooks;
     cycles_acc;
     misses_acc;
     pkt_count = ref 0;
@@ -84,6 +86,15 @@ let create ?slice_seed ?prefetch ?(ddio = false) nf =
 
 let geometry t = t.machine.Cache.Probe.geom
 let nf t = t.nf
+
+(* One driver read through the cache hierarchy, charged like an NF load. *)
+let charge t vaddr =
+  let hit = Cache.Probe.access_virtual t.machine vaddr in
+  let lat = Cache.Hierarchy.latency t.machine.Cache.Probe.geom hit in
+  t.cycles_acc := !(t.cycles_acc) + lat;
+  if hit = Cache.Hierarchy.Dram then incr t.misses_acc;
+  if Obs.Profile.enabled () then
+    Obs.Profile.add_access ~write:false (profile_level hit) ~cycles:lat
 
 (* The per-packet DPDK path: poll the descriptor ring, then read the frame
    the NIC just DMA-wrote into the next mbuf (mandatory DRAM trip: the DMA
@@ -99,15 +110,7 @@ let dpdk_path t =
     Obs.Profile.add_exec ~instrs:overhead_instrs ~cycles:overhead_cycles
       ~loads:0 ~stores:0
   end;
-  let charge vaddr =
-    let hit = Cache.Probe.access_virtual t.machine vaddr in
-    let lat = Cache.Hierarchy.latency geom hit in
-    t.cycles_acc := !(t.cycles_acc) + lat;
-    if hit = Cache.Hierarchy.Dram then incr t.misses_acc;
-    if Obs.Profile.enabled () then
-      Obs.Profile.add_access ~write:false (profile_level hit) ~cycles:lat
-  in
-  charge desc;
+  charge t desc;
   (* The DMA write lands just before the CPU read.  Without DDIO it goes to
      DRAM and invalidates the line; with DDIO the NIC writes straight into
      the cache, avoiding the previously mandatory miss — which improves all
@@ -115,7 +118,7 @@ let dpdk_path t =
   let paddr = Cache.Vmem.translate t.machine.Cache.Probe.vmem mbuf in
   if t.ddio then ignore (Cache.Hierarchy.access t.machine.Cache.Probe.hier paddr)
   else Cache.Hierarchy.invalidate_line t.machine.Cache.Probe.hier paddr;
-  charge mbuf;
+  charge t mbuf;
   t.cycles_acc := !(t.cycles_acc) + overhead_cycles
 
 let process t p =
@@ -124,24 +127,23 @@ let process t p =
   dpdk_path t;
   incr t.pkt_count;
   Nf.Packet.fill_args t.entry_fields p t.argv;
-  let o = Ir.Compile.call t.entry_fn ~mem:t.fmem ~hooks:t.hooks t.argv in
+  let ret = Ir.Compile.run t.ctx t.entry_fn t.argv in
+  let instrs = Ir.Compile.instrs t.ctx in
   (* Non-memory work: instruction retirement at the calibrated CPI.  Memory
      latencies were accumulated by the access hook. *)
-  let nf_cycles = op_cycles o.Ir.Interp.instrs in
   {
-    cycles = !(t.cycles_acc) + nf_cycles;
-    instrs = overhead_instrs + o.Ir.Interp.instrs;
+    cycles = !(t.cycles_acc) + op_cycles instrs;
+    instrs = overhead_instrs + instrs;
     l3_misses = !(t.misses_acc);
-    ret = o.Ir.Interp.ret;
+    ret;
   }
 
-(* Observationally [Array.map (process t)]: the burst only amortizes
-   dispatch around the identical per-packet pipeline (pinned by qcheck). *)
+let no_sample = { cycles = 0; instrs = 0; l3_misses = 0; ret = 0 }
+
+(* Observationally [Array.map (process t)] (pinned by qcheck). *)
 let process_burst t pkts =
   let n = Array.length pkts in
-  let out =
-    Array.make n { cycles = 0; instrs = 0; l3_misses = 0; ret = 0 }
-  in
+  let out = Array.make n no_sample in
   for i = 0 to n - 1 do
     Array.unsafe_set out i (process t (Array.unsafe_get pkts i))
   done;
@@ -155,23 +157,17 @@ let replay t w ~samples =
     Obs.Trace.timed "dut.replay"
       ~args:[ ("samples", Obs.Json.Int samples) ]
       (fun () ->
-        let out =
-          Array.make samples { cycles = 0; instrs = 0; l3_misses = 0; ret = 0 }
-        in
-        let burst = ref [||] in
+        (* Samples go straight into the output array; a burst is only the
+           unit [replay.bursts] counts. *)
+        let out = Array.make samples no_sample in
         let k = ref 0 in
         while !k < samples do
-          let n = min burst_size (samples - !k) in
-          if Array.length !burst <> n then
-            burst := Array.make n (Workload.nth_looped w 0);
-          let b = !burst in
-          for i = 0 to n - 1 do
-            Array.unsafe_set b i (Workload.nth_looped w (!k + i))
+          let stop = min samples (!k + burst_size) in
+          for i = !k to stop - 1 do
+            Array.unsafe_set out i (process t (Workload.nth_looped w i))
           done;
-          let s = process_burst t b in
-          Array.blit s 0 out !k n;
           Obs.Metrics.incr m_replay_bursts;
-          k := !k + n
+          k := stop
         done;
         Obs.Metrics.incr ~by:samples m_replay_packets;
         out)

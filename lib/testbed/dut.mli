@@ -30,23 +30,26 @@ type sample = {
 }
 
 val process : t -> Nf.Packet.t -> sample
+(** Runs one packet through the DPDK path and the NF.  Once the DUT is
+    warm this allocates only the returned sample: the compiled program,
+    its execution context and the argument buffer belong to the DUT. *)
 
 val process_burst : t -> Nf.Packet.t array -> sample array
 (** DPDK-style burst receive: pushes a batch of packets through the
     compiled NF back to back.  Observationally identical to
-    [Array.map (process t)] (pinned by qcheck); exists to amortize
-    dispatch and bookkeeping across the burst. *)
+    [Array.map (process t)] (pinned by qcheck). *)
 
 val replay : t -> Workload.t -> samples:int -> sample array
-(** Replays the workload (looping as needed) for [samples] packets, in
-    bursts of 32 through {!process_burst}, counting them in the
-    [replay.packets] and [replay.bursts] metrics. *)
+(** Replays the workload (looping as needed) for [samples] packets,
+    writing each {!process} sample straight into the result, and counts
+    them in the [replay.packets] metric and every 32 of them in
+    [replay.bursts]. *)
 
 val overhead_instrs : int
 (** The DPDK/driver path: 270 instructions... *)
 
 val overhead_cycles : int
-(** ...and 640 cycles per packet (the mandatory mbuf DRAM access adds the
+(** ...and 700 cycles per packet (the mandatory mbuf DRAM access adds the
     rest), calibrated so the NOP NF reproduces the
     paper's baselines (271 instructions retired, ≈3.45 Mpps). *)
 

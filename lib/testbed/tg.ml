@@ -6,29 +6,29 @@ type measurement = {
 
 (* TG-side fixed path: wire + NIC + DMA + DPDK on both ends, observed by the
    hardware timestamps.  A right-skewed distribution around 4.05µs puts the
-   NOP median at ≈4.3µs, as in the paper's figures. *)
-let tg_base_ns rng =
-  let u = Util.Rng.float rng in
-  3980.0 +. (-50.0 *. log (1.0 -. u))
+   NOP median at ≈4.3µs, as in the paper's figures.  [u] is uniform in
+   [0, 1). *)
+let[@inline] tg_base_ns u = 3980.0 +. (-50.0 *. log (1.0 -. u))
 
 let clock_ghz = 3.3
 
 let measure ?(seed = 42) ?(samples = 20_000) ?prefetch ?ddio ?slice_seed nf w =
-  (* Packet [i]'s TG-path noise comes from its own index-derived stream
-     ({!Util.Rng.split_ix}), so the latency array depends only on (seed, i)
-     — not on how many draws preceded it — which keeps measurements
-     identical whether workloads run serially or on pool workers. *)
+  (* Packet [i]'s TG-path noise is the first draw of its own index-derived
+     stream ({!Util.Rng.split_ix}), so the latency array depends only on
+     (seed, i) — not on how many draws preceded it — which keeps
+     measurements identical whether workloads run serially or on pool
+     workers. *)
   let root = Util.Rng.create (0x7b + seed) in
   let dut_samples =
     Dut.replay (Dut.create ?slice_seed ?prefetch ?ddio nf) w ~samples
   in
-  let latencies =
-    Array.mapi
-      (fun i (s : Dut.sample) ->
-        tg_base_ns (Util.Rng.split_ix root i)
-        +. (float_of_int s.cycles /. clock_ghz))
-      dut_samples
-  in
+  (* The uniform draws become the latencies in place. *)
+  let latencies = Util.Rng.floats_ix root (Array.length dut_samples) in
+  for i = 0 to Array.length latencies - 1 do
+    latencies.(i) <-
+      tg_base_ns latencies.(i)
+      +. (float_of_int dut_samples.(i).Dut.cycles /. clock_ghz)
+  done;
   { workload = w.Workload.name; latencies_ns = latencies; samples = dut_samples }
 
 let measure_all ?seed ?samples nf pairs =

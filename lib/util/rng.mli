@@ -22,6 +22,11 @@ val split_ix : t -> int -> t
     [split_ix root i] produces the same streams no matter how the iteration
     space is sharded across workers — the discipline {!Pool} relies on. *)
 
+val floats_ix : t -> int -> float array
+(** [floats_ix t n] is [Array.init n (fun ix -> float (split_ix t ix))]:
+    the first draw of each index-keyed child, computed without building the
+    children or advancing [t], and allocating only the result. *)
+
 val copy : t -> t
 (** [copy t] duplicates the current state (both copies then produce the same
     stream). *)

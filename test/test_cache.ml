@@ -110,6 +110,47 @@ let level_flush_equals_fresh =
               && Cache.Level.last_evicted reused = -1)
         ops)
 
+(* Level against a list-based LRU model: each set is its resident tags,
+   most recently used first.  An access hits when the tag is listed, moves
+   it to the front, and on a miss in a full set evicts the last tag; an
+   invalidation drops the tag.  Hit/miss, the evicted tag and the number of
+   resident lines must match after every operation. *)
+let level_matches_lru_model =
+  QCheck.Test.make ~name:"level agrees with a list LRU model" ~count:300
+    level_ops (fun (sets, ways, ops) ->
+      let l = Cache.Level.create ~sets ~ways in
+      let model = Array.make sets [] in
+      let occupancy () =
+        Array.fold_left (fun acc tags -> acc + List.length tags) 0 model
+      in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Access (set, tag) ->
+                let tags = model.(set) in
+                let hit = List.mem tag tags in
+                let others = List.filter (( <> ) tag) tags in
+                let evicted =
+                  if hit || List.length tags < ways then -1
+                  else List.nth tags (ways - 1)
+                in
+                model.(set) <-
+                  tag :: List.filter (( <> ) evicted) others;
+                Cache.Level.access l ~set ~tag = hit
+                && Cache.Level.last_evicted l = evicted
+            | Invalidate (set, tag) ->
+                model.(set) <- List.filter (( <> ) tag) model.(set);
+                Cache.Level.invalidate l ~set ~tag;
+                not (Cache.Level.resident l ~set ~tag)
+            | Flush ->
+                Array.fill model 0 sets [];
+                Cache.Level.flush l;
+                true
+          in
+          agrees && Cache.Level.occupancy l = occupancy ())
+        ops)
+
 (* The same at machine level: probing on one reused machine (each probe
    flushes) must time every address array as a fresh hierarchy does.  Most
    addresses are whole slice strides apart, so they share one L1, L2 and
@@ -336,6 +377,7 @@ let tests =
     Alcotest.test_case "level invalidate" `Quick level_invalidate;
     qtest level_cycle_thrashes;
     qtest level_flush_equals_fresh;
+    qtest level_matches_lru_model;
     Alcotest.test_case "hierarchy order" `Quick hierarchy_levels_ordered;
     Alcotest.test_case "latencies" `Quick hierarchy_latencies_monotone;
     Alcotest.test_case "inclusive back-invalidation" `Quick hierarchy_inclusive_backinval;

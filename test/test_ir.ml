@@ -389,6 +389,57 @@ let compiled_budget () =
   | exception Ir.Interp.Budget_exhausted -> ()
   | _ -> Alcotest.fail "expected budget exhaustion"
 
+(* Compiled frames are pooled per function and argument buffers belong to
+   call sites, so state must not leak between calls.  On one compiled
+   program and one context, recursive Fibonacci runs cut short by the
+   budget (abandoning frames at every depth) and then run to completion
+   agree with the interpreter; and a reused frame reads 0 for a variable
+   this call never wrote. *)
+let compiled_recursion_reuse () =
+  let prog =
+    program ~name:"t" ~entry:"fib"
+      [
+        func "fib" [ "n" ]
+          [
+            when_ (v "n" <: i 2) [ ret (v "n") ];
+            call "a" "fib" [ v "n" -: i 1 ];
+            call "b" "fib" [ v "n" -: i 2 ];
+            ret (v "a" +: v "b");
+          ];
+        func "maybe" [ "x" ]
+          [ when_ (v "x" >: i 0) [ "y" <-- i 7 ]; ret (v "y") ];
+      ]
+  in
+  let cfg = Ir.Lower.program prog in
+  let compiled = Ir.Compile.program cfg in
+  let fresh () =
+    Ir.Memory.create ~regions:[] ~heap_bytes:0x1000 ~inject:Fun.id
+  in
+  let ctx =
+    Ir.Compile.context ~mem:(Ir.Memory.flat_of_memory (fresh ()))
+      ~hooks:Ir.Interp.no_hooks
+  in
+  let fib = Ir.Compile.lookup compiled "fib" in
+  for n = 0 to 12 do
+    let expected =
+      Ir.Interp.call cfg ~mem:(ref (fresh ())) ~hooks:Ir.Interp.no_hooks "fib"
+        [ n ]
+    in
+    (match Ir.Compile.run ctx ~budget:(expected.instrs / 2) fib [| n |] with
+    | exception Ir.Interp.Budget_exhausted -> ()
+    | _ -> Alcotest.failf "fib %d: half the budget completed" n);
+    let ret = Ir.Compile.run ctx fib [| n |] in
+    Alcotest.(check int) (Printf.sprintf "fib %d" n) expected.ret ret;
+    Alcotest.(check bool)
+      (Printf.sprintf "fib %d: outcome" n)
+      true
+      (Ir.Compile.outcome ctx = expected)
+  done;
+  let maybe = Ir.Compile.lookup compiled "maybe" in
+  Alcotest.(check int) "written" 7 (Ir.Compile.run ctx maybe [| 1 |]);
+  Alcotest.(check int) "unwritten in a reused frame" 0
+    (Ir.Compile.run ctx maybe [| 0 |])
+
 let tests =
   [
     qtest subst_commutes_with_eval;
@@ -418,4 +469,6 @@ let tests =
     Alcotest.test_case "instr weight" `Quick weight_counts_ops;
     qtest compiled_matches_interp;
     Alcotest.test_case "compiled budget" `Quick compiled_budget;
+    Alcotest.test_case "compiled recursion and frame reuse" `Quick
+      compiled_recursion_reuse;
   ]

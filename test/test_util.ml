@@ -40,6 +40,21 @@ let rng_int_in_range =
       let v = Util.Rng.int_in rng lo hi in
       v >= lo && v <= hi)
 
+(* Tg draws packet [i]'s noise with [floats_ix]; it must be bit for bit
+   the first float of [split_ix root i], from any parent state, and leave
+   the parent where it was. *)
+let rng_floats_ix_is_split_ix =
+  QCheck.Test.make ~name:"Rng.floats_ix = float of split_ix" ~count:200
+    QCheck.(triple int (int_range 0 20) (int_range 0 300))
+    (fun (seed, advance, n) ->
+      let root = Util.Rng.create seed in
+      for _ = 1 to advance do ignore (Util.Rng.bits64 root) done;
+      let before = Util.Rng.copy root in
+      let bits = Array.map Int64.bits_of_float in
+      bits (Util.Rng.floats_ix root n)
+      = bits (Array.init n (fun i -> Util.Rng.float (Util.Rng.split_ix root i)))
+      && Util.Rng.bits64 root = Util.Rng.bits64 before)
+
 let rng_uniformity () =
   let rng = Util.Rng.create 1 in
   let buckets = Array.make 10 0 in
@@ -169,6 +184,7 @@ let tests =
     Alcotest.test_case "rng shuffle" `Quick rng_shuffle_permutes;
     qtest rng_int_range;
     qtest rng_int_in_range;
+    qtest rng_floats_ix_is_split_ix;
     Alcotest.test_case "zipf probs sum to 1" `Quick zipf_probs_sum;
     Alcotest.test_case "zipf monotone" `Quick zipf_monotone;
     Alcotest.test_case "zipf sampling freq" `Quick zipf_sampling_matches_prob;
