@@ -32,8 +32,7 @@ let trace_arg =
 let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
          ~doc:"Write a run manifest (tool/git revision, configuration, and \
-               the final metrics snapshot: counters, gauges, latency \
-               histograms) as JSON to FILE at exit.")
+               the final metrics counters) as JSON to FILE at exit.")
 
 let log_level_arg =
   let level_conv =
@@ -45,21 +44,14 @@ let log_level_arg =
                identical to an un-instrumented run), $(b,info) or \
                $(b,debug).")
 
-let no_solver_cache_arg =
-  Arg.(value & flag & info [ "no-solver-cache" ]
-         ~doc:"Disable independent-constraint slicing of feasibility \
-               checks: every check is refuted against the full path \
-               condition.  Analysis results are identical either way; \
-               the flag exists for performance comparison and for pinning \
-               that equivalence in CI.")
-
 let jobs_arg =
   Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Worker domains for parallel sections (per-NF campaigns, \
                per-workload measurements, rainbow-table shards).  Output is \
-               bit-identical for every N; $(b,-j 1) runs the exact serial \
-               code path.  Default: the machine's recommended domain \
-               count.")
+               bit-identical for every N, except that trace and log lines \
+               from concurrent tasks interleave; $(b,-j 1) runs the exact \
+               serial code path.  Default: the machine's recommended \
+               domain count.")
 
 (* 0 = unset sentinel: the default must be computed, not baked into the
    manpage. *)
@@ -165,8 +157,7 @@ let analyze_cmd =
                  outputs of the paper's §4).")
   in
   let run name output packets budget no_contention cache_model_file ktest
-      max_states no_solver_cache jobs trace metrics log_level =
-    if no_solver_cache then Solver.Qcache.set_enabled false;
+      max_states jobs trace metrics log_level =
     set_jobs jobs;
     install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
         Castan.Manifest.make ~extra:[ ("nf", Obs.Json.Str name) ] ());
@@ -237,8 +228,8 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Synthesize an adversarial workload for an NF")
     Term.(
       const run $ nf_arg $ output $ packets $ budget $ no_contention
-      $ cache_model_file $ ktest $ max_states_arg $ no_solver_cache_arg
-      $ jobs_arg $ trace_arg $ metrics_arg $ log_level_arg)
+      $ cache_model_file $ ktest $ max_states_arg $ jobs_arg
+      $ trace_arg $ metrics_arg $ log_level_arg)
 
 (* ---------------- profile ---------------- *)
 
@@ -308,8 +299,7 @@ let profile_cmd =
           first
   in
   let run name workload samples analyze budget seed top collapsed profile_json
-      no_solver_cache jobs trace metrics log_level =
-    if no_solver_cache then Solver.Qcache.set_enabled false;
+      jobs trace metrics log_level =
     set_jobs jobs;
     let name = resolve name in
     install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
@@ -368,7 +358,7 @@ let profile_cmd =
              JSON)")
     Term.(
       const run $ nf_name $ workload $ samples $ analyze $ budget $ seed $ top
-      $ collapsed $ profile_json $ no_solver_cache_arg $ jobs_arg $ trace_arg
+      $ collapsed $ profile_json $ jobs_arg $ trace_arg
       $ metrics_arg $ log_level_arg)
 
 (* ---------------- probe-cache ---------------- *)
@@ -554,9 +544,8 @@ let experiment_cmd =
                  degradation paths.  RATE 0.0 is bit-identical to no \
                  injection.")
   in
-  let run id config fail_fast inject max_states no_solver_cache jobs trace
-      metrics log_level =
-    if no_solver_cache then Solver.Qcache.set_enabled false;
+  let run id config fail_fast inject max_states jobs trace metrics
+      log_level =
     set_jobs jobs;
     Util.Resilience.reset ();
     Util.Resilience.set_fail_fast fail_fast;
@@ -623,9 +612,8 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate one of the paper's tables, figures or ablations")
     Term.(
-      const run $ id $ scale $ fail_fast $ inject $ max_states_arg
-      $ no_solver_cache_arg $ jobs_arg $ trace_arg $ metrics_arg
-      $ log_level_arg)
+      const run $ id $ scale $ fail_fast $ inject $ max_states_arg $ jobs_arg
+      $ trace_arg $ metrics_arg $ log_level_arg)
 
 let () =
   install_signal_handlers ();

@@ -232,11 +232,6 @@ let run ?config (nf : Nf.Nf_def.t) =
   Obs.Log.debug "analyze %s: explored %d states (%d completed paths)"
     nf.Nf.Nf_def.name result.Symbex.Driver.stats.Symbex.Driver.explored
     (List.length result.Symbex.Driver.completed);
-  (let s = Solver.Qcache.stats () in
-   if s.queries > 0 then
-     Obs.Log.debug
-       "analyze %s: %d sliced feasibility queries, %d constraints sliced away"
-       nf.Nf.Nf_def.name s.queries s.constraints_dropped);
   let rng = Util.Rng.create (0xadd + cfg.seed) in
   let rec try_states tried = function
     | [] ->

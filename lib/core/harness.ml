@@ -473,9 +473,9 @@ let expand_id = function
   | id -> [ id ]
 
 (* Campaign NFs behind a list of experiment ids, in first-use order — the
-   order a serial run would execute them in, which is the order the pool
-   commits their telemetry in.  Ablations and discussion entries drive
-   [Analyze.run] directly (unmemoized), so they contribute nothing here. *)
+   order a serial run would execute them in.  Ablations and discussion
+   entries drive [Analyze.run] directly (unmemoized), so they contribute
+   nothing here. *)
 let campaign_nfs ids =
   let nf_of_id id =
     match List.assoc_opt id figure_nfs with

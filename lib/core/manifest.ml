@@ -23,17 +23,6 @@ let config_json (c : Experiment.config) =
       ("max_states", Obs.Json.Int c.Experiment.max_states);
     ]
 
-(* Feasibility slicing at a glance: whether it was on, how many queries it
-   sliced, and how many constraints it removed from them. *)
-let solver_cache_json () =
-  let s = Solver.Qcache.stats () in
-  Obs.Json.Obj
-    [
-      ("enabled", Obs.Json.Bool (Solver.Qcache.enabled ()));
-      ("queries", Obs.Json.Int s.queries);
-      ("constraints_dropped", Obs.Json.Int s.constraints_dropped);
-    ]
-
 (* Worker-pool accounting: how parallel the run actually was.  [tasks] and
    [steals]/[worker_busy_ns] let a manifest reader tell a genuinely serial
    run (jobs = 1, zero tasks) from a parallel one. *)
@@ -68,7 +57,6 @@ let make ?ids ?config ?(extra = []) () =
     @ extra
     @ [
         ("metrics", Obs.Metrics.snapshot ());
-        ("solver_cache", solver_cache_json ());
         ("pool", pool_json ());
       ]
     (* Profiled runs carry their site-level attribution alongside the

@@ -23,9 +23,8 @@ val make :
 (** Builds the manifest object.  [extra] fields are appended at the top
     level ([castan experiment] adds ["experiments_timed"], the
     per-experiment wall times).  The metrics snapshot is taken at call
-    time — build the manifest {e after} the run.  A ["solver_cache"]
-    section records feasibility slicing ([enabled], [queries],
-    [constraints_dropped]); each fact appears once.  When the
+    time — build the manifest {e after} the run; it holds only
+    [counters].  When the
     {!Obs.Profile} registry holds attribution samples, a ["profile"]
     section (site-level cycles/accesses plus wall-time buckets) is
     embedded too.  A top-level

@@ -14,18 +14,14 @@ let level_of_string = function
 
 let level_name = function Quiet -> "quiet" | Info -> "info" | Debug -> "debug"
 
-(* On a pool worker, formatted lines are buffered domain-locally and flushed
-   to stderr on the main domain in task-index order, so log output is not
-   interleaved across tasks and matches a serial run line-for-line. *)
-let buffer_key : string list ref option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* Pool workers log too; the lock keeps each line whole.  Lines from
+   concurrent tasks interleave. *)
+let stderr_mu = Mutex.create ()
 
 let emit line =
-  match Domain.DLS.get buffer_key with
-  | Some buf -> buf := line :: !buf
-  | None ->
+  Mutex.protect stderr_mu (fun () ->
       output_string stderr line;
-      flush stderr
+      flush stderr)
 
 let log_at lvl prefix fmt =
   if rank lvl <= rank !current then
@@ -34,21 +30,3 @@ let log_at lvl prefix fmt =
 
 let info fmt = log_at Info "castan: " fmt
 let debug fmt = log_at Debug "castan[debug]: " fmt
-
-(* Capture provider for {!Util.Pool}. *)
-let () =
-  Util.Pool.register_provider (fun () ->
-      Domain.DLS.set buffer_key (Some (ref []));
-      fun () ->
-        let lines =
-          match Domain.DLS.get buffer_key with
-          | Some buf -> List.rev !buf
-          | None -> []
-        in
-        Domain.DLS.set buffer_key None;
-        fun () ->
-          List.iter
-            (fun line ->
-              output_string stderr line;
-              flush stderr)
-            lines)

@@ -16,8 +16,8 @@ val level_name : level -> string
 
 val info : ('a, unit, string, unit) format4 -> 'a
 (** Printed at [Info] and [Debug]; prefixed ["castan: "], newline-terminated
-    and flushed.  On a {!Util.Pool} worker the line is buffered and flushed
-    at join in task-index order. *)
+    and flushed, whole, under a lock: lines from concurrent {!Util.Pool}
+    tasks interleave but never tear. *)
 
 val debug : ('a, unit, string, unit) format4 -> 'a
 (** Printed at [Debug] only; prefixed ["castan[debug]: "]. *)

@@ -1,269 +1,39 @@
-type counter = { c_name : string; mutable count : int }
-
-type gauge = {
-  g_name : string;
-  mutable last : int;
-  mutable min_v : int;
-  mutable max_v : int;
-  mutable g_set : bool;
-}
-
-(* Bounded reservoir: exact up to [cap] samples, uniform replacement past it.
-   The RNG is private and fixed-seed so observing never draws from (or
-   perturbs) any experiment's random stream. *)
-let cap = 16_384
-
-type histogram = {
-  h_name : string;
-  mutable samples : int array;
-  mutable n : int;  (* filled prefix of [samples] *)
-  mutable seen : int;  (* total observations, including replaced ones *)
-  mutable sum : float;
-  rng : Util.Rng.t;
-}
+(* Counters are atomic, so pool tasks bump the shared instruments directly
+   and the totals do not depend on which domain ran what.  The registry
+   table is only touched under [registry_mu]; instrumented modules create
+   their counters once, at initialisation. *)
+type counter = int Atomic.t
 
 let active_flag = ref false
 let set_active b = active_flag := b
 let active () = !active_flag
 
-let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
-let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
-let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
-
-(* ------------------------------------------------------------------ *)
-(* Worker-local capture                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* On a pool worker, instruments are recorded by {e name} into a
-   domain-local context and merged into the global registry in task-index
-   order at join, so the globals see the exact stream a serial run would
-   have produced.  Only the redirection is per-domain; the gating read of
-   [active_flag] stays a single ref read (workers never write it), so the
-   disabled path is unchanged. *)
-
-type wl_gauge = {
-  mutable wl_last : int;
-  mutable wl_min : int;
-  mutable wl_max : int;
-  mutable wl_set : bool;
-}
-
-type wctx = {
-  wl_counters : (string, int ref) Hashtbl.t;
-  wl_gauges : (string, wl_gauge) Hashtbl.t;
-  wl_hists : (string, int list ref) Hashtbl.t;  (* reversed *)
-}
-
-let wctx_key : wctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let registry : (string, counter) Hashtbl.t = Hashtbl.create 64
+let registry_mu = Mutex.create ()
 
 let counter name =
-  if Util.Pool.in_worker () then { c_name = name; count = 0 }
-  else
-    match Hashtbl.find_opt counters name with
-    | Some c -> c
-    | None ->
-        let c = { c_name = name; count = 0 } in
-        Hashtbl.add counters name c;
-        c
+  Mutex.protect registry_mu (fun () ->
+      match Hashtbl.find_opt registry name with
+      | Some c -> c
+      | None ->
+          let c = Atomic.make 0 in
+          Hashtbl.add registry name c;
+          c)
 
 let incr ?(by = 1) c =
-  if !active_flag then
-    match Domain.DLS.get wctx_key with
-    | None -> c.count <- c.count + by
-    | Some ctx -> (
-        match Hashtbl.find_opt ctx.wl_counters c.c_name with
-        | Some r -> r := !r + by
-        | None -> Hashtbl.add ctx.wl_counters c.c_name (ref by))
+  if !active_flag then ignore (Atomic.fetch_and_add c by : int)
 
-let counter_value c = c.count
-
-let gauge name =
-  if Util.Pool.in_worker () then
-    { g_name = name; last = 0; min_v = 0; max_v = 0; g_set = false }
-  else
-    match Hashtbl.find_opt gauges name with
-    | Some g -> g
-    | None ->
-        let g = { g_name = name; last = 0; min_v = 0; max_v = 0; g_set = false } in
-        Hashtbl.add gauges name g;
-        g
-
-let gauge_apply g v =
-  g.last <- v;
-  if (not g.g_set) || v > g.max_v then g.max_v <- v;
-  if (not g.g_set) || v < g.min_v then g.min_v <- v;
-  g.g_set <- true
-
-let gauge_set g v =
-  if !active_flag then
-    match Domain.DLS.get wctx_key with
-    | None -> gauge_apply g v
-    | Some ctx -> (
-        match Hashtbl.find_opt ctx.wl_gauges g.g_name with
-        | Some wl ->
-            wl.wl_last <- v;
-            if (not wl.wl_set) || v > wl.wl_max then wl.wl_max <- v;
-            if (not wl.wl_set) || v < wl.wl_min then wl.wl_min <- v;
-            wl.wl_set <- true
-        | None ->
-            Hashtbl.add ctx.wl_gauges g.g_name
-              { wl_last = v; wl_min = v; wl_max = v; wl_set = true })
-
-let histogram name =
-  if Util.Pool.in_worker () then
-    {
-      h_name = name;
-      samples = [||];
-      n = 0;
-      seen = 0;
-      sum = 0.;
-      rng = Util.Rng.create 0x0b5e;
-    }
-  else
-    match Hashtbl.find_opt histograms name with
-    | Some h -> h
-    | None ->
-        let h =
-          {
-            h_name = name;
-            samples = [||];
-            n = 0;
-            seen = 0;
-            sum = 0.;
-            rng = Util.Rng.create 0x0b5e;
-          }
-        in
-        Hashtbl.add histograms name h;
-        h
-
-let observe_raw h v =
-  h.seen <- h.seen + 1;
-  h.sum <- h.sum +. float_of_int v;
-  if h.n < cap then begin
-    if h.n >= Array.length h.samples then begin
-      let grown = Array.make (max 64 (2 * Array.length h.samples)) 0 in
-      Array.blit h.samples 0 grown 0 h.n;
-      h.samples <- grown
-    end;
-    h.samples.(h.n) <- v;
-    h.n <- h.n + 1
-  end
-  else
-    (* Vitter's algorithm R: keep each of the [seen] samples with equal
-       probability cap/seen. *)
-    let j = Util.Rng.int h.rng h.seen in
-    if j < cap then h.samples.(j) <- v
-
-let observe h v =
-  if !active_flag then
-    match Domain.DLS.get wctx_key with
-    | None -> observe_raw h v
-    | Some ctx -> (
-        match Hashtbl.find_opt ctx.wl_hists h.h_name with
-        | Some r -> r := v :: !r
-        | None -> Hashtbl.add ctx.wl_hists h.h_name (ref [ v ]))
-
-let observe_span_us h seconds = observe h (int_of_float (seconds *. 1e6))
-
-(* Capture provider: [prepare] installs a fresh context on the worker,
-   [finish] detaches it, [commit] replays the captured deltas through the
-   global instruments on the main domain.  Histogram values are replayed
-   one-by-one through [observe_raw] so the reservoir (and its private RNG)
-   ends up in the exact state a serial run would have left it in. *)
-let () =
-  Util.Pool.register_provider (fun () ->
-      Domain.DLS.set wctx_key
-        (Some
-           {
-             wl_counters = Hashtbl.create 16;
-             wl_gauges = Hashtbl.create 8;
-             wl_hists = Hashtbl.create 8;
-           });
-      fun () ->
-        let ctx =
-          match Domain.DLS.get wctx_key with
-          | Some ctx -> ctx
-          | None -> assert false
-        in
-        Domain.DLS.set wctx_key None;
-        fun () ->
-          Hashtbl.iter
-            (fun name r -> (counter name).count <- (counter name).count + !r)
-            ctx.wl_counters;
-          Hashtbl.iter
-            (fun name wl ->
-              if wl.wl_set then begin
-                let g = gauge name in
-                gauge_apply g wl.wl_min;
-                gauge_apply g wl.wl_max;
-                gauge_apply g wl.wl_last
-              end)
-            ctx.wl_gauges;
-          Hashtbl.iter
-            (fun name r ->
-              let h = histogram name in
-              List.iter (fun v -> observe_raw h v) (List.rev !r))
-            ctx.wl_hists)
+let counter_value = Atomic.get
 
 let snapshot () =
-  let sorted_fields tbl extract =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  let counters =
+    Mutex.protect registry_mu (fun () ->
+        Hashtbl.fold (fun name c acc -> (name, Json.Int (Atomic.get c)) :: acc)
+          registry [])
     |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.filter_map extract
   in
-  let counters_json =
-    sorted_fields counters (fun (name, c) -> Some (name, Json.Int c.count))
-  in
-  let gauges_json =
-    sorted_fields gauges (fun (name, g) ->
-        if not g.g_set then None
-        else
-          Some
-            ( name,
-              Json.Obj
-                [
-                  ("last", Json.Int g.last);
-                  ("min", Json.Int g.min_v);
-                  ("max", Json.Int g.max_v);
-                ] ))
-  in
-  let histograms_json =
-    sorted_fields histograms (fun (name, h) ->
-        if h.n = 0 then None
-        else
-          let data = Array.sub h.samples 0 h.n in
-          Some
-            ( name,
-              Json.Obj
-                [
-                  ("count", Json.Int h.seen);
-                  ("mean", Json.Float (h.sum /. float_of_int h.seen));
-                  ("min", Json.Int (Util.Stats.quantile_int data 0.0));
-                  ("p50", Json.Int (Util.Stats.quantile_int data 0.5));
-                  ("p95", Json.Int (Util.Stats.p95 data));
-                  ("p99", Json.Int (Util.Stats.p99 data));
-                  ("max", Json.Int (Util.Stats.quantile_int data 1.0));
-                ] ))
-  in
-  Json.Obj
-    [
-      ("counters", Json.Obj counters_json);
-      ("gauges", Json.Obj gauges_json);
-      ("histograms", Json.Obj histograms_json);
-    ]
+  Json.Obj [ ("counters", Json.Obj counters) ]
 
 let reset () =
-  Hashtbl.iter (fun _ c -> c.count <- 0) counters;
-  Hashtbl.iter
-    (fun _ g ->
-      g.last <- 0;
-      g.min_v <- 0;
-      g.max_v <- 0;
-      g.g_set <- false)
-    gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      h.n <- 0;
-      h.seen <- 0;
-      h.sum <- 0.)
-    histograms
+  Mutex.protect registry_mu (fun () ->
+      Hashtbl.iter (fun _ c -> Atomic.set c 0) registry)

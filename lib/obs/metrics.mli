@@ -1,28 +1,20 @@
-(** Process-wide metrics registry: monotonic counters, gauges and integer
-    histograms.
+(** Process-wide registry of monotonic counters.
 
     Metrics are ambient (like the resilience failure sink): instrumented
-    modules create their instruments once at module initialisation and bump
+    modules create their counters once at module initialisation and bump
     them unconditionally-cheaply.  Recording is gated on {!active}: when
-    inactive (the default), every operation reduces to a single [ref] read
-    and the snapshot stays all-zero, so an un-instrumented run is
-    bit-identical.
+    inactive (the default), {!incr} reduces to a single [ref] read and the
+    snapshot stays all-zero, so an un-instrumented run is bit-identical.
 
-    Instruments are identified by dotted names ([solver.verdict.sat],
+    Counters are identified by dotted names ([solver.verdict.sat],
     [cache.model.miss], [symbex.kills.heap-exhausted], ...); creating the
-    same name twice returns the same instrument.
+    same name twice returns the same counter.
 
-    The registry is domain-safe under {!Util.Pool}: on a worker domain,
-    recording is redirected by instrument {e name} into a domain-local
-    capture context ([counter]/[gauge]/[histogram] return detached records
-    there, never touching the shared tables), and the pool merges captures
-    into the global registry in task-index order at join — so
-    {!snapshot} is bit-identical to a serial run.  The inactive path stays
-    a single ref read on every domain. *)
+    Each counter is an [int Atomic.t], so {!Util.Pool} tasks bump the
+    shared counters directly: a sum does not depend on the order in which
+    tasks ran, and {!snapshot} is the same for every job count. *)
 
 type counter
-type gauge
-type histogram
 
 val set_active : bool -> unit
 val active : unit -> bool
@@ -31,28 +23,10 @@ val counter : string -> counter
 val incr : ?by:int -> counter -> unit
 val counter_value : counter -> int
 
-val gauge : string -> gauge
-
-val gauge_set : gauge -> int -> unit
-(** Records the latest value and tracks the minimum and maximum seen. *)
-
-val histogram : string -> histogram
-
-val observe : histogram -> int -> unit
-(** Adds one integer sample (e.g. a latency in microseconds).  Bounded
-    memory: past a fixed cap the sample is reservoir-replaced with a
-    private fixed-seed RNG, so quantiles stay representative and recording
-    never perturbs program randomness. *)
-
-val observe_span_us : histogram -> float -> unit
-(** [observe_span_us h seconds] records a duration in whole microseconds. *)
-
 val snapshot : unit -> Json.t
-(** [{"counters": {...}, "gauges": {name: {"last","min","max"}},
-     "histograms": {name: {"count","mean","min","p50","p95","p99","max"}}}].
-    Instruments that never recorded are omitted from the histograms/gauges
-    sections; counters always appear (value 0 when untouched). *)
+(** [{"counters": {name: value, ...}}], sorted by name.  Every registered
+    counter appears (value 0 when untouched). *)
 
 val reset : unit -> unit
-(** Zeroes every registered instrument (the registry itself survives so
-    module-level instruments stay valid).  Does not change {!active}. *)
+(** Zeroes every registered counter (the registry itself survives so
+    module-level counters stay valid).  Does not change {!active}. *)

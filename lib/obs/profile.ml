@@ -27,48 +27,35 @@ let zero () =
 
 let on = ref false
 let set_enabled b = on := b
-let enabled () = !on
 
-(* All mutable profiler state lives in a context so pool workers can record
-   into a domain-local one; the pool merges worker contexts into the main
-   context in task-index order at join.  Site and level counts are integer
-   sums, so the merge is exact; timer floats are wall time, which the
-   deterministic outputs already exclude. *)
-type ctx = {
-  p_tbl : (string * int, stats) Hashtbl.t;
-  p_timers : (string, float ref) Hashtbl.t;
-  (* The ambient attribution site.  Starts detached (a throwaway record not
-     in [p_tbl]): anything recorded before the first [enter] stays out of
-     the snapshot rather than polluting a catch-all bucket. *)
-  mutable p_cur : stats;
-}
+(* The profiler's tables are not domain-safe, and no profiled code runs on
+   a pool worker, so recording happens on the main domain only. *)
+let enabled () = !on && Domain.is_main_domain ()
 
-let make_ctx () =
-  { p_tbl = Hashtbl.create 256; p_timers = Hashtbl.create 8; p_cur = zero () }
+let tbl : (string * int, stats) Hashtbl.t = Hashtbl.create 256
+let timer_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 8
 
-let main_ctx = make_ctx ()
-let ctx_key : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let ctx () =
-  match Domain.DLS.get ctx_key with Some c -> c | None -> main_ctx
+(* The ambient attribution site.  Starts detached (a throwaway record not
+   in [tbl]): anything recorded before the first [enter] stays out of the
+   snapshot rather than polluting a catch-all bucket. *)
+let cur = ref (zero ())
 
 let reset () =
-  Hashtbl.reset main_ctx.p_tbl;
-  Hashtbl.reset main_ctx.p_timers;
-  main_ctx.p_cur <- zero ()
-
-let site_in c key =
-  match Hashtbl.find_opt c.p_tbl key with
-  | Some s -> s
-  | None ->
-      let s = zero () in
-      Hashtbl.add c.p_tbl key s;
-      s
+  Hashtbl.reset tbl;
+  Hashtbl.reset timer_tbl;
+  cur := zero ()
 
 let enter ~func ~pc =
-  if !on then
-    let c = ctx () in
-    c.p_cur <- site_in c (func, pc)
+  if enabled () then begin
+    let key = (func, pc) in
+    cur :=
+      match Hashtbl.find_opt tbl key with
+      | Some s -> s
+      | None ->
+          let s = zero () in
+          Hashtbl.add tbl key s;
+          s
+  end
 
 (* 3/5 of a cycle per retired weight unit, matching [Symbex.Costs.default]
    and the DUT's calibrated CPI; rounded to nearest so weight-1 instructions
@@ -76,15 +63,15 @@ let enter ~func ~pc =
 let retire_cycles weight = ((weight * 3) + 2) / 5
 
 let add_retire ~weight =
-  if !on then begin
-    let s = (ctx ()).p_cur in
+  if enabled () then begin
+    let s = !cur in
     s.instrs <- s.instrs + weight;
     s.cycles <- s.cycles + retire_cycles weight
   end
 
 let add_exec ~instrs ~cycles ~loads ~stores =
-  if !on then begin
-    let s = (ctx ()).p_cur in
+  if enabled () then begin
+    let s = !cur in
     s.instrs <- s.instrs + instrs;
     s.cycles <- s.cycles + cycles;
     s.loads <- s.loads + loads;
@@ -98,27 +85,26 @@ let bump_level s = function
   | Dram -> s.dram <- s.dram + 1
 
 let add_access ~write level ~cycles =
-  if !on then begin
-    let s = (ctx ()).p_cur in
+  if enabled () then begin
+    let s = !cur in
     if write then s.stores <- s.stores + 1 else s.loads <- s.loads + 1;
     bump_level s level;
     s.cycles <- s.cycles + cycles
   end
 
-let add_level level = if !on then bump_level (ctx ()).p_cur level
+let add_level level = if enabled () then bump_level !cur level
 
 let add_concretization () =
-  if !on then begin
-    let s = (ctx ()).p_cur in
+  if enabled () then begin
+    let s = !cur in
     s.concretizations <- s.concretizations + 1
   end
 
 let add_timer name dt =
-  if !on then
-    let c = ctx () in
-    match Hashtbl.find_opt c.p_timers name with
+  if enabled () then
+    match Hashtbl.find_opt timer_tbl name with
     | Some r -> r := !r +. dt
-    | None -> Hashtbl.add c.p_timers name (ref dt)
+    | None -> Hashtbl.add timer_tbl name (ref dt)
 
 let copy s =
   {
@@ -133,50 +119,16 @@ let copy s =
     concretizations = s.concretizations;
   }
 
-(* Capture provider: fresh context on the worker (with its own detached
-   ambient site, so tasks never inherit a site across task boundaries),
-   integer-exact merge into [main_ctx] at join. *)
-let () =
-  Util.Pool.register_provider (fun () ->
-      Domain.DLS.set ctx_key (Some (make_ctx ()));
-      fun () ->
-        let c =
-          match Domain.DLS.get ctx_key with
-          | Some c -> c
-          | None -> assert false
-        in
-        Domain.DLS.set ctx_key None;
-        fun () ->
-          Hashtbl.iter
-            (fun key s ->
-              let dst = site_in main_ctx key in
-              dst.cycles <- dst.cycles + s.cycles;
-              dst.instrs <- dst.instrs + s.instrs;
-              dst.loads <- dst.loads + s.loads;
-              dst.stores <- dst.stores + s.stores;
-              dst.l1 <- dst.l1 + s.l1;
-              dst.l2 <- dst.l2 + s.l2;
-              dst.l3 <- dst.l3 + s.l3;
-              dst.dram <- dst.dram + s.dram;
-              dst.concretizations <- dst.concretizations + s.concretizations)
-            c.p_tbl;
-          Hashtbl.iter
-            (fun name r ->
-              match Hashtbl.find_opt main_ctx.p_timers name with
-              | Some dst -> dst := !dst +. !r
-              | None -> Hashtbl.add main_ctx.p_timers name (ref !r))
-            c.p_timers)
-
 let sites () =
-  Hashtbl.fold (fun k v acc -> (k, copy v) :: acc) main_ctx.p_tbl []
+  Hashtbl.fold (fun k v acc -> (k, copy v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let timers () =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) main_ctx.p_timers []
+  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) timer_tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let total_cycles () =
-  Hashtbl.fold (fun _ s acc -> acc + s.cycles) main_ctx.p_tbl 0
+  Hashtbl.fold (fun _ s acc -> acc + s.cycles) tbl 0
 
 let site_json ((func, pc), s) =
   Json.Obj

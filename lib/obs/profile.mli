@@ -36,7 +36,12 @@ type stats = {
 }
 
 val set_enabled : bool -> unit
+
 val enabled : unit -> bool
+(** True when {!set_enabled} turned the profiler on and the caller runs on
+    the main domain.  The tables are not domain-safe, and no profiled code
+    runs on a {!Util.Pool} worker ([castan profile] replays on the main
+    domain), so every hook records nothing elsewhere. *)
 
 val reset : unit -> unit
 (** Drops every site and timer (and detaches the current site). Does not

@@ -6,23 +6,17 @@ type span = {
 
 let current : Sink.t ref = ref Sink.null
 let t0 = ref 0.
-let depth_ = ref 0
+
+(* Open spans, summed over every domain that has some open. *)
+let depth_ = Atomic.make 0
 
 (* Shared by every disabled [enter]: the hot path allocates nothing when
    tracing is off. *)
 let disabled_span = { name = "<disabled>"; start = 0.; args = [] }
 
-(* On a pool worker, emitted lines and span records are buffered into a
-   domain-local context — the sink (an out_channel or a Hashtbl) is not
-   domain-safe — and the pool replays them on the main domain in task-index
-   order.  Nesting depth is likewise tracked per worker. *)
-type wctx = {
-  mutable w_lines : string list;  (* reversed *)
-  mutable w_spans : (string * float) list;  (* reversed *)
-  mutable w_depth : int;
-}
-
-let wctx_key : wctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+(* Pool workers write to the same sink as the main domain; the lock keeps
+   each line whole.  Lines from concurrent tasks interleave. *)
+let sink_mu = Mutex.create ()
 
 let sink () = !current
 let enabled () = Sink.active !current
@@ -31,56 +25,40 @@ let set_sink s =
   Sink.close !current;
   current := s;
   t0 := Unix.gettimeofday ();
-  depth_ := 0
+  Atomic.set depth_ 0
 
 let close () = set_sink Sink.null
-
-let depth () =
-  match Domain.DLS.get wctx_key with
-  | Some ctx -> ctx.w_depth
-  | None -> !depth_
-
-let incr_depth () =
-  match Domain.DLS.get wctx_key with
-  | Some ctx -> ctx.w_depth <- ctx.w_depth + 1
-  | None -> incr depth_
-
-let decr_depth () =
-  match Domain.DLS.get wctx_key with
-  | Some ctx -> ctx.w_depth <- ctx.w_depth - 1
-  | None -> decr depth_
+let depth () = Atomic.get depth_
 
 let us_since_start t = (t -. !t0) *. 1e6
 
 let emit ~name ~ph ~ts ?dur ~args () =
+  (* One viewer track per domain: the main domain is tid 1. *)
+  let tid = (Domain.self () :> int) + 1 in
   let fields =
     [ ("name", Json.Str name); ("ph", Json.Str ph); ("ts", Json.Float ts);
-      ("pid", Json.Int 1); ("tid", Json.Int 1) ]
+      ("pid", Json.Int 1); ("tid", Json.Int tid) ]
     @ (match dur with Some d -> [ ("dur", Json.Float d) ] | None -> [])
     @ (match ph with "i" -> [ ("s", Json.Str "t") ] | _ -> [])
     @ (match args with [] -> [] | l -> [ ("args", Json.Obj l) ])
   in
   let line = Json.to_string (Json.Obj fields) in
-  match Domain.DLS.get wctx_key with
-  | Some ctx -> ctx.w_lines <- line :: ctx.w_lines
-  | None -> Sink.write !current line
+  Mutex.protect sink_mu (fun () -> Sink.write !current line)
 
 let note_span ~name ~dur =
-  match Domain.DLS.get wctx_key with
-  | Some ctx -> ctx.w_spans <- (name, dur) :: ctx.w_spans
-  | None -> Sink.record_span !current ~name ~dur
+  Mutex.protect sink_mu (fun () -> Sink.record_span !current ~name ~dur)
 
 let enter ?(args = []) name =
   if not (enabled ()) then disabled_span
   else begin
-    incr_depth ();
+    Atomic.incr depth_;
     { name; start = Unix.gettimeofday (); args }
   end
 
 let exit sp =
   if sp == disabled_span then 0.
   else begin
-    decr_depth ();
+    Atomic.decr depth_;
     let now = Unix.gettimeofday () in
     let dur = now -. sp.start in
     emit ~name:sp.name ~ph:"X" ~ts:(us_since_start sp.start)
@@ -103,12 +81,12 @@ let with_span ?(args = []) name f =
 
 let timed ?(args = []) name f =
   let emitting = enabled () in
-  if emitting then incr_depth ();
+  if emitting then Atomic.incr depth_;
   let start = Unix.gettimeofday () in
   let finish () =
     let dur = Unix.gettimeofday () -. start in
     if emitting then begin
-      decr_depth ();
+      Atomic.decr depth_;
       emit ~name ~ph:"X" ~ts:(us_since_start start) ~dur:(dur *. 1e6) ~args ();
       note_span ~name ~dur
     end;
@@ -123,22 +101,3 @@ let timed ?(args = []) name f =
 let instant ?(args = []) name =
   if enabled () then
     emit ~name ~ph:"i" ~ts:(us_since_start (Unix.gettimeofday ())) ~args ()
-
-(* Capture provider: buffer on the worker, flush through the real sink on
-   the main domain at join. *)
-let () =
-  Util.Pool.register_provider (fun () ->
-      Domain.DLS.set wctx_key (Some { w_lines = []; w_spans = []; w_depth = 0 });
-      fun () ->
-        let ctx =
-          match Domain.DLS.get wctx_key with
-          | Some ctx -> ctx
-          | None -> assert false
-        in
-        Domain.DLS.set wctx_key None;
-        fun () ->
-          List.iter (fun line -> Sink.write !current line)
-            (List.rev ctx.w_lines);
-          List.iter
-            (fun (name, dur) -> Sink.record_span !current ~name ~dur)
-            (List.rev ctx.w_spans))

@@ -4,7 +4,10 @@
     Every event is a complete ("ph":"X") event with [ts]/[dur] in
     microseconds relative to {!set_sink}; Chrome's tracing UI and Perfetto
     reconstruct the span tree from the containment of [ts, ts+dur] ranges on
-    one pid/tid, so nesting needs no explicit parent links.  Wrap the stream
+    one pid/tid, so nesting needs no explicit parent links.  The [tid] is
+    the emitting domain's id plus one: {!Util.Pool} workers write to the
+    same sink as the main domain (under a lock, one whole line at a time),
+    each on a track of its own.  Wrap the stream
     in [\[...\]] (e.g. [jq -s .]) to obtain the JSON-array form the viewers
     load directly.
 
@@ -40,8 +43,8 @@ val instant : ?args:(string * Json.t) list -> string -> unit
 (** A zero-duration marker event ("ph":"i"). *)
 
 val depth : unit -> int
-(** Currently-open span count (0 when balanced); tests use it to assert
-    well-formed nesting. *)
+(** Currently-open span count, summed over domains (0 when balanced);
+    tests use it to assert well-formed nesting. *)
 
 val close : unit -> unit
 (** Closes the current sink and reverts to {!Sink.null}. *)

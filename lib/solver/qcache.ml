@@ -1,75 +1,14 @@
-type stats = {
-  queries : int;
-  hits : int;
-  subset_hits : int;
-  model_reuse : int;
-  misses : int;
-  constraints_dropped : int;
-  evictions : int;
-}
+type stats = { queries : int; hits : int; subset_hits : int; model_reuse : int }
 
-let zero =
-  {
-    queries = 0;
-    hits = 0;
-    subset_hits = 0;
-    model_reuse = 0;
-    misses = 0;
-    constraints_dropped = 0;
-    evictions = 0;
-  }
+let queries = Atomic.make 0
 
-let enabled_ref = ref true
-let enabled () = !enabled_ref
-let set_enabled b = enabled_ref := b
-
-(* Each {!Util.Pool} task counts into a private record (one shared record
-   would race across worker domains); at join its counts are folded into
-   the main record, so totals do not depend on the job count. *)
-let main_stats = ref zero
-
-let stats_key : stats ref option Stdlib.Domain.DLS.key =
-  Stdlib.Domain.DLS.new_key (fun () -> None)
-
-let current () =
-  match Stdlib.Domain.DLS.get stats_key with Some r -> r | None -> main_stats
-
-let stats () = !(current ())
-let reset_stats () = current () := zero
+let stats () =
+  { queries = Atomic.get queries; hits = 0; subset_hits = 0; model_reuse = 0 }
 
 let m_miss = Obs.Metrics.counter "solver.cache.miss"
 let m_dropped = Obs.Metrics.counter "solver.slice.constraints_dropped"
 
 let note_query ~dropped =
-  if !enabled_ref then begin
-    let r = current () in
-    let s = !r in
-    r :=
-      {
-        s with
-        queries = s.queries + 1;
-        misses = s.misses + 1;
-        constraints_dropped = s.constraints_dropped + dropped;
-      };
-    Obs.Metrics.incr m_miss;
-    if dropped > 0 then Obs.Metrics.incr ~by:dropped m_dropped
-  end
-
-let () =
-  Util.Pool.register_provider (fun () ->
-      let r = ref zero in
-      Stdlib.Domain.DLS.set stats_key (Some r);
-      fun () ->
-        Stdlib.Domain.DLS.set stats_key None;
-        fun () ->
-          let a = !main_stats and b = !r in
-          main_stats :=
-            {
-              queries = a.queries + b.queries;
-              hits = a.hits + b.hits;
-              subset_hits = a.subset_hits + b.subset_hits;
-              model_reuse = a.model_reuse + b.model_reuse;
-              misses = a.misses + b.misses;
-              constraints_dropped = a.constraints_dropped + b.constraints_dropped;
-              evictions = a.evictions + b.evictions;
-            })
+  Atomic.incr queries;
+  Obs.Metrics.incr m_miss;
+  if dropped > 0 then Obs.Metrics.incr ~by:dropped m_dropped

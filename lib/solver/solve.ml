@@ -743,17 +743,16 @@ let complete st cs rng attempts =
   in
   walk attempts
 
-(* Telemetry: verdict counters, how each Unsat was decided (pure
+(* Telemetry: verdict counters, and how each Unsat was decided (pure
    propagation vs the ordering pre-phase) vs how many calls fell through to
-   the WalkSAT-style search, and a per-call latency histogram.  Instruments
-   are module-level so the disabled path costs one ref read per bump. *)
+   the WalkSAT-style search.  Counters are module-level so the disabled
+   path costs one ref read per bump. *)
 let m_verdict_sat = Obs.Metrics.counter "solver.verdict.sat"
 let m_verdict_unsat = Obs.Metrics.counter "solver.verdict.unsat"
 let m_verdict_unknown = Obs.Metrics.counter "solver.verdict.unknown"
 let m_unsat_ordering = Obs.Metrics.counter "solver.unsat.ordering"
 let m_unsat_propagation = Obs.Metrics.counter "solver.unsat.propagation"
 let m_walksat = Obs.Metrics.counter "solver.walksat.searches"
-let h_sat_latency = Obs.Metrics.histogram "solver.sat.latency_us"
 
 (* The refutation step: every Unsat the solver returns is decided here, and
    nothing here searches.  [Open] carries the simplified non-trivial
@@ -786,23 +785,20 @@ let sat_inner rng attempts cs =
       | Some m when check m cs -> Sat m
       | Some _ | None -> Unknown)
 
-(* Charges [f] to the "solver" profiler bucket and the latency histogram,
-   and counts the verdict [counter_of] names for its result. *)
+(* Charges [f] to the "solver" profiler bucket and counts the verdict
+   [counter_of] names for its result. *)
 let instrumented counter_of f =
-  let want_metrics = Obs.Metrics.active () in
-  let want_profile = Obs.Profile.enabled () in
-  if not (want_metrics || want_profile) then f ()
-  else begin
-    let t_start = Unix.gettimeofday () in
-    let v = f () in
-    let dt = Unix.gettimeofday () -. t_start in
-    if want_profile then Obs.Profile.add_timer "solver" dt;
-    if want_metrics then begin
-      Obs.Metrics.observe_span_us h_sat_latency dt;
-      Obs.Metrics.incr (counter_of v)
-    end;
-    v
-  end
+  let v =
+    if not (Obs.Profile.enabled ()) then f ()
+    else begin
+      let t_start = Unix.gettimeofday () in
+      let v = f () in
+      Obs.Profile.add_timer "solver" (Unix.gettimeofday () -. t_start);
+      v
+    end
+  in
+  if Obs.Metrics.active () then Obs.Metrics.incr (counter_of v);
+  v
 
 let sat ?(rng = Util.Rng.create 0x5eed) ?(attempts = 2000) cs =
   instrumented
@@ -825,22 +821,19 @@ let feasible cs =
    Slice).  Slicing is timed in its own profiler bucket so "solver" keeps
    measuring refutation. *)
 let feasible_sliced ~query pcs =
-  if not (Qcache.enabled ()) then feasible (query :: pcs)
-  else begin
-    let want_profile = Obs.Profile.enabled () in
-    let t0 = if want_profile then Unix.gettimeofday () else 0. in
-    let slice, dropped = Slice.relevant ~query:(Simplify.expr query) pcs in
-    Qcache.note_query ~dropped;
-    if want_profile then
-      Obs.Profile.add_timer "solver.cache" (Unix.gettimeofday () -. t0);
-    feasible (query :: slice)
-  end
+  let want_profile = Obs.Profile.enabled () in
+  let t0 = if want_profile then Unix.gettimeofday () else 0. in
+  let slice, dropped = Slice.relevant ~query:(Simplify.expr query) pcs in
+  Qcache.note_query ~dropped;
+  if want_profile then
+    Obs.Profile.add_timer "solver.cache" (Unix.gettimeofday () -. t0);
+  feasible (query :: slice)
 
 let domain_of cs e =
   let e = Simplify.expr e in
   (* Only the query's connected component can shape its abstract value, by
-     the same argument as [feasible_sliced], and under the same switch. *)
-  let cs = if Qcache.enabled () then fst (Slice.relevant ~query:e cs) else cs in
+     the same argument as [feasible_sliced]. *)
+  let cs = fst (Slice.relevant ~query:e cs) in
   let cs = List.map Simplify.expr cs in
   match propagate_rounds cs with
   | exception Contradiction -> Domain.const 0

@@ -55,9 +55,7 @@ val feasible_sliced : query:Ir.Expr.sexpr -> Ir.Expr.sexpr list -> bool
     already passed a feasibility check at insertion.  The query is refuted
     against only the connected component of [pcs] it shares symbols with
     ({!Slice}), plus the ground constraints.  Under that insertion invariant
-    (or for any satisfiable [pcs]) the verdict equals the unsliced one; with
-    slicing disabled ({!Qcache.set_enabled}[ false]) it {e is} the unsliced
-    call. *)
+    (or for any satisfiable [pcs]) the verdict equals the unsliced one. *)
 
 val domain_of : Ir.Expr.sexpr list -> Ir.Expr.sexpr -> Domain.t
 (** Over-approximates the values [e] can take under the constraints; used by

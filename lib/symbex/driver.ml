@@ -46,15 +46,14 @@ type result = {
 
 (* Telemetry.  Totals are wired from [stats] once at the end of [run] (the
    per-event counting already happens for the stats record); only the
-   queue-depth gauge and the per-slice spans touch the exploration loop, and
-   both are gated so a disabled run does no extra work. *)
+   per-slice spans touch the exploration loop, and they are gated so a
+   disabled run does no extra work. *)
 let m_explored = Obs.Metrics.counter "symbex.explored"
 let m_forks = Obs.Metrics.counter "symbex.forks"
 let m_killed = Obs.Metrics.counter "symbex.killed"
 let m_executed = Obs.Metrics.counter "symbex.executed_instrs"
 let m_completed = Obs.Metrics.counter "symbex.completed_paths"
 let m_degraded = Obs.Metrics.counter "symbex.degraded_runs"
-let g_queue = Obs.Metrics.gauge "symbex.queue_depth"
 
 let record_run_metrics stats ~completed =
   if Obs.Metrics.active () then begin
@@ -202,8 +201,6 @@ let run program ~mem ~cache config =
       | None -> ()
       | Some s ->
           incr explored;
-          if Obs.Metrics.active () then
-            Obs.Metrics.gauge_set g_queue (Searcher.size searcher);
           (* One span per execution slice: enough to see where the budget
              goes without tracing individual instructions. *)
           if Obs.Trace.enabled () then begin

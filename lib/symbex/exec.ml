@@ -138,6 +138,37 @@ let resolve_pointer (t : State.t) addr_e =
         Small (List.rev !feasible)
       end
 
+(* A memory access through [addr_e]: resolves the pointer, runs the cache
+   model, and hands the outcome to [finish] — once for a single target, or
+   once per forked child when the pointer has a few feasible targets.
+   [finish t addr latency miss constraint] performs the access itself. *)
+let access (t : State.t) addr_e ~kind finish =
+  match resolve_pointer t addr_e with
+  | Adversarial ->
+      let cache, o = Cache.Model.access_symbolic t.cache ~pcs:t.pcs addr_e in
+      Running (finish { t with cache } o.addr o.latency o.miss o.added)
+  | Small [] -> Killed (t, No_pointer_target kind)
+  | Small [ (v, c) ] ->
+      let cache, o = Cache.Model.access_concrete t.cache v in
+      Running (finish { t with cache } o.addr o.latency o.miss (Some c))
+  | Small targets ->
+      let children =
+        List.map
+          (fun (v, c) ->
+            let cache, o = Cache.Model.access_concrete t.cache v in
+            {
+              (finish { t with cache } o.addr o.latency o.miss (Some c)) with
+              id = fresh_fork_id ();
+            })
+          targets
+      in
+      Forked
+        {
+          preferred = List.hd children;
+          deferred = List.tl children;
+          at_loop_head = false;
+        }
+
 (* A branch condition as a path-constraint pair (taken, not taken). *)
 let branch_constraints cond =
   let taken = Solver.Simplify.expr cond in
@@ -167,7 +198,7 @@ and step_instr cfg (t : State.t) frame instr : step_result =
         let v = eval_pexpr frame e in
         let t = charge cfg t instr () in
         Running (advance (set_var t x v) (frame.pc + 1))
-    | Ir.Cfg.Load { dst; addr; width } -> (
+    | Ir.Cfg.Load { dst; addr; width } ->
         let addr_e = eval_pexpr frame addr in
         let finish t concrete_addr o_latency o_miss extra_pc =
           let value =
@@ -181,34 +212,8 @@ and step_instr cfg (t : State.t) frame instr : step_result =
           in
           advance (set_var t dst value) (frame.pc + 1)
         in
-        match resolve_pointer t addr_e with
-        | Adversarial ->
-            let cache, o =
-              Cache.Model.access_symbolic t.cache ~pcs:t.pcs addr_e
-            in
-            Running (finish { t with cache } o.addr o.latency o.miss o.added)
-        | Small [] -> Killed (t, No_pointer_target "load")
-        | Small [ (v, c) ] ->
-            let cache, o = Cache.Model.access_concrete t.cache v in
-            Running (finish { t with cache } o.addr o.latency o.miss (Some c))
-        | Small targets ->
-            let children =
-              List.map
-                (fun (v, c) ->
-                  let cache, o = Cache.Model.access_concrete t.cache v in
-                  {
-                    (finish { t with cache } o.addr o.latency o.miss (Some c)) with
-                    id = fresh_fork_id ();
-                  })
-                targets
-            in
-            Forked
-              {
-                preferred = List.hd children;
-                deferred = List.tl children;
-                at_loop_head = false;
-              })
-    | Ir.Cfg.Store { addr; value; width } -> (
+        access t addr_e ~kind:"load" finish
+    | Ir.Cfg.Store { addr; value; width } ->
         let addr_e = eval_pexpr frame addr in
         let v = eval_pexpr frame value in
         let finish t concrete_addr o_latency o_miss extra_pc =
@@ -224,33 +229,7 @@ and step_instr cfg (t : State.t) frame instr : step_result =
           in
           advance t (frame.pc + 1)
         in
-        match resolve_pointer t addr_e with
-        | Adversarial ->
-            let cache, o =
-              Cache.Model.access_symbolic t.cache ~pcs:t.pcs addr_e
-            in
-            Running (finish { t with cache } o.addr o.latency o.miss o.added)
-        | Small [] -> Killed (t, No_pointer_target "store")
-        | Small [ (v, c) ] ->
-            let cache, o = Cache.Model.access_concrete t.cache v in
-            Running (finish { t with cache } o.addr o.latency o.miss (Some c))
-        | Small targets ->
-            let children =
-              List.map
-                (fun (v, c) ->
-                  let cache, o = Cache.Model.access_concrete t.cache v in
-                  {
-                    (finish { t with cache } o.addr o.latency o.miss (Some c)) with
-                    id = fresh_fork_id ();
-                  })
-                targets
-            in
-            Forked
-              {
-                preferred = List.hd children;
-                deferred = List.tl children;
-                at_loop_head = false;
-              })
+        access t addr_e ~kind:"store" finish
     | Ir.Cfg.Alloc { dst; bytes } -> (
         match Ir.Memory.try_alloc t.mem ~bytes with
         | Error msg -> Killed (t, Heap_exhausted msg)

@@ -68,6 +68,16 @@ let nop_baseline ?(seed = 42) ?(samples = 20_000) () =
 
 let deviation_from_nop_ns m ~nop = median_latency_ns m -. median_latency_ns nop
 
+(* Per-packet service times of a measurement, in seconds, stored straight
+   into a float array (no boxed float per sample). *)
+let service_times m =
+  let service_s = Array.create_float (Array.length m.samples) in
+  Array.iteri
+    (fun i (s : Dut.sample) ->
+      service_s.(i) <- float_of_int s.cycles /. clock_ghz /. 1e9)
+    m.samples;
+  service_s
+
 (* Deterministic arrivals at [rate_pps] against recorded service times;
    finite descriptor queue.  The backlog of departure deadlines lives in a
    fixed circular float array (never more than [queue_depth] entries), not a
@@ -75,9 +85,12 @@ let deviation_from_nop_ns m ~nop = median_latency_ns m -. median_latency_ns nop
    this loop a dozen times over every recorded sample, so per-packet
    allocation is what the experiment ends up timing.  [max_dropped < n]
    turns it into a feasibility check with an early exit: the moment the drop
-   count exceeds the budget, the verdict is known.  Returns the drop count,
-   or [max_dropped + 1] on early exit. *)
-let drops_at_rate ~queue_depth ~service_s ?(max_dropped = max_int) rate_pps =
+   count exceeds the budget, the verdict is known.  [sojourn_ns], when
+   given, receives each accepted packet's sojourn time (queueing + service)
+   in arrival order.  Returns the drop count, or [max_dropped + 1] on early
+   exit. *)
+let drops_at_rate ~queue_depth ~service_s ?(max_dropped = max_int) ?sojourn_ns
+    rate_pps =
   let n = Array.length service_s in
   let interval = 1.0 /. rate_pps in
   let dropped = ref 0 in
@@ -103,50 +116,31 @@ let drops_at_rate ~queue_depth ~service_s ?(max_dropped = max_int) rate_pps =
       busy_until := finish;
       let tail = !head + !len in
       ring.(if tail >= cap then tail - cap else tail) <- finish;
-      incr len
+      incr len;
+      match sojourn_ns with
+      | Some out -> out.(!k - !dropped) <- (finish -. now) *. 1e9
+      | None -> ()
     end;
     incr k
   done;
   !dropped
 
-(* Per-packet sojourn times (queueing + service) at a fixed offered rate:
-   what a partially adversarial stream does to everyone behind it in the
-   descriptor queue (head-of-line blocking, §5.5). *)
+(* Per-packet sojourn times at a fixed offered rate: what a partially
+   adversarial stream does to everyone behind it in the descriptor queue
+   (head-of-line blocking, §5.5). *)
 let latency_under_load ?(queue_depth = 512) ~rate_mpps m =
-  let service_s =
-    Array.map
-      (fun (s : Dut.sample) -> float_of_int s.cycles /. clock_ghz /. 1e9)
-      m.samples
-  in
+  let service_s = service_times m in
   let n = Array.length service_s in
-  let interval = 1.0 /. (rate_mpps *. 1e6) in
-  let sojourn = ref [] and dropped = ref 0 in
-  let busy_until = ref 0.0 in
-  let backlog = Queue.create () in
-  for k = 0 to n - 1 do
-    let now = float_of_int k *. interval in
-    while (not (Queue.is_empty backlog)) && Queue.peek backlog <= now do
-      ignore (Queue.pop backlog)
-    done;
-    if Queue.length backlog >= queue_depth then incr dropped
-    else begin
-      let start = if !busy_until > now then !busy_until else now in
-      let finish = start +. service_s.(k) in
-      busy_until := finish;
-      Queue.push finish backlog;
-      sojourn := ((finish -. now) *. 1e9) :: !sojourn
-    end
-  done;
-  let measured = Array.of_list (List.rev !sojourn) in
-  let loss = float_of_int !dropped /. float_of_int n in
+  let sojourn_ns = Array.make n 0.0 in
+  let dropped =
+    drops_at_rate ~queue_depth ~service_s ~sojourn_ns (rate_mpps *. 1e6)
+  in
+  let measured = Array.sub sojourn_ns 0 (n - dropped) in
+  let loss = float_of_int dropped /. float_of_int n in
   (Util.Stats.cdf_of_samples measured, loss)
 
 let max_throughput_mpps ?(queue_depth = 512) ?(loss_target = 0.01) m =
-  let service_s =
-    Array.map
-      (fun (s : Dut.sample) -> float_of_int s.cycles /. clock_ghz /. 1e9)
-      m.samples
-  in
+  let service_s = service_times m in
   let n = Array.length service_s in
   (* The largest drop count whose fraction still passes the target, under
      the same float division the loss fraction would go through — so the

@@ -57,6 +57,22 @@ val latency_under_load :
     a fixed offered rate — the head-of-line-blocking view of §5.5's
     partially-adversarial-traffic discussion. *)
 
+val drops_at_rate :
+  queue_depth:int ->
+  service_s:float array ->
+  ?max_dropped:int ->
+  ?sojourn_ns:float array ->
+  float ->
+  int
+(** [drops_at_rate ~queue_depth ~service_s rate_pps] walks a
+    [queue_depth]-descriptor queue fed at [rate_pps] with deterministic
+    arrivals, packet [k] taking [service_s.(k)] seconds, and returns how
+    many packets found the queue full.  With [max_dropped], the walk stops
+    once the count exceeds it and returns [max_dropped + 1].  [sojourn_ns],
+    when given (at least as long as [service_s]), receives each accepted
+    packet's sojourn time in ns, in arrival order.  The one queue walk
+    behind {!latency_under_load} and {!max_throughput_mpps}. *)
+
 val max_throughput_mpps :
   ?queue_depth:int -> ?loss_target:float -> measurement -> float
 (** Bisects the offered rate over the measured service times; defaults:

@@ -1,6 +1,7 @@
-(* Fixed-size Domain worker pool with a determinism contract: output is
-   bit-identical for every [jobs] value.  See pool.mli for the contract and
-   DESIGN.md §10 for the rationale. *)
+(* Fixed-size Domain worker pool with a determinism contract: results, and
+   the telemetry totals they leave behind, are identical for every [jobs]
+   value.  See pool.mli for the contract and DESIGN.md §10 for the
+   rationale. *)
 
 (* ------------------------------------------------------------------ *)
 (* Job-count configuration                                             *)
@@ -34,36 +35,13 @@ let reset_stats () =
   Atomic.set busy_ns_total 0
 
 (* ------------------------------------------------------------------ *)
-(* Worker detection                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let in_worker_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-let in_worker () = Domain.DLS.get in_worker_key
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry capture providers                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* [util] cannot depend on [obs], so domain-unsafe ambient registries hook
-   themselves in at module-init time.  A provider is three nested closures:
-
-     prepare () -> finish        run on the worker, before the task
-     finish ()  -> commit        run on the worker, after the task
-     commit ()  -> ()            run on the main domain at join,
-                                 in task-index order
-
-   [prepare] installs a domain-local capture context, [finish] tears it down
-   and closes over the captured payload, [commit] replays the payload into
-   the global registry — so the global sees exactly the stream a serial run
-   would have produced. *)
-type provider = unit -> unit -> unit -> unit
-
-let providers : provider list ref = ref []
-let register_provider p = providers := !providers @ [ p ]
-
-(* ------------------------------------------------------------------ *)
 (* The pool                                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* True on a worker domain, so that a map issued from inside a task runs
+   sequentially instead of spawning nested domains. *)
+let in_worker_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+let in_worker () = Domain.DLS.get in_worker_key
 
 type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
 
@@ -72,17 +50,14 @@ let resolve_jobs = function Some j -> max 1 j | None -> !default_jobs_ref
 let mapi ?jobs f items =
   let jobs = resolve_jobs jobs in
   let n = List.length items in
-  (* jobs = 1 is the exact pre-pool code path: no domains, no capture, no
-     counter churn.  So is a nested map inside a worker — tasks must stay
-     sequential within their capture context. *)
+  (* jobs = 1 is the exact pre-pool code path: no domains, no counter
+     churn.  So is a nested map inside a worker. *)
   if jobs <= 1 || n <= 1 || in_worker () then List.mapi f items
   else begin
     let input = Array.of_list items in
     let workers = min jobs n in
     let slots = Array.make n Pending in
-    let commits : (unit -> unit) list array = Array.make n [] in
     let next = Atomic.make 0 in
-    let provs = !providers in
     let worker wid =
       Domain.DLS.set in_worker_key true;
       let rec loop () =
@@ -95,13 +70,11 @@ let mapi ?jobs f items =
              determinism contract (like wall times). *)
           if i mod workers <> wid then Atomic.incr steals_total;
           let t0 = Unix.gettimeofday () in
-          let finishes = List.map (fun prepare -> prepare ()) provs in
           (match f i input.(i) with
           | v -> slots.(i) <- Done v
           | exception e ->
               let bt = Printexc.get_raw_backtrace () in
               slots.(i) <- Failed (e, bt));
-          commits.(i) <- List.map (fun finish -> finish ()) finishes;
           let dt_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
           ignore (Atomic.fetch_and_add busy_ns_total dt_ns : int);
           loop ()
@@ -113,28 +86,21 @@ let mapi ?jobs f items =
       Array.init workers (fun wid -> Domain.spawn (fun () -> worker wid))
     in
     Array.iter Domain.join domains;
-    (* Deterministic failure semantics: a serial run would have executed
-       tasks 0..k and raised at the first failing index k.  Re-raising the
-       lowest failing index — after committing the telemetry of tasks 0..k
-       only — reproduces that exactly.  (Every task runs to completion
-       first; aborting early would make "which exception" a race.) *)
-    let fail_ix = ref (-1) in
-    for i = n - 1 downto 0 do
-      match slots.(i) with Failed _ -> fail_ix := i | _ -> ()
-    done;
-    let commit_upto = if !fail_ix >= 0 then !fail_ix else n - 1 in
-    for i = 0 to commit_upto do
-      List.iter (fun commit -> commit ()) commits.(i)
-    done;
-    if !fail_ix >= 0 then
-      match slots.(!fail_ix) with
-      | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-      | _ -> assert false
-    else
-      Array.to_list
-        (Array.map
-           (function Done v -> v | Pending | Failed _ -> assert false)
-           slots)
+    (* A serial run raises at the first failing index, so the lowest one
+       is re-raised.  Every task runs to completion first: aborting early
+       would make "which exception" a race. *)
+    let failure =
+      Array.fold_right
+        (fun s acc -> match s with Failed (e, bt) -> Some (e, bt) | _ -> acc)
+        slots None
+    in
+    match failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None ->
+        Array.to_list
+          (Array.map
+             (function Done v -> v | Pending | Failed _ -> assert false)
+             slots)
   end
 
 let map ?jobs f items = mapi ?jobs (fun _ x -> f x) items
@@ -151,13 +117,3 @@ let chunked ?jobs n f =
     in
     map ~jobs (fun (lo, hi) -> f ~lo ~hi) ranges
   end
-
-(* The resilience sink lives in this library; its capture provider is
-   registered here so that every user of the pool gets deterministic
-   failure-sink ordering without further wiring. *)
-let () =
-  register_provider (fun () ->
-      Resilience.capture_begin ();
-      fun () ->
-        let failures = Resilience.capture_end () in
-        fun () -> List.iter Resilience.record failures)

@@ -1,23 +1,23 @@
 (** Fixed-size Domain worker pool with a determinism contract.
 
     The contract: for any [f] that follows the repository's RNG and
-    telemetry discipline, the observable output of [map ~jobs f items] is
-    {e bit-identical for every value of [jobs]} — same results, in input
-    order; same run-manifest metrics; same failure-sink contents; same
-    exception raised when tasks fail.  Concretely:
+    telemetry discipline, [map ~jobs f items] returns the same results for
+    every value of [jobs], and leaves the same counter totals and the same
+    failure list behind.  Concretely:
 
     - Results come back in input order, regardless of completion order.
     - [~jobs:1] (and single-item inputs) take the exact pre-pool serial
-      code path: no domains are spawned, no capture contexts installed.
-    - Per-task telemetry (metrics, traces, profiles, solver-cache stats,
-      resilience failures) is captured into domain-local buffers while the
-      task runs and merged into the global registries {e in task-index
-      order} at join — the globals see the stream a serial run would have
-      produced.
-    - If tasks raise, every task still runs to completion, telemetry is
-      committed only for tasks [0..k] where [k] is the {e lowest} failing
-      index, and task [k]'s exception is re-raised with its backtrace —
-      exactly the serial prefix semantics.
+      code path: no domains are spawned.
+    - Telemetry needs no merging.  [Obs.Metrics] counters are atomic
+      sums, [Util.Resilience.recorded] sorts its failures, and the trace
+      sink and the log write whole lines under a lock.  The profiler
+      records on the main domain only.  Trace and log lines from
+      concurrent tasks interleave; nothing reads their order.
+    - If tasks raise, every task still runs to completion and the
+      exception of the {e lowest} failing index is re-raised with its
+      backtrace, as a serial run would have raised it.  Counters then
+      include the tasks after that index, which a serial run would not
+      have started.
     - Tasks needing randomness must derive their generator from the task
       index via {!Rng.split_ix}, never from a shared advancing stream.
 
@@ -62,10 +62,6 @@ val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [-j] defaults to at the
     CLI. *)
 
-val in_worker : unit -> bool
-(** True on a pool worker domain (used by telemetry modules to pick the
-    domain-local capture path). *)
-
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -82,14 +78,3 @@ val stats : unit -> stats
 (** Process-lifetime totals; recorded under ["pool"] in run manifests. *)
 
 val reset_stats : unit -> unit
-
-(**/**)
-
-type provider = unit -> unit -> unit -> unit
-(** [prepare] (worker, pre-task) returning [finish] (worker, post-task)
-    returning [commit] (main domain at join, called in task-index order).
-    Internal: telemetry modules register capture hooks at init time. *)
-
-val register_provider : provider -> unit
-
-(**/**)

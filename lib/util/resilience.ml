@@ -39,31 +39,20 @@ let fail_fast_flag = ref false
 let set_fail_fast b = fail_fast_flag := b
 let fail_fast () = !fail_fast_flag
 
-(* The process-wide sink is Mutex-guarded; inside a {!Pool} task, failures
-   are captured into a domain-local buffer instead and merged by the pool in
-   task-index order at join, so the recorded order is the serial one. *)
+(* The process-wide sink is Mutex-guarded, so pool tasks record into it
+   directly.  [recorded] sorts, which makes the list independent of the
+   order in which concurrent tasks failed. *)
 let sink : failure list ref = ref []
 let sink_mu = Mutex.create ()
+let record f = Mutex.protect sink_mu (fun () -> sink := f :: !sink)
 
-let local_sink_key : failure list ref option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+let recorded () =
+  Mutex.protect sink_mu (fun () -> !sink)
+  |> List.rev
+  |> List.stable_sort (fun a b ->
+         compare (a.nf, a.stage, a.reason) (b.nf, b.stage, b.reason))
 
-let record f =
-  match Domain.DLS.get local_sink_key with
-  | Some buf -> buf := f :: !buf
-  | None -> Mutex.protect sink_mu (fun () -> sink := f :: !sink)
-
-let recorded () = Mutex.protect sink_mu (fun () -> List.rev !sink)
 let reset () = Mutex.protect sink_mu (fun () -> sink := [])
-
-let capture_begin () = Domain.DLS.set local_sink_key (Some (ref []))
-
-let capture_end () =
-  match Domain.DLS.get local_sink_key with
-  | None -> []
-  | Some buf ->
-      Domain.DLS.set local_sink_key None;
-      List.rev !buf
 
 (* ------------------------------------------------------------------ *)
 (* Guards                                                              *)

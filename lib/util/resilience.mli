@@ -105,24 +105,12 @@ val fail_fast : unit -> bool
 
 val record : failure -> unit
 (** Appends to the process-wide sink ({!guard} does this automatically).
-    The sink is Mutex-guarded; inside a {!Pool} task the failure goes to a
-    domain-local capture buffer instead (see {!capture_begin}) so the pool
-    can merge per-task failures in deterministic task-index order. *)
+    The sink is Mutex-guarded, so {!Pool} tasks record into it directly. *)
 
 val recorded : unit -> failure list
-(** All failures recorded so far, oldest first. *)
+(** All failures recorded so far, sorted by [(nf, stage, reason)] (ties
+    in recording order), so the list does not depend on which of several
+    concurrent tasks failed first. *)
 
 val reset : unit -> unit
 (** Clears the sink (tests; the CLI resets between runs). *)
-
-(**/**)
-
-val capture_begin : unit -> unit
-(** Redirect this domain's {!record} calls into a fresh local buffer.
-    Internal: {!Pool} brackets every task with this. *)
-
-val capture_end : unit -> failure list
-(** Stop capturing and return the buffered failures, oldest first.  The
-    caller replays them through {!record} at merge time. *)
-
-(**/**)

@@ -163,17 +163,3 @@ let median_int a =
   let sorted = Array.copy a in
   sort_ints sorted;
   sorted.((Array.length sorted - 1) / 2)
-
-let quantile_int a q =
-  assert (Array.length a > 0);
-  assert (q >= 0.0 && q <= 1.0);
-  let sorted = Array.copy a in
-  sort_ints sorted;
-  let n = Array.length sorted in
-  (* nearest-rank: the smallest value with at least a fraction q of the
-     samples at or below it *)
-  let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-  sorted.(max 0 (min (n - 1) (rank - 1)))
-
-let p95 a = quantile_int a 0.95
-let p99 a = quantile_int a 0.99

@@ -24,15 +24,3 @@ val stddev : float array -> float
 
 val median_int : int array -> int
 (** Median of integer samples (lower median). Requires a non-empty array. *)
-
-val quantile_int : int array -> float -> int
-(** [quantile_int a q] with [q] in [\[0, 1\]]: the nearest-rank quantile of
-    integer samples — the smallest value with at least a fraction [q] of the
-    samples at or below it ([q = 0] yields the minimum).  The input array is
-    not modified.  Requires a non-empty array. *)
-
-val p95 : int array -> int
-(** [quantile_int a 0.95] — tail-latency summary helper. *)
-
-val p99 : int array -> int
-(** [quantile_int a 0.99]. *)

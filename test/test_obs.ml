@@ -89,21 +89,6 @@ let json_rejects_garbage () =
   Alcotest.(check bool) "member on non-object" true
     (Obs.Json.member "k" (Obs.Json.Int 3) = None)
 
-(* ---------------- Stats quantiles ---------------- *)
-
-let stats_quantiles () =
-  let a = Array.init 100 (fun i -> i + 1) in
-  Alcotest.(check int) "p50" 50 (Util.Stats.quantile_int a 0.5);
-  Alcotest.(check int) "p95" 95 (Util.Stats.p95 a);
-  Alcotest.(check int) "p99" 99 (Util.Stats.p99 a);
-  Alcotest.(check int) "q0 is min" 1 (Util.Stats.quantile_int a 0.0);
-  Alcotest.(check int) "q1 is max" 100 (Util.Stats.quantile_int a 1.0);
-  Alcotest.(check int) "singleton" 7 (Util.Stats.p99 [| 7 |]);
-  (* input is not modified *)
-  let b = [| 3; 1; 2 |] in
-  ignore (Util.Stats.quantile_int b 0.9 : int);
-  Alcotest.(check (list int)) "untouched" [ 3; 1; 2 ] (Array.to_list b)
-
 (* ---------------- Metrics ---------------- *)
 
 let metrics_gating_and_snapshot () =
@@ -115,33 +100,14 @@ let metrics_gating_and_snapshot () =
       Obs.Metrics.incr c;
       Obs.Metrics.incr ~by:5 c;
       Alcotest.(check int) "active incr counts" 6 (Obs.Metrics.counter_value c);
-      let g = Obs.Metrics.gauge "test.gauge" in
-      Obs.Metrics.gauge_set g 3;
-      Obs.Metrics.gauge_set g 7;
-      Obs.Metrics.gauge_set g 2;
-      Obs.Metrics.gauge_set g 5;
-      let h = Obs.Metrics.histogram "test.hist" in
-      for i = 1 to 100 do
-        Obs.Metrics.observe h i
-      done;
       let snap = Obs.Metrics.snapshot () in
-      let counters = field snap "counters" in
+      let counters =
+        match snap with
+        | Obs.Json.Obj [ ("counters", counters) ] -> counters
+        | _ -> Alcotest.fail "the snapshot must hold only counters"
+      in
       Alcotest.(check bool) "counter in snapshot" true
         (Obs.Json.member "test.counter" counters = Some (Obs.Json.Int 6));
-      let gauge = field (field snap "gauges") "test.gauge" in
-      Alcotest.(check bool) "gauge last" true
-        (Obs.Json.member "last" gauge = Some (Obs.Json.Int 5));
-      Alcotest.(check bool) "gauge max" true
-        (Obs.Json.member "max" gauge = Some (Obs.Json.Int 7));
-      Alcotest.(check bool) "gauge min" true
-        (Obs.Json.member "min" gauge = Some (Obs.Json.Int 2));
-      let hist = field (field snap "histograms") "test.hist" in
-      Alcotest.(check bool) "hist count" true
-        (Obs.Json.member "count" hist = Some (Obs.Json.Int 100));
-      Alcotest.(check bool) "hist p95" true
-        (Obs.Json.member "p95" hist = Some (Obs.Json.Int 95));
-      Alcotest.(check bool) "hist p50" true
-        (Obs.Json.member "p50" hist = Some (Obs.Json.Int 50));
       (* the whole snapshot serializes to parseable JSON *)
       (match Obs.Json.parse (Obs.Json.to_string snap) with
       | Ok _ -> ()
@@ -223,18 +189,7 @@ let solver_verdict_counters () =
       | _ -> Alcotest.fail "instance must be unsat");
       Alcotest.(check int) "unsat counted" 1 (cval "solver.verdict.unsat");
       Alcotest.(check bool) "unsat cause attributed" true
-        (cval "solver.unsat.propagation" + cval "solver.unsat.ordering" >= 1);
-      (* the sat verdict recorded a latency sample *)
-      match Obs.Json.member "histograms" (Obs.Metrics.snapshot ()) with
-      | Some h -> (
-          match Obs.Json.member "solver.sat.latency_us" h with
-          | Some hist ->
-              Alcotest.(check bool) "latency samples" true
-                (match Obs.Json.member "count" hist with
-                | Some (Obs.Json.Int n) -> n >= 2
-                | _ -> false)
-          | None -> Alcotest.fail "latency histogram missing")
-      | None -> Alcotest.fail "histograms missing")
+        (cval "solver.unsat.propagation" + cval "solver.unsat.ordering" >= 1))
 
 let cache_model_counters () =
   with_metrics (fun () ->
@@ -336,7 +291,6 @@ let tests =
   [
     Alcotest.test_case "json: roundtrip" `Quick json_roundtrip;
     Alcotest.test_case "json: rejects garbage" `Quick json_rejects_garbage;
-    Alcotest.test_case "stats: integer quantiles" `Quick stats_quantiles;
     Alcotest.test_case "metrics: gating, snapshot, reset" `Quick
       metrics_gating_and_snapshot;
     Alcotest.test_case "trace: disabled sink is inert" `Quick

@@ -1,8 +1,8 @@
 (* Tests for the Util.Pool worker pool and its determinism contract: results
    in input order for every [jobs], lowest-failing-index exception choice,
-   telemetry (metrics/profile/resilience) merged bit-identically, split_ix
-   RNG discipline, and the memo-table thread-safety the harness prewarm
-   relies on. *)
+   counter totals and the failure list identical for every [jobs] (from
+   toy tasks and from real campaigns), split_ix RNG discipline, and the
+   memo-table thread-safety the harness prewarm relies on. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -87,14 +87,13 @@ let split_ix_children_distinct () =
   Alcotest.(check int) "100 distinct child streams" 100
     (List.length (List.sort_uniq compare firsts))
 
-(* ---------------- telemetry merge determinism ---------------- *)
+(* ---------------- telemetry is jobs-invariant ---------------- *)
 
-(* Instruments created *inside* the task, as instrumented modules do — on a
-   worker these are detached captures the pool replays by name at join. *)
+(* Counters created *inside* the task, as instrumented modules may do. *)
 let metric_task i =
   Obs.Metrics.incr ~by:(i + 1) (Obs.Metrics.counter "pool.test.ctr");
-  Obs.Metrics.gauge_set (Obs.Metrics.gauge "pool.test.gauge") (i * 7 mod 5);
-  Obs.Metrics.observe (Obs.Metrics.histogram "pool.test.hist") (i * 13 mod 17)
+  Obs.Metrics.incr
+    (Obs.Metrics.counter (Printf.sprintf "pool.test.c%d" (i mod 3)))
 
 let metrics_snapshot_with jobs =
   Obs.Metrics.set_active true;
@@ -109,34 +108,16 @@ let metrics_merge_deterministic () =
   Alcotest.(check string) "serial and -j4 snapshots are byte-identical"
     (metrics_snapshot_with 1) (metrics_snapshot_with 4)
 
-let profile_task i =
-  Obs.Profile.enter ~func:(Printf.sprintf "fn%d" (i mod 3)) ~pc:(i mod 5);
-  Obs.Profile.add_exec ~instrs:(i + 1) ~cycles:((2 * i) + 1) ~loads:i ~stores:1;
-  Obs.Profile.add_retire ~weight:1;
-  Obs.Profile.add_access ~write:(i mod 2 = 0) Obs.Profile.L1 ~cycles:4
-
-let profile_sites_with jobs =
-  Obs.Profile.set_enabled true;
-  Obs.Profile.reset ();
-  Util.Pool.run ~jobs (List.init 10 (fun i () -> profile_task i));
-  let sites = List.sort compare (Obs.Profile.sites ()) in
-  Obs.Profile.reset ();
-  Obs.Profile.set_enabled false;
-  sites
-
-let profile_merge_deterministic () =
-  let serial = profile_sites_with 1 and parallel = profile_sites_with 4 in
-  Alcotest.(check int) "same number of sites" (List.length serial)
-    (List.length parallel);
-  Alcotest.(check bool) "site-level attribution is jobs-invariant" true
-    (serial = parallel)
-
+(* Recorded in reverse stage order, so only the sort can make the lists
+   equal. *)
 let resilience_sink_with jobs =
   Util.Resilience.reset ();
   Util.Pool.run ~jobs
     (List.init 8 (fun i () ->
          Util.Resilience.record
-           (Util.Resilience.failure ~stage:(Printf.sprintf "s%d" i) "boom")));
+           (Util.Resilience.failure
+              ~stage:(Printf.sprintf "s%d" (7 - i))
+              "boom")));
   let stages =
     List.map (fun f -> f.Util.Resilience.stage) (Util.Resilience.recorded ())
   in
@@ -144,17 +125,78 @@ let resilience_sink_with jobs =
   stages
 
 let resilience_sink_order_deterministic () =
-  Alcotest.(check (list string)) "failure sink in task-index order"
+  Alcotest.(check (list string)) "same failure list at -j 1 and -j 4"
     (resilience_sink_with 1) (resilience_sink_with 4);
-  Alcotest.(check (list string)) "which is submission order"
+  Alcotest.(check (list string)) "sorted by stage"
     (List.init 8 (Printf.sprintf "s%d"))
     (resilience_sink_with 4)
+
+(* Instruction-bound campaigns (a huge [analysis_time], a small
+   [analysis_instrs], no contention model), as in test_resilience's
+   [watchdog_config]: every counter they bump is a function of the config,
+   so the totals must not depend on how many domains ran them. *)
+let campaign_config =
+  {
+    Castan.Experiment.quick_config with
+    samples = 401;
+    analysis_time = 1e6;
+    analysis_instrs = 5_000;
+    use_contention_model = false;
+  }
+
+let campaign_nfs = [ "lpm-btrie"; "lb-hash-table"; "nat-red-black-tree" ]
+
+let campaigns_at jobs =
+  Castan.Experiment.clear_cache ();
+  Fun.protect ~finally:Castan.Experiment.clear_cache (fun () ->
+      Util.Pool.map ~jobs
+        (fun nf -> Castan.Experiment.try_run ~config:campaign_config nf)
+        campaign_nfs)
+
+let counters_at jobs =
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_active true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_active false;
+      Obs.Metrics.reset ())
+    (fun () ->
+      List.iter
+        (function
+          | Ok _ -> () | Error f -> Alcotest.fail (Util.Resilience.to_string f))
+        (campaigns_at jobs);
+      Obs.Json.to_string (Obs.Metrics.snapshot ()))
+
+(* At rate 1.0 every checkpoint fires, so which campaign fails where
+   cannot depend on scheduling. *)
+let failures_at jobs =
+  Util.Resilience.reset ();
+  Util.Resilience.set_injection
+    (Some (Util.Resilience.inject ~rate:1.0 ~seed:7));
+  Fun.protect
+    ~finally:(fun () ->
+      Util.Resilience.set_injection None;
+      Util.Resilience.reset ())
+    (fun () ->
+      ignore (campaigns_at jobs : _ list);
+      Util.Resilience.recorded ())
+
+let campaign_telemetry_jobs_invariant () =
+  Alcotest.(check string) "same counters at -j 1 and -j 4" (counters_at 1)
+    (counters_at 4);
+  let f1 = failures_at 1 and f4 = failures_at 4 in
+  Alcotest.(check int) "every campaign failed" (List.length campaign_nfs)
+    (List.length f1);
+  Alcotest.(check (list string)) "same failure list at -j 1 and -j 4"
+    (List.map Util.Resilience.to_string f1)
+    (List.map Util.Resilience.to_string f4);
+  Alcotest.(check bool) "same failure records" true (f1 = f4)
 
 (* ---------------- nesting, stats ---------------- *)
 
 let nested_pool_falls_back_sequential () =
-  (* A map inside a worker must not spawn domains (or deadlock): in_worker
-     routes it to the serial path within the task's capture context. *)
+  (* A map inside a worker must not spawn domains (or deadlock): it runs
+     on the serial path inside the task. *)
   let r =
     Util.Pool.map ~jobs:4
       (fun base -> Util.Pool.map ~jobs:4 (fun x -> base + x) [ 1; 2; 3 ])
@@ -221,8 +263,6 @@ let tests =
       split_ix_children_distinct;
     Alcotest.test_case "metrics merge is deterministic" `Quick
       metrics_merge_deterministic;
-    Alcotest.test_case "profile merge is deterministic" `Quick
-      profile_merge_deterministic;
     Alcotest.test_case "resilience sink order is deterministic" `Quick
       resilience_sink_order_deterministic;
     Alcotest.test_case "nested pool falls back to sequential" `Quick
@@ -230,4 +270,6 @@ let tests =
     Alcotest.test_case "pool stats count tasks" `Quick stats_count_tasks;
     Alcotest.test_case "experiment memo is thread-safe" `Quick
       experiment_memo_thread_safe;
+    Alcotest.test_case "campaign counters and failures are jobs-invariant"
+      `Slow campaign_telemetry_jobs_invariant;
   ]

@@ -4,17 +4,12 @@
    first two: feasibility is exactly "sat does not say Unsat", and sliced
    and unsliced feasibility agree verdict-for-verdict on satisfiable path
    conditions (the regime the symbex engine guarantees: every constraint
-   passed a feasibility check at insertion). *)
+   passed a feasibility check at insertion).  The last one checks that a
+   real analysis slices at all. *)
 
 open Ir.Expr
 
 let qtest = QCheck_alcotest.to_alcotest
-
-let with_slicing f =
-  (* Tests share the process-ambient switch with everything else in the
-     suite; always restore the default-enabled state. *)
-  Solver.Qcache.set_enabled true;
-  Fun.protect ~finally:(fun () -> Solver.Qcache.set_enabled true) f
 
 (* Satisfiable-by-construction constraint sets, as in test_solver's
    never_unsat_on_satisfiable: pin each random expression to its value
@@ -59,7 +54,6 @@ let sliced_agrees_with_unsliced =
   QCheck.Test.make
     ~name:"feasible_sliced agrees with feasible on satisfiable sets"
     ~count:400 arb_query (fun input ->
-      with_slicing @@ fun () ->
       match query_of input with
       | None -> true
       | Some (q, pcs) ->
@@ -119,23 +113,29 @@ let slice_components () =
   Alcotest.(check int) "only dst dropped" 1 dropped;
   Alcotest.(check int) "src+sport kept" 2 (List.length slice)
 
-let disabled_is_bypass () =
-  with_slicing @@ fun () ->
-  let dst = Test_solver.pkt0 Dst_ip in
-  let q : sexpr = Cmp (Eq, dst, Const 5) in
-  let contradicted : sexpr list = [ Cmp (Eq, dst, Const 6) ] in
-  let verdicts () =
-    ( Solver.Solve.feasible_sliced ~query:q [],
-      Solver.Solve.feasible_sliced ~query:q contradicted )
+(* Slicing pays only if it removes something on real path conditions: an
+   instruction-bound analysis must send feasibility queries through the
+   slicer and have it drop constraints from some of them. *)
+let analysis_slices () =
+  let nf = Nf.Registry.find "lpm-btrie" in
+  let config =
+    { (Castan.Analyze.default_config ()) with
+      n_packets = Some 3; time_budget = 300.0; instr_budget = 20_000 }
   in
-  Alcotest.(check (pair bool bool)) "sliced verdicts" (true, false)
-    (verdicts ());
-  Solver.Qcache.set_enabled false;
-  Solver.Qcache.reset_stats ();
-  Alcotest.(check (pair bool bool)) "verdicts unchanged" (true, false)
-    (verdicts ());
-  let s = Solver.Qcache.stats () in
-  Alcotest.(check int) "no queries recorded while disabled" 0 s.queries
+  let dropped = Obs.Metrics.counter "solver.slice.constraints_dropped" in
+  Obs.Metrics.reset ();
+  Obs.Metrics.set_active true;
+  let q0 = (Solver.Qcache.stats ()).queries in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_active false;
+      Obs.Metrics.reset ())
+    (fun () ->
+      ignore (Castan.Analyze.run ~config nf : Castan.Analyze.outcome);
+      Alcotest.(check bool) "feasibility queries were sliced" true
+        ((Solver.Qcache.stats ()).queries > q0);
+      Alcotest.(check bool) "slicing dropped constraints" true
+        (Obs.Metrics.counter_value dropped > 0))
 
 let tests =
   [
@@ -143,5 +143,6 @@ let tests =
     qtest sliced_agrees_with_unsliced;
     qtest slicing_keeps_query_component;
     Alcotest.test_case "slice components" `Quick slice_components;
-    Alcotest.test_case "--no-solver-cache bypass" `Quick disabled_is_bypass;
+    Alcotest.test_case "a real analysis slices constraints away" `Quick
+      analysis_slices;
   ]

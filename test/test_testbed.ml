@@ -189,6 +189,36 @@ let latency_under_load_grows_with_rate () =
   Alcotest.(check bool) "queueing grows with offered load" true
     (med 3.2 >= med 1.0)
 
+(* One queue walk serves both views: the packets that get no sojourn
+   sample are exactly the ones drops_at_rate counts, the samples fill a
+   prefix of the output (what latency_under_load reads), and recording
+   them does not change the walk. *)
+let one_queue_walk =
+  QCheck.Test.make ~name:"sojourn samples + drops = packets" ~count:300
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 1 300) (float_range 1e-8 2e-6))
+        (float_range 0.05 14.88) (int_range 1 32))
+    (fun (service, rate_mpps, queue_depth) ->
+      let service_s = Array.of_list service in
+      let n = Array.length service_s in
+      let rate_pps = rate_mpps *. 1e6 in
+      let drops = Testbed.Tg.drops_at_rate ~queue_depth ~service_s rate_pps in
+      let sojourn_ns = Array.make n Float.nan in
+      let drops' =
+        Testbed.Tg.drops_at_rate ~queue_depth ~service_s ~sojourn_ns rate_pps
+      in
+      let samples =
+        Array.fold_left
+          (fun k x -> if Float.is_nan x then k else k + 1)
+          0 sojourn_ns
+      in
+      drops' = drops
+      && n - samples = drops
+      && Array.for_all
+           (fun x -> not (Float.is_nan x))
+           (Array.sub sojourn_ns 0 (n - drops)))
+
 let ddio_improves_uniformly () =
   let cases = [ Nf.Registry.nop (); Nf.Registry.find "lpm-btrie" ] in
   let deltas =
@@ -241,6 +271,7 @@ let tests =
     Alcotest.test_case "loss model monotone" `Quick loss_model_monotone;
     Alcotest.test_case "traffic mix" `Quick traffic_mix_fractions;
     Alcotest.test_case "latency under load" `Quick latency_under_load_grows_with_rate;
+    qtest one_queue_walk;
     Alcotest.test_case "ddio uniform win" `Quick ddio_improves_uniformly;
     Alcotest.test_case "prefetch harmless" `Quick prefetch_harmless_for_nf_traffic;
   ]

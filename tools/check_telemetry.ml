@@ -2,13 +2,11 @@
    legs (bin/dune) run it against real `castan` runs.
 
      check_telemetry trace FILE.jsonl   -- Chrome trace_event JSONL
-     check_telemetry metrics FILE.json  -- run-manifest JSON; one that lists
-                                           experiments must time each of
-                                           them, in order, in
+     check_telemetry metrics FILE.json  -- run-manifest JSON whose metrics
+                                           hold only counters; one that
+                                           lists experiments must time each
+                                           of them, in order, in
                                            experiments_timed
-     check_telemetry cache FILE.json    -- manifest must show feasibility
-                                           queries and slicing removing
-                                           constraints from them
      check_telemetry collapsed FILE     -- flamegraph collapsed stacks
      check_telemetry profile FILE.json [COLLAPSED]
                                         -- castan profile --profile-json
@@ -21,8 +19,8 @@
      check_telemetry pool-eq A.json B.json
                                         -- two manifests agree on everything
                                            the worker pool promises to keep
-                                           bit-identical (metrics, config,
-                                           solver_cache) regardless of -j
+                                           bit-identical (metrics, config)
+                                           regardless of -j
      check_telemetry replay FILE.json [MIN_PACKETS]
                                         -- manifest records coherent
                                            replay.packets/replay.bursts
@@ -89,13 +87,8 @@ let check_metrics path =
       (match get_str obj "tool" with
       | Some "castan" -> ()
       | _ -> fail "%s: missing tool tag" path);
-      let metrics =
-        match Obs.Json.member "metrics" obj with
-        | Some m -> m
-        | None -> fail "%s: no metrics snapshot" path
-      in
-      (match Obs.Json.member "counters" metrics with
-      | Some (Obs.Json.Obj counters) ->
+      (match Obs.Json.member "metrics" obj with
+      | Some (Obs.Json.Obj [ ("counters", Obs.Json.Obj counters) ]) ->
           if counters = [] then fail "%s: counters snapshot is empty" path;
           List.iter
             (fun c ->
@@ -106,15 +99,8 @@ let check_metrics path =
               "solver.cache.miss";
               "solver.slice.constraints_dropped";
             ]
-      | _ -> fail "%s: counters is not an object" path);
-      (match Obs.Json.member "solver_cache" obj with
-      | Some (Obs.Json.Obj sc) ->
-          List.iter
-            (fun k ->
-              if not (List.mem_assoc k sc) then
-                fail "%s: solver_cache section missing %s" path k)
-            [ "enabled"; "queries"; "constraints_dropped" ]
-      | _ -> fail "%s: no solver_cache section" path);
+      | Some _ -> fail "%s: metrics must hold exactly a counters object" path
+      | None -> fail "%s: no metrics snapshot" path);
       (* An experiment manifest times every entry it ran, in run order,
          after an optional leading prewarm entry. *)
       (match Obs.Json.member "experiments" obj with
@@ -145,35 +131,6 @@ let check_metrics path =
               (String.concat ", " timed_ids)
       | Some _ -> fail "%s: experiments is not a list" path);
       Printf.printf "%s: manifest ok\n" path
-
-(* `check_telemetry cache FILE.json`: beyond manifest well-formedness, the
-   @cache-smoke leg demands evidence the feasibility fast path actually
-   sliced — the run must report at least one feasibility query and at least
-   one constraint sliced away. *)
-let check_cache path =
-  match Obs.Json.parse (read_file path) with
-  | Error e -> fail "%s: not JSON: %s" path e
-  | Ok obj ->
-      let sc =
-        match Obs.Json.member "solver_cache" obj with
-        | Some (Obs.Json.Obj sc) -> sc
-        | _ -> fail "%s: no solver_cache section" path
-      in
-      let int_field k =
-        match List.assoc_opt k sc with
-        | Some (Obs.Json.Int n) -> n
-        | _ -> fail "%s: solver_cache.%s missing or not an integer" path k
-      in
-      (match List.assoc_opt "enabled" sc with
-      | Some (Obs.Json.Bool true) -> ()
-      | _ -> fail "%s: solver_cache.enabled is not true" path);
-      let queries = int_field "queries"
-      and dropped = int_field "constraints_dropped" in
-      if queries < 1 then fail "%s: expected at least one feasibility query" path;
-      if dropped < 1 then
-        fail "%s: expected at least one constraint sliced away" path;
-      Printf.printf "%s: slicing effective (%d queries, %d constraints sliced away)\n"
-        path queries dropped
 
 (* Each collapsed-stack line is `frames count`: a space-free semicolon-joined
    frame stack, one space, a non-negative integer.  Returns the counts. *)
@@ -275,11 +232,9 @@ let check_pool path min_tasks =
 
 (* `check_telemetry pool-eq A.json B.json`: everything the pool promises to
    keep bit-identical across job counts must match — experiment list,
-   config, seed, every counter and gauge, solver-cache accounting, and
-   histogram counts.  Exempt by design: generated_at_unix, jobs, pool,
-   wall times (experiments_timed seconds, histogram value stats — the one
-   histogram measures solver latency in wall microseconds), and the
-   profile section's timer buckets. *)
+   config, seed and every counter.  Exempt by design: generated_at_unix,
+   jobs, pool, wall times (experiments_timed seconds) and the profile
+   section's timer buckets. *)
 let check_pool_eq path_a path_b =
   let load path =
     match Obs.Json.parse (read_file path) with
@@ -287,11 +242,6 @@ let check_pool_eq path_a path_b =
     | Ok obj -> obj
   in
   let a = load path_a and b = load path_b in
-  let subtree obj path key =
-    match Obs.Json.member key obj with
-    | Some v -> v
-    | None -> fail "%s: missing %s section" path key
-  in
   (* [experiments]/[config]/[seed] appear only in experiment manifests;
      analyze manifests carry neither, which is fine as long as the two
      files agree on what they carry. *)
@@ -310,35 +260,7 @@ let check_pool_eq path_a path_b =
   List.iter
     (eq_subtree ~required:false)
     [ "experiments"; "config"; "seed" ];
-  eq_subtree ~required:true "solver_cache";
-  let metrics_a = subtree a path_a "metrics"
-  and metrics_b = subtree b path_b "metrics" in
-  List.iter
-    (fun key ->
-      let va = subtree metrics_a path_a key
-      and vb = subtree metrics_b path_b key in
-      if Obs.Json.to_string va <> Obs.Json.to_string vb then
-        fail "pool-eq: metrics.%s differs between %s and %s:\n  %s\n  %s" key
-          path_a path_b
-          (Obs.Json.to_string va)
-          (Obs.Json.to_string vb))
-    [ "counters"; "gauges" ];
-  (* Histogram values are wall times; only the sample counts are part of
-     the determinism contract. *)
-  let hist_counts m path =
-    match Obs.Json.member "histograms" m with
-    | Some (Obs.Json.Obj hs) ->
-        List.map
-          (fun (name, h) ->
-            match Obs.Json.member "count" h with
-            | Some (Obs.Json.Int n) -> (name, n)
-            | _ -> fail "%s: histogram %s without a count" path name)
-          hs
-    | _ -> fail "%s: metrics.histograms is not an object" path
-  in
-  let ha = hist_counts metrics_a path_a and hb = hist_counts metrics_b path_b in
-  if ha <> hb then
-    fail "pool-eq: histogram counts differ between %s and %s" path_a path_b;
+  eq_subtree ~required:true "metrics";
   Printf.printf "pool-eq: %s and %s agree on all deterministic sections\n"
     path_a path_b
 
@@ -384,7 +306,6 @@ let () =
   match Sys.argv with
   | [| _; "trace"; path |] -> check_trace path
   | [| _; "metrics"; path |] -> check_metrics path
-  | [| _; "cache"; path |] -> check_cache path
   | [| _; "collapsed"; path |] -> check_collapsed path
   | [| _; "profile"; path |] -> check_profile path None
   | [| _; "profile"; path; collapsed |] -> check_profile path (Some collapsed)
@@ -401,7 +322,7 @@ let () =
       | _ -> fail "replay: MIN_PACKETS must be a non-negative integer")
   | _ ->
       fail
-        "usage: check_telemetry {trace|metrics|cache|collapsed} FILE\n\
+        "usage: check_telemetry {trace|metrics|collapsed} FILE\n\
         \       check_telemetry profile FILE.json [COLLAPSED]\n\
         \       check_telemetry pool FILE.json [MIN_TASKS]\n\
         \       check_telemetry pool-eq A.json B.json\n\
