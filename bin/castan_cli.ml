@@ -11,8 +11,10 @@
                                          --quick, default or --full scale;
                                          --metrics records its wall times
 
-   Manifests, ktest files, profiles and sample dumps are written atomically
-   (Util.Durable); a killed run is re-run, not resumed. *)
+   `castan profile` attributes the DUT replay only; with --metrics its
+   blocks land in the run manifest's "profile" section, the one record of
+   a profile.  Manifests, ktest files and sample dumps are written
+   atomically (Util.Durable); a killed run is re-run, not resumed. *)
 
 open Cmdliner
 
@@ -26,8 +28,7 @@ let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
          ~doc:"Stream hierarchical spans as Chrome trace_event JSON objects, \
                one per line, to FILE (wrap in [...] or `jq -s .' to load in \
-               chrome://tracing or Perfetto).  FILE `-' prints an aggregate \
-               per-span summary to stderr at exit instead.")
+               chrome://tracing or Perfetto).")
 
 let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
@@ -101,10 +102,7 @@ let install_signal_handlers () =
    telemetry files are complete even on degraded (exit 2) runs. *)
 let install_telemetry ~trace ~metrics ~log_level ~manifest =
   Obs.Log.set_level log_level;
-  (match trace with
-  | Some "-" -> Obs.Trace.set_sink (Obs.Sink.stderr_summary ())
-  | Some path -> Obs.Trace.set_sink (Obs.Sink.file path)
-  | None -> ());
+  Option.iter (fun path -> Obs.Trace.set_sink (Obs.Sink.file path)) trace;
   if Option.is_some metrics then Obs.Metrics.set_active true;
   if Option.is_some trace || Option.is_some metrics then
     at_exit (fun () ->
@@ -251,9 +249,9 @@ let profile_cmd =
   let analyze =
     Arg.(value & flag & info [ "analyze" ]
            ~doc:"Synthesize the workload with the full CASTAN analysis \
-                 (profiled too, so symbolic exploration and solver time \
-                 appear in the output) instead of generating generic \
-                 traffic.")
+                 instead of generating generic traffic.  Only the replay \
+                 is attributed to blocks; symbolic exploration and solver \
+                 time appear as wall-time buckets.")
   in
   let budget =
     Arg.(value & opt float 5.0 & info [ "t"; "time-budget" ] ~docv:"SECONDS"
@@ -266,15 +264,6 @@ let profile_cmd =
   let top =
     Arg.(value & opt int 20 & info [ "top" ] ~docv:"N"
            ~doc:"Rows in the hot-block table.")
-  in
-  let collapsed =
-    Arg.(value & opt (some string) None & info [ "collapsed" ] ~docv:"FILE"
-           ~doc:"Write flamegraph-collapsed stacks (`nf;func;blkN cycles' \
-                 lines) to FILE; feed to flamegraph.pl or speedscope.")
-  in
-  let profile_json =
-    Arg.(value & opt (some string) None & info [ "profile-json" ] ~docv:"FILE"
-           ~doc:"Write the per-block profile as JSON to FILE.")
   in
   (* Exact name, else unique-or-first prefix match, so `--nf nat' works. *)
   let resolve name =
@@ -298,13 +287,20 @@ let profile_cmd =
             (String.concat ", " matches) first;
           first
   in
-  let run name workload samples analyze budget seed top collapsed profile_json
-      jobs trace metrics log_level =
+  let run name workload samples analyze budget seed top jobs trace metrics
+      log_level =
     set_jobs jobs;
     let name = resolve name in
-    install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
-        Castan.Manifest.make ~extra:[ ("nf", Obs.Json.Str name) ] ());
     let nf = Nf.Registry.find name in
+    let program = nf.Nf.Nf_def.program in
+    install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
+        Castan.Manifest.make
+          ~extra:
+            [
+              ("nf", Obs.Json.Str name);
+              ("profile", Castan.Profile_report.to_json ~nf:name program);
+            ]
+          ());
     Obs.Profile.reset ();
     Obs.Profile.set_enabled true;
     let w =
@@ -329,7 +325,6 @@ let profile_cmd =
     let dut = Testbed.Dut.create nf in
     ignore (Testbed.Dut.replay dut w ~samples : Testbed.Dut.sample array);
     Obs.Profile.set_enabled false;
-    let program = nf.Nf.Nf_def.program in
     Printf.printf "%s x %s: %d packets replayed %d times\n" name
       w.Testbed.Workload.name
       (Testbed.Workload.length w)
@@ -337,29 +332,15 @@ let profile_cmd =
     print_string (Castan.Profile_report.table ~nf:name ~top program);
     List.iter
       (fun (bucket, dt) -> Printf.printf "  %-8s %.3f s\n" bucket dt)
-      (Obs.Profile.timers ());
-    (match collapsed with
-    | Some path ->
-        Util.Durable.write_string ~path
-          (Castan.Profile_report.collapsed ~nf:name program);
-        Printf.printf "wrote %s\n" path
-    | None -> ());
-    match profile_json with
-    | Some path ->
-        Util.Durable.write_string ~path
-          (Obs.Json.to_string (Castan.Profile_report.to_json ~nf:name program)
-          ^ "\n");
-        Printf.printf "wrote %s\n" path
-    | None -> ()
+      (Obs.Profile.timers ())
   in
   Cmd.v
     (Cmd.info "profile"
-       ~doc:"Attribute an NF's cycles to basic blocks (table, flamegraph, \
-             JSON)")
+       ~doc:"Attribute an NF's replayed cycles to basic blocks (table; \
+             with --metrics, the blocks as JSON in the run manifest)")
     Term.(
       const run $ nf_name $ workload $ samples $ analyze $ budget $ seed $ top
-      $ collapsed $ profile_json $ jobs_arg $ trace_arg
-      $ metrics_arg $ log_level_arg)
+      $ jobs_arg $ trace_arg $ metrics_arg $ log_level_arg)
 
 (* ---------------- probe-cache ---------------- *)
 

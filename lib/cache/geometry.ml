@@ -30,4 +30,3 @@ let xeon_e5_2667v2 =
 let sets t level = level.size_kib * 1024 / t.line / level.ways
 let l3_sets_per_slice t = sets t t.l3 / t.l3_slices
 let l3_assoc t = t.l3.ways
-let line_of_addr t a = a / t.line

@@ -28,6 +28,3 @@ val sets : t -> level -> int
 val l3_sets_per_slice : t -> int
 val l3_assoc : t -> int
 (** Associativity [α] of the L3: the contention-set spill threshold. *)
-
-val line_of_addr : t -> int -> int
-(** [line_of_addr g a] is the line id [a / line]. *)

@@ -122,9 +122,6 @@ let access_concrete t vaddr =
   let line = line_of t vaddr in
   let t', miss = touch t line in
   Obs.Metrics.incr (if miss then m_miss else m_hit);
-  (* Only the level count: the engine's [charge] attributes the latency. *)
-  if Obs.Profile.enabled () then
-    Obs.Profile.add_level (if miss then Obs.Profile.Dram else Obs.Profile.L3);
   let latency =
     if miss then t.geom.Geometry.lat_dram else t.geom.Geometry.lat_l3
   in
@@ -274,7 +271,6 @@ let access_symbolic t ~pcs expr =
       (t', { o with added = None })
   | e ->
       Obs.Metrics.incr m_concretized;
-      if Obs.Profile.enabled () then Obs.Profile.add_concretization ();
       let dom = Solver.Solve.domain_of pcs e in
       let cands = candidates t dom ~limit:96 in
       let rec first_compatible tried = function
@@ -304,5 +300,3 @@ let access_symbolic t ~pcs expr =
       in
       let t', o = access_concrete t v in
       (t', { o with added })
-
-let resident_lines t = Iset.cardinal t.cached

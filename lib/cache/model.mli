@@ -45,7 +45,4 @@ val access_symbolic :
     simplified to a constant) must be appended to the state's path
     constraint. *)
 
-val resident_lines : t -> int
-(** Number of lines the model believes are cached (diagnostics). *)
-
 val name : t -> string

@@ -229,6 +229,8 @@ let run ?config (nf : Nf.Nf_def.t) =
     Obs.Trace.with_span "analyze.explore" ~args:nf_arg (fun () ->
         Symbex.Driver.run nf.Nf.Nf_def.program ~mem ~cache driver_cfg)
   in
+  Obs.Profile.add_timer "symbex"
+    result.Symbex.Driver.stats.Symbex.Driver.wall_time;
   Obs.Log.debug "analyze %s: explored %d states (%d completed paths)"
     nf.Nf.Nf_def.name result.Symbex.Driver.stats.Symbex.Driver.explored
     (List.length result.Symbex.Driver.completed);

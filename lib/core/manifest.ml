@@ -23,17 +23,10 @@ let config_json (c : Experiment.config) =
       ("max_states", Obs.Json.Int c.Experiment.max_states);
     ]
 
-(* Worker-pool accounting: how parallel the run actually was.  [tasks] and
-   [steals]/[worker_busy_ns] let a manifest reader tell a genuinely serial
-   run (jobs = 1, zero tasks) from a parallel one. *)
+(* Worker-pool accounting: [tasks] lets a manifest reader tell a genuinely
+   serial run (jobs = 1, zero tasks) from a parallel one. *)
 let pool_json () =
-  let s = Util.Pool.stats () in
-  Obs.Json.Obj
-    [
-      ("tasks", Obs.Json.Int s.Util.Pool.tasks);
-      ("steals", Obs.Json.Int s.Util.Pool.steals);
-      ("worker_busy_ns", Obs.Json.Int s.Util.Pool.worker_busy_ns);
-    ]
+  Obs.Json.Obj [ ("tasks", Obs.Json.Int (Util.Pool.stats ()).Util.Pool.tasks) ]
 
 let make ?ids ?config ?(extra = []) () =
   Obs.Json.Obj
@@ -58,13 +51,7 @@ let make ?ids ?config ?(extra = []) () =
     @ [
         ("metrics", Obs.Metrics.snapshot ());
         ("pool", pool_json ());
-      ]
-    (* Profiled runs carry their site-level attribution alongside the
-       metrics snapshot, so one manifest fully describes the run. *)
-    @
-    if Obs.Profile.sites () <> [] then
-      [ ("profile", Obs.Profile.snapshot ()) ]
-    else [])
+      ])
 
 let write ~path json =
   Util.Durable.write_string ~path (Obs.Json.to_string json ^ "\n")

@@ -4,9 +4,9 @@
     the final {!Obs.Metrics.snapshot}.
 
     Written by the [--metrics FILE] flag of [castan analyze], [profile],
-    [replay] and [experiment] (the last adds per-experiment wall times), so
-    every artifact of a run names the code and configuration that made
-    it. *)
+    [replay] and [experiment] ([experiment] adds per-experiment wall times,
+    [profile] its hot blocks), so every artifact of a run names the code
+    and configuration that made it. *)
 
 val git_describe : unit -> string
 (** [git describe --always --dirty] of the working tree, or ["unknown"] when
@@ -22,16 +22,13 @@ val make :
   Obs.Json.t
 (** Builds the manifest object.  [extra] fields are appended at the top
     level ([castan experiment] adds ["experiments_timed"], the
-    per-experiment wall times).  The metrics snapshot is taken at call
-    time — build the manifest {e after} the run; it holds only
-    [counters].  When the
-    {!Obs.Profile} registry holds attribution samples, a ["profile"]
-    section (site-level cycles/accesses plus wall-time buckets) is
-    embedded too.  A top-level
-    ["jobs"] field records the worker-pool default in effect ([-j]), and a
-    ["pool"] section its [tasks]/[steals]/[worker_busy_ns] counters; apart
-    from those (and the timestamp and wall times), manifests are
-    byte-identical across job counts. *)
+    per-experiment wall times; [castan profile] adds ["profile"], its
+    blocks as {!Profile_report.to_json}).  The metrics snapshot is taken
+    at call time — build the manifest {e after} the run; it holds only
+    [counters].  A top-level ["jobs"] field records the worker-pool default
+    in effect ([-j]), and a ["pool"] section its [tasks] count; apart from
+    those (and the timestamp and wall times), manifests are byte-identical
+    across job counts. *)
 
 val write : path:string -> Obs.Json.t -> unit
 (** Writes the manifest followed by a newline, atomically: the bytes land

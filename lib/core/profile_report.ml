@@ -44,21 +44,7 @@ let add_into (dst : Obs.Profile.stats) (s : Obs.Profile.stats) =
   dst.l1 <- dst.l1 + s.Obs.Profile.l1;
   dst.l2 <- dst.l2 + s.Obs.Profile.l2;
   dst.l3 <- dst.l3 + s.Obs.Profile.l3;
-  dst.dram <- dst.dram + s.Obs.Profile.dram;
-  dst.concretizations <- dst.concretizations + s.Obs.Profile.concretizations
-
-let zero_stats () =
-  {
-    Obs.Profile.cycles = 0;
-    instrs = 0;
-    loads = 0;
-    stores = 0;
-    l1 = 0;
-    l2 = 0;
-    l3 = 0;
-    dram = 0;
-    concretizations = 0;
-  }
+  dst.dram <- dst.dram + s.Obs.Profile.dram
 
 let rows program =
   let leaders_cache : (string, int array) Hashtbl.t = Hashtbl.create 16 in
@@ -84,15 +70,9 @@ let rows program =
         | _ -> 0
       in
       let key = (func, block) in
-      let dst =
-        match Hashtbl.find_opt blocks key with
-        | Some dst -> dst
-        | None ->
-            let dst = zero_stats () in
-            Hashtbl.add blocks key dst;
-            dst
-      in
-      add_into dst s)
+      match Hashtbl.find_opt blocks key with
+      | Some dst -> add_into dst s
+      | None -> Hashtbl.add blocks key s)
     (Obs.Profile.sites ());
   Hashtbl.fold
     (fun (func, block) stats acc -> { func; block; stats } :: acc)
@@ -111,7 +91,7 @@ let table ~nf ?(top = 20) program =
   let total = total_cycles all in
   let header =
     [ "func"; "block"; "cycles"; "%"; "instrs"; "loads"; "stores";
-      "l1"; "l2"; "l3"; "dram"; "concr" ]
+      "l1"; "l2"; "l3"; "dram" ]
   in
   let pct c =
     if total = 0 then "0.0"
@@ -131,24 +111,12 @@ let table ~nf ?(top = 20) program =
       string_of_int s.Obs.Profile.l2;
       string_of_int s.Obs.Profile.l3;
       string_of_int s.Obs.Profile.dram;
-      string_of_int s.Obs.Profile.concretizations;
     ]
   in
   let shown = List.filteri (fun i _ -> i < top) all in
   Printf.sprintf "%s: %d blocks, %d cycles attributed\n%s" nf
     (List.length all) total
     (Util.Table.render ~header ~rows:(List.map row shown))
-
-let collapsed ~nf program =
-  let buf = Buffer.create 1024 in
-  rows program
-  |> List.filter (fun r -> r.stats.Obs.Profile.cycles > 0)
-  |> List.sort (fun a b -> compare (a.func, a.block) (b.func, b.block))
-  |> List.iter (fun r ->
-         Buffer.add_string buf
-           (Printf.sprintf "%s;%s;blk%d %d\n" nf r.func r.block
-              r.stats.Obs.Profile.cycles));
-  Buffer.contents buf
 
 let to_json ~nf program =
   let all = rows program in
@@ -166,7 +134,6 @@ let to_json ~nf program =
         ("l2", Obs.Json.Int s.Obs.Profile.l2);
         ("l3", Obs.Json.Int s.Obs.Profile.l3);
         ("dram", Obs.Json.Int s.Obs.Profile.dram);
-        ("concretizations", Obs.Json.Int s.Obs.Profile.concretizations);
       ]
   in
   Obs.Json.Obj

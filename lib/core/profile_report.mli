@@ -1,6 +1,7 @@
-(** Basic-block aggregation of {!Obs.Profile} samples, and the three
-    surfaces the profiler is consumed through: a top-N hot-block table, a
-    flamegraph-compatible collapsed-stack file, and profile JSON.
+(** Basic-block aggregation of {!Obs.Profile} samples, and the two
+    surfaces the profiler is consumed through: a top-N hot-block table and
+    the block JSON that [castan profile --metrics] embeds in its run
+    manifest.
 
     The profiler attributes at [(func, pc)] granularity; this module derives
     each function's basic-block leaders from its flat CFG (a leader is pc 0,
@@ -10,9 +11,8 @@
     single block at pc 0.
 
     Everything emitted here is derived from deterministic integer samples,
-    so two identical runs produce byte-identical [table]/[collapsed]/JSON
-    block sections; wall-clock timers appear only under ["timers_s"] in the
-    JSON. *)
+    so two identical runs produce byte-identical tables and JSON blocks;
+    wall-clock timers appear only under ["timers_s"] in the JSON. *)
 
 type row = {
   func : string;
@@ -30,11 +30,7 @@ val table : nf:string -> ?top:int -> Ir.Cfg.t -> string
 (** The hot-block table (default [top] 20): cycles, share of total,
     instructions, loads/stores and the L1/L2/L3/DRAM mix per block. *)
 
-val collapsed : nf:string -> Ir.Cfg.t -> string
-(** Collapsed-stack lines [nf;func;blkN cycles], one per block with a
-    non-zero cycle count, sorted by [(func, block)] — loadable by standard
-    flamegraph tooling.  Counts sum to {!total_cycles}. *)
-
 val to_json : nf:string -> Ir.Cfg.t -> Obs.Json.t
 (** [{"schema_version", "nf", "total_cycles", "timers_s", "blocks": [...]}]
-    with one object per block, in [rows] order. *)
+    with one object per block, in [rows] order; the blocks' [cycles] sum
+    to [total_cycles]. *)

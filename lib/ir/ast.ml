@@ -21,16 +21,3 @@ type program = {
   regions : Memory.spec list;
   heap_bytes : int;
 }
-
-let rec stmt_count stmts =
-  List.fold_left
-    (fun acc s ->
-      acc
-      +
-      match s with
-      | If (_, a, b) -> 1 + stmt_count a + stmt_count b
-      | While (_, b) -> 1 + stmt_count b
-      | Assign _ | Load _ | Store _ | Alloc _ | Break | Call _ | Return _
-      | Havoc _ ->
-          1)
-    0 stmts

@@ -26,6 +26,3 @@ type program = {
   regions : Memory.spec list;
   heap_bytes : int;
 }
-
-val stmt_count : stmt list -> int
-(** Number of statements, counting nested blocks. *)

@@ -62,4 +62,3 @@ let callees t name =
   match Hashtbl.find_opt t.callees name with Some l -> l | None -> []
 
 let topo_order t = t.topo
-let node_count t = Cfg.instr_count t.program

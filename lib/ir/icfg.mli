@@ -19,6 +19,3 @@ val callees : t -> string -> string list
 val topo_order : t -> string list
 (** All function names, callees before callers; the entry function is
     last. *)
-
-val node_count : t -> int
-(** Number of ICFG nodes (= instructions). *)

@@ -166,7 +166,6 @@ let alloc t ~bytes =
   | Error _ -> invalid_arg "Memory.alloc: heap exhausted"
 
 let heap_used t = t.heap_next - t.heap_base
-let written_cells t = Imap.cardinal t.overlay
 
 (* ------------------------------------------------------------------ *)
 (* Flat concrete store                                                  *)

@@ -87,9 +87,6 @@ val try_alloc : 'v t -> bytes:int -> ('v t * int, string) result
 val heap_used : 'v t -> int
 (** Bytes currently allocated from the heap. *)
 
-val written_cells : 'v t -> int
-(** Number of overlay cells (diagnostics). *)
-
 (** {2 Flat concrete store}
 
     A mutable view for concrete replay: written cells live in a dense

@@ -6,14 +6,6 @@ let current = ref Quiet
 let set_level l = current := l
 let level () = !current
 
-let level_of_string = function
-  | "quiet" -> Some Quiet
-  | "info" -> Some Info
-  | "debug" -> Some Debug
-  | _ -> None
-
-let level_name = function Quiet -> "quiet" | Info -> "info" | Debug -> "debug"
-
 (* Pool workers log too; the lock keeps each line whole.  Lines from
    concurrent tasks interleave. *)
 let stderr_mu = Mutex.create ()

@@ -9,11 +9,6 @@ type level = Quiet | Info | Debug
 val set_level : level -> unit
 val level : unit -> level
 
-val level_of_string : string -> level option
-(** ["quiet" | "info" | "debug"]. *)
-
-val level_name : level -> string
-
 val info : ('a, unit, string, unit) format4 -> 'a
 (** Printed at [Info] and [Debug]; prefixed ["castan: "], newline-terminated
     and flushed, whole, under a lock: lines from concurrent {!Util.Pool}

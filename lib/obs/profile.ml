@@ -9,21 +9,11 @@ type stats = {
   mutable l2 : int;
   mutable l3 : int;
   mutable dram : int;
-  mutable concretizations : int;
 }
 
 let zero () =
-  {
-    cycles = 0;
-    instrs = 0;
-    loads = 0;
-    stores = 0;
-    l1 = 0;
-    l2 = 0;
-    l3 = 0;
-    dram = 0;
-    concretizations = 0;
-  }
+  { cycles = 0; instrs = 0; loads = 0; stores = 0;
+    l1 = 0; l2 = 0; l3 = 0; dram = 0 }
 
 let on = ref false
 let set_enabled b = on := b
@@ -36,8 +26,8 @@ let tbl : (string * int, stats) Hashtbl.t = Hashtbl.create 256
 let timer_tbl : (string, float ref) Hashtbl.t = Hashtbl.create 8
 
 (* The ambient attribution site.  Starts detached (a throwaway record not
-   in [tbl]): anything recorded before the first [enter] stays out of the
-   snapshot rather than polluting a catch-all bucket. *)
+   in [tbl]): anything recorded before the first [enter] stays out of
+   [sites] rather than polluting a catch-all bucket. *)
 let cur = ref (zero ())
 
 let reset () =
@@ -69,35 +59,23 @@ let add_retire ~weight =
     s.cycles <- s.cycles + retire_cycles weight
   end
 
-let add_exec ~instrs ~cycles ~loads ~stores =
+let add_exec ~instrs ~cycles =
   if enabled () then begin
     let s = !cur in
     s.instrs <- s.instrs + instrs;
-    s.cycles <- s.cycles + cycles;
-    s.loads <- s.loads + loads;
-    s.stores <- s.stores + stores
+    s.cycles <- s.cycles + cycles
   end
-
-let bump_level s = function
-  | L1 -> s.l1 <- s.l1 + 1
-  | L2 -> s.l2 <- s.l2 + 1
-  | L3 -> s.l3 <- s.l3 + 1
-  | Dram -> s.dram <- s.dram + 1
 
 let add_access ~write level ~cycles =
   if enabled () then begin
     let s = !cur in
     if write then s.stores <- s.stores + 1 else s.loads <- s.loads + 1;
-    bump_level s level;
+    (match level with
+    | L1 -> s.l1 <- s.l1 + 1
+    | L2 -> s.l2 <- s.l2 + 1
+    | L3 -> s.l3 <- s.l3 + 1
+    | Dram -> s.dram <- s.dram + 1);
     s.cycles <- s.cycles + cycles
-  end
-
-let add_level level = if enabled () then bump_level !cur level
-
-let add_concretization () =
-  if enabled () then begin
-    let s = !cur in
-    s.concretizations <- s.concretizations + 1
   end
 
 let add_timer name dt =
@@ -106,21 +84,9 @@ let add_timer name dt =
     | Some r -> r := !r +. dt
     | None -> Hashtbl.add timer_tbl name (ref dt)
 
-let copy s =
-  {
-    cycles = s.cycles;
-    instrs = s.instrs;
-    loads = s.loads;
-    stores = s.stores;
-    l1 = s.l1;
-    l2 = s.l2;
-    l3 = s.l3;
-    dram = s.dram;
-    concretizations = s.concretizations;
-  }
-
 let sites () =
-  Hashtbl.fold (fun k v acc -> (k, copy v) :: acc) tbl []
+  (* [{ v with ... }] copies, so reports may aggregate into the result. *)
+  Hashtbl.fold (fun k v acc -> (k, { v with cycles = v.cycles }) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let timers () =
@@ -129,28 +95,3 @@ let timers () =
 
 let total_cycles () =
   Hashtbl.fold (fun _ s acc -> acc + s.cycles) tbl 0
-
-let site_json ((func, pc), s) =
-  Json.Obj
-    [
-      ("func", Json.Str func);
-      ("pc", Json.Int pc);
-      ("cycles", Json.Int s.cycles);
-      ("instrs", Json.Int s.instrs);
-      ("loads", Json.Int s.loads);
-      ("stores", Json.Int s.stores);
-      ("l1", Json.Int s.l1);
-      ("l2", Json.Int s.l2);
-      ("l3", Json.Int s.l3);
-      ("dram", Json.Int s.dram);
-      ("concretizations", Json.Int s.concretizations);
-    ]
-
-let snapshot () =
-  Json.Obj
-    [
-      ("total_cycles", Json.Int (total_cycles ()));
-      ("sites", Json.List (List.map site_json (sites ())));
-      ( "timers_s",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) (timers ())) );
-    ]

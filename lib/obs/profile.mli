@@ -1,14 +1,16 @@
 (** Deterministic cost-attribution profiler.
 
     Where {!Metrics} answers "how much, in total", this module answers
-    "where": every executor (the symbolic engine, the concrete interpreter,
-    the closure-compiled DUT executor) marks the source location it is about
-    to execute with {!enter}, and every cost source — instruction
-    retirement, cache-model outcomes, DUT memory latencies, pointer
-    concretizations — attributes to that ambient location.  Samples
-    accumulate per [(func, pc)]; {!Castan.Profile_report} aggregates them to
-    basic blocks for the hot-block table, flamegraph-collapsed output and
-    profile JSON.
+    "where" a concrete execution spent its cycles: the closure-compiled DUT
+    executor (and the reference interpreter tests compare it against) marks
+    the source location it is about to execute with {!enter}, and every
+    cost source — instruction retirement, DUT memory latencies, the DPDK
+    path's fixed charge — attributes to that ambient location.  The
+    symbolic engine attributes nothing: its modelled charges are
+    predictions, kept apart from the replay they are compared with.
+    Samples accumulate per [(func, pc)]; {!Castan.Profile_report}
+    aggregates them to basic blocks for the hot-block table and the
+    [profile] section of [castan profile --metrics].
 
     Like the rest of [lib/obs], the profiler is ambient and gated: when
     disabled (the default) every operation reduces to a single [ref] read,
@@ -31,8 +33,6 @@ type stats = {
   mutable l2 : int;
   mutable l3 : int;
   mutable dram : int;
-  mutable concretizations : int;
-      (** symbolic pointers the cache model pinned here *)
 }
 
 val set_enabled : bool -> unit
@@ -57,19 +57,13 @@ val add_retire : weight:int -> unit
     CPI (rounded to nearest; the same ratio as [Symbex.Costs.default] and
     the DUT) — the concrete executors' per-instruction charge. *)
 
-val add_exec : instrs:int -> cycles:int -> loads:int -> stores:int -> unit
-(** The symbolic engine's exact per-instruction charge (retirement plus
-    modeled memory latency, as computed by [Symbex.Costs]). *)
+val add_exec : instrs:int -> cycles:int -> unit
+(** An exact charge of [instrs] instructions costing [cycles] — the DUT's
+    fixed per-packet DPDK overhead. *)
 
 val add_access : write:bool -> level -> cycles:int -> unit
 (** A concrete memory access served at [level], costing [cycles] — the
     DUT's cache-hierarchy hook. *)
-
-val add_level : level -> unit
-(** A cache-model outcome (level count only; the symbolic engine charges
-    the latency itself via {!add_exec}). *)
-
-val add_concretization : unit -> unit
 
 val add_timer : string -> float -> unit
 (** Accumulates wall seconds in a named bucket ([solver], [symbex],
@@ -85,8 +79,3 @@ val timers : unit -> (string * float) list
 
 val total_cycles : unit -> int
 (** Sum of [cycles] over all sites. *)
-
-val snapshot : unit -> Json.t
-(** [{"total_cycles": n, "sites": [{"func","pc","cycles",...}, ...],
-     "timers_s": {...}}] — the site-level section embedded in run
-    manifests. *)

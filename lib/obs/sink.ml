@@ -1,9 +1,6 @@
-type agg = { mutable count : int; mutable total : float }
-
 type t =
   | Null
   | File of { path : string; oc : out_channel; mutable closed : bool }
-  | Summary of { spans : (string, agg) Hashtbl.t; mutable closed : bool }
 
 let null = Null
 
@@ -11,30 +8,14 @@ let null = Null
    clean close: a crashed run leaves the previous trace file (if any)
    intact instead of a torn half-stream. *)
 let file path = File { path; oc = open_out (path ^ ".tmp"); closed = false }
-let stderr_summary () = Summary { spans = Hashtbl.create 16; closed = false }
-let active = function Null -> false | File _ | Summary _ -> true
+let active = function Null -> false | File _ -> true
 
 let write t line =
   match t with
   | File f when not f.closed ->
       output_string f.oc line;
       output_char f.oc '\n'
-  | Null | File _ | Summary _ -> ()
-
-let record_span t ~name ~dur =
-  match t with
-  | Summary s when not s.closed ->
-      let a =
-        match Hashtbl.find_opt s.spans name with
-        | Some a -> a
-        | None ->
-            let a = { count = 0; total = 0. } in
-            Hashtbl.add s.spans name a;
-            a
-      in
-      a.count <- a.count + 1;
-      a.total <- a.total +. dur
-  | Null | File _ | Summary _ -> ()
+  | Null | File _ -> ()
 
 let close = function
   | Null -> ()
@@ -46,20 +27,4 @@ let close = function
          with Unix.Unix_error _ -> ());
         close_out f.oc;
         Sys.rename (f.path ^ ".tmp") f.path
-      end
-  | Summary s ->
-      if not s.closed then begin
-        s.closed <- true;
-        if Hashtbl.length s.spans > 0 then begin
-          Printf.eprintf "== trace summary ==\n";
-          Printf.eprintf "  %-32s %8s %12s %12s\n" "span" "count" "total ms"
-            "mean ms";
-          Hashtbl.fold (fun name a acc -> (name, a) :: acc) s.spans []
-          |> List.sort (fun (_, a) (_, b) -> compare b.total a.total)
-          |> List.iter (fun (name, a) ->
-                 Printf.eprintf "  %-32s %8d %12.2f %12.3f\n" name a.count
-                   (a.total *. 1e3)
-                   (a.total *. 1e3 /. float_of_int a.count));
-          flush stderr
-        end
       end

@@ -1,12 +1,10 @@
 (** Telemetry output destinations.
 
-    Three sinks cover the deployment matrix:
+    Two sinks cover the deployment matrix:
     - {!null}: telemetry disabled.  Guaranteed allocation-free on the hot
       path — every operation on it is a physical-equality check followed by
       an immediate return, so a disabled pipeline is bit-identical to an
       uninstrumented one.
-    - {!stderr_summary}: no event stream; spans are aggregated by name
-      (count, total and mean duration) and printed to stderr on {!close}.
     - {!file}: one JSON object per line (JSONL), flushed on {!close}.  Used
       for the Chrome [trace_event] stream. *)
 
@@ -19,18 +17,11 @@ val file : string -> t
     renames it over [path], so [path] only ever holds a complete stream.
     @raise Sys_error when the path cannot be opened. *)
 
-val stderr_summary : unit -> t
-
 val active : t -> bool
 (** [false] exactly for {!null}. *)
 
 val write : t -> string -> unit
-(** Appends one line (for {!file}; a no-op on the other sinks). *)
-
-val record_span : t -> name:string -> dur:float -> unit
-(** Feeds the per-name aggregation of {!stderr_summary} (a no-op on the
-    other sinks).  [dur] is in seconds. *)
+(** Appends one line (for {!file}; a no-op on {!null}). *)
 
 val close : t -> unit
-(** Flushes and closes a {!file}; prints the aggregate table of a
-    {!stderr_summary}.  Idempotent. *)
+(** Flushes and closes a {!file}.  Idempotent. *)

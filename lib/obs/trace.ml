@@ -45,9 +45,6 @@ let emit ~name ~ph ~ts ?dur ~args () =
   let line = Json.to_string (Json.Obj fields) in
   Mutex.protect sink_mu (fun () -> Sink.write !current line)
 
-let note_span ~name ~dur =
-  Mutex.protect sink_mu (fun () -> Sink.record_span !current ~name ~dur)
-
 let enter ?(args = []) name =
   if not (enabled ()) then disabled_span
   else begin
@@ -63,7 +60,6 @@ let exit sp =
     let dur = now -. sp.start in
     emit ~name:sp.name ~ph:"X" ~ts:(us_since_start sp.start)
       ~dur:(dur *. 1e6) ~args:sp.args ();
-    note_span ~name:sp.name ~dur;
     dur
   end
 
@@ -87,8 +83,7 @@ let timed ?(args = []) name f =
     let dur = Unix.gettimeofday () -. start in
     if emitting then begin
       Atomic.decr depth_;
-      emit ~name ~ph:"X" ~ts:(us_since_start start) ~dur:(dur *. 1e6) ~args ();
-      note_span ~name ~dur
+      emit ~name ~ph:"X" ~ts:(us_since_start start) ~dur:(dur *. 1e6) ~args ()
     end;
     dur
   in

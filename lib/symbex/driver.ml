@@ -251,8 +251,6 @@ let run program ~mem ~cache config =
   if !watchdog > 0 then
     ignore (Atomic.fetch_and_add watchdog_total !watchdog : int);
   record_run_metrics stats ~completed:!n_completed;
-  if Obs.Profile.enabled () then
-    Obs.Profile.add_timer "symbex" stats.wall_time;
   {
     best = (match ranked with [] -> None | s :: _ -> Some s);
     ranked;

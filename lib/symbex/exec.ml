@@ -31,15 +31,6 @@ let reason_label = function
   | No_pointer_target _ -> "no-pointer-target"
   | Infeasible_branch -> "infeasible-branch"
 
-let reason_message = function
-  | Packet_budget -> "packet instruction budget exhausted"
-  | Heap_exhausted msg -> msg
-  | Memory_fault msg -> "memory fault: " ^ msg
-  | Undefined_var name -> "undefined variable " ^ name
-  | Arity_mismatch func -> "arity mismatch calling " ^ func
-  | No_pointer_target op -> op ^ ": no feasible pointer target"
-  | Infeasible_branch -> "branch: both outcomes infeasible"
-
 (* A state-local fault, distinct from engine bugs: kills the state, never
    the driver. *)
 let reason_is_fault = function
@@ -80,10 +71,6 @@ let charge cfg (t : State.t) instr ?(mem_latency = 0) ?(load = false)
     ?(store = false) ?(miss = false) ?(extra_weight = 0) () =
   let weight = Ir.Cfg.weight instr + extra_weight in
   let cycles = Costs.compute_cycles cfg.costs ~weight + mem_latency in
-  if Obs.Profile.enabled () then
-    Obs.Profile.add_exec ~instrs:weight ~cycles
-      ~loads:(if load then 1 else 0)
-      ~stores:(if store then 1 else 0);
   let c = t.cur in
   {
     t with
@@ -181,8 +168,6 @@ let rec step cfg (t : State.t) : step_result =
   else
     let frame = t.frame in
     let instr = frame.func.Ir.Cfg.body.(frame.pc) in
-    if Obs.Profile.enabled () then
-      Obs.Profile.enter ~func:frame.func.Ir.Cfg.fname ~pc:frame.pc;
     try step_instr cfg t frame instr with
     | Fault reason -> Killed (t, reason)
     | Invalid_argument msg

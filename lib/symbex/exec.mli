@@ -37,9 +37,6 @@ val reason_label : kill_reason -> string
 (** Coarse bucket for accounting (e.g. ["heap-exhausted"]) — the keys of
     {!Driver.stats.kill_reasons}. *)
 
-val reason_message : kill_reason -> string
-(** Human-readable detail. *)
-
 val reason_is_fault : kill_reason -> bool
 (** True for state-local faults (heap exhaustion, memory faults, undefined
     variables, arity mismatches) as opposed to normal exploration outcomes

@@ -56,7 +56,7 @@ let create ?slice_seed ?prefetch ?(ddio = false) nf =
           cycles_acc := !cycles_acc + lat;
           if hit = Cache.Hierarchy.Dram then incr misses_acc;
           (* Attributes to the site the executor entered for this
-             instruction, so replay and symbex profile the same places. *)
+             instruction. *)
           if Obs.Profile.enabled () then
             Obs.Profile.add_access ~write (profile_level hit) ~cycles:lat);
       (* Looks the hash up before taking the key: the compiled Havoc site
@@ -108,7 +108,6 @@ let dpdk_path t =
   if Obs.Profile.enabled () then begin
     Obs.Profile.enter ~func:"<dpdk>" ~pc:0;
     Obs.Profile.add_exec ~instrs:overhead_instrs ~cycles:overhead_cycles
-      ~loads:0 ~stores:0
   end;
   charge t desc;
   (* The DMA write lands just before the CPU read.  Without DDIO it goes to

@@ -16,23 +16,11 @@ let default_jobs () = !default_jobs_ref
 (* Counters (for run manifests)                                        *)
 (* ------------------------------------------------------------------ *)
 
-type stats = { tasks : int; steals : int; worker_busy_ns : int }
+type stats = { tasks : int }
 
 let tasks_total = Atomic.make 0
-let steals_total = Atomic.make 0
-let busy_ns_total = Atomic.make 0
-
-let stats () =
-  {
-    tasks = Atomic.get tasks_total;
-    steals = Atomic.get steals_total;
-    worker_busy_ns = Atomic.get busy_ns_total;
-  }
-
-let reset_stats () =
-  Atomic.set tasks_total 0;
-  Atomic.set steals_total 0;
-  Atomic.set busy_ns_total 0
+let stats () = { tasks = Atomic.get tasks_total }
+let reset_stats () = Atomic.set tasks_total 0
 
 (* ------------------------------------------------------------------ *)
 (* The pool                                                            *)
@@ -58,33 +46,23 @@ let mapi ?jobs f items =
     let workers = min jobs n in
     let slots = Array.make n Pending in
     let next = Atomic.make 0 in
-    let worker wid =
+    let worker () =
       Domain.DLS.set in_worker_key true;
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
           Atomic.incr tasks_total;
-          (* A "steal" is a task whose executing worker differs from its
-             static round-robin owner — a load-imbalance indicator only;
-             the value is scheduling-dependent and exempt from the
-             determinism contract (like wall times). *)
-          if i mod workers <> wid then Atomic.incr steals_total;
-          let t0 = Unix.gettimeofday () in
           (match f i input.(i) with
           | v -> slots.(i) <- Done v
           | exception e ->
               let bt = Printexc.get_raw_backtrace () in
               slots.(i) <- Failed (e, bt));
-          let dt_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
-          ignore (Atomic.fetch_and_add busy_ns_total dt_ns : int);
           loop ()
         end
       in
       loop ()
     in
-    let domains =
-      Array.init workers (fun wid -> Domain.spawn (fun () -> worker wid))
-    in
+    let domains = Array.init workers (fun _ -> Domain.spawn worker) in
     Array.iter Domain.join domains;
     (* A serial run raises at the first failing index, so the lowest one
        is re-raised.  Every task runs to completion first: aborting early

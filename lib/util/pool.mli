@@ -21,9 +21,8 @@
     - Tasks needing randomness must derive their generator from the task
       index via {!Rng.split_ix}, never from a shared advancing stream.
 
-    Wall-clock values ([worker_busy_ns], the [steals] counter, span
-    durations) are scheduling-dependent and exempt, as they are for serial
-    runs. *)
+    Span durations and other wall-clock values are scheduling-dependent
+    and exempt, as they are for serial runs. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f items] applies [f] to each item on up to [jobs] worker
@@ -68,10 +67,6 @@ val recommended_jobs : unit -> int
 
 type stats = {
   tasks : int;  (** tasks executed on worker domains (serial runs: 0) *)
-  steals : int;
-      (** tasks run by a worker other than their static round-robin owner —
-          a load-imbalance indicator; scheduling-dependent *)
-  worker_busy_ns : int;  (** summed wall time spent inside tasks *)
 }
 
 val stats : unit -> stats

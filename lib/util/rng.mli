@@ -48,6 +48,3 @@ val bool : t -> bool
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniformly random element. Requires a non-empty array. *)

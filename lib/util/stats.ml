@@ -1,9 +1,9 @@
 type cdf = float array (* sorted samples *)
 
-(* Specialized in-place sorts: [Array.sort compare] pays polymorphic-compare
+(* A specialized in-place sort: [Array.sort compare] pays polymorphic-compare
    dispatch on every element pair, and even a monomorphic comparator boxes
    both floats per call through the closure.  Direct [<]/[>] on unboxed
-   float/int array elements allocates nothing, and the fat (three-way)
+   float array elements allocates nothing, and the fat (three-way)
    partition matters because measurement samples are duplicate-heavy — a
    median instruction count can cover most of a workload, which would drive
    a binary-partition quicksort quadratic.  Pivot choice is deterministic
@@ -39,59 +39,6 @@ let sort_floats (a : float array) =
       if a.(!hi) < a.(mid) then swap !hi mid;
       let p = a.(mid) in
       (* Fat partition: [lo,lt) < p, [lt,i) = p, (gt,hi] > p. *)
-      let lt = ref !lo and i = ref !lo and gt = ref !hi in
-      while !i <= !gt do
-        let x = a.(!i) in
-        if x < p then begin
-          swap !lt !i;
-          incr lt;
-          incr i
-        end
-        else if x > p then begin
-          swap !i !gt;
-          decr gt
-        end
-        else incr i
-      done;
-      if !lt - !lo < !hi - !gt then begin
-        qsort !lo (!lt - 1);
-        lo := !gt + 1
-      end
-      else begin
-        qsort (!gt + 1) !hi;
-        hi := !lt - 1
-      end
-    done;
-    insertion !lo !hi
-  in
-  let n = Array.length a in
-  if n > 1 then qsort 0 (n - 1)
-
-let sort_ints (a : int array) =
-  let swap i j =
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  in
-  let insertion lo hi =
-    for i = lo + 1 to hi do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  in
-  let rec qsort lo0 hi0 =
-    let lo = ref lo0 and hi = ref hi0 in
-    while !hi - !lo > 16 do
-      let mid = !lo + ((!hi - !lo) / 2) in
-      if a.(mid) < a.(!lo) then swap mid !lo;
-      if a.(!hi) < a.(!lo) then swap !hi !lo;
-      if a.(!hi) < a.(mid) then swap !hi mid;
-      let p = a.(mid) in
       let lt = ref !lo and i = ref !lo and gt = ref !hi in
       while !i <= !gt do
         let x = a.(!i) in
@@ -158,8 +105,15 @@ let stddev a =
   in
   sqrt var
 
+(* Sorted as floats: the samples (cycles, instructions, misses) are far below
+   2^53, so the conversion is exact, and a flat float array costs the same
+   words as an int array copy ([Array.map] would box every element). *)
 let median_int a =
-  assert (Array.length a > 0);
-  let sorted = Array.copy a in
-  sort_ints sorted;
-  sorted.((Array.length sorted - 1) / 2)
+  let n = Array.length a in
+  assert (n > 0);
+  let sorted = Array.create_float n in
+  for i = 0 to n - 1 do
+    sorted.(i) <- float_of_int a.(i)
+  done;
+  sort_floats sorted;
+  int_of_float sorted.((n - 1) / 2)

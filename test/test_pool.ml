@@ -210,10 +210,8 @@ let nested_pool_falls_back_sequential () =
 let stats_count_tasks () =
   Util.Pool.reset_stats ();
   ignore (Util.Pool.map ~jobs:4 mix (List.init 8 Fun.id) : int list);
-  let s = Util.Pool.stats () in
-  Alcotest.(check int) "8 tasks accounted" 8 s.Util.Pool.tasks;
-  Alcotest.(check bool) "busy time accumulated" true
-    (s.Util.Pool.worker_busy_ns >= 0);
+  Alcotest.(check int) "8 tasks accounted" 8
+    (Util.Pool.stats ()).Util.Pool.tasks;
   (* jobs = 1 takes the serial path: no pool accounting at all *)
   Util.Pool.reset_stats ();
   ignore (Util.Pool.map ~jobs:1 mix (List.init 8 Fun.id) : int list);

@@ -1,6 +1,7 @@
-(* The cost-attribution profiler: deterministic output, well-formed collapsed
-   stacks, and — like the rest of lib/obs — zero perturbation of analysis
-   results when enabled. *)
+(* The cost-attribution profiler: deterministic block JSON that accounts for
+   every cycle, attribution of the concrete replay only (symbolic
+   exploration leaves timers, never sites), and — like the rest of lib/obs —
+   zero perturbation of analysis results when enabled. *)
 
 let with_profile f =
   Obs.Profile.reset ();
@@ -11,15 +12,17 @@ let with_profile f =
       Obs.Profile.reset ())
     f
 
+let replay nf w ~samples =
+  ignore
+    (Testbed.Dut.replay (Testbed.Dut.create nf) w ~samples
+      : Testbed.Dut.sample array)
+
 (* One profiled DUT replay; returns the NF so reports can derive blocks. *)
 let replay_profiled ~name ~seed ~samples =
   let nf = Nf.Registry.find name in
-  let w =
-    Testbed.Workload.shape nf.Nf.Nf_def.shape
-      (Testbed.Traffic.unirand ~scale:`Quick ~seed ())
-  in
-  let dut = Testbed.Dut.create nf in
-  ignore (Testbed.Dut.replay dut w ~samples : Testbed.Dut.sample array);
+  replay nf ~samples
+    (Testbed.Workload.shape nf.Nf.Nf_def.shape
+       (Testbed.Traffic.unirand ~scale:`Quick ~seed ()));
   nf
 
 (* ---------------- disabled path ---------------- *)
@@ -29,7 +32,7 @@ let disabled_records_nothing () =
   Alcotest.(check bool) "disabled by default" false (Obs.Profile.enabled ());
   Obs.Profile.enter ~func:"f" ~pc:0;
   Obs.Profile.add_retire ~weight:10;
-  Obs.Profile.add_exec ~instrs:5 ~cycles:50 ~loads:1 ~stores:1;
+  Obs.Profile.add_exec ~instrs:5 ~cycles:50;
   Obs.Profile.add_access ~write:false Obs.Profile.Dram ~cycles:300;
   Obs.Profile.add_timer "solver" 1.0;
   Alcotest.(check int) "no sites" 0 (List.length (Obs.Profile.sites ()));
@@ -42,74 +45,59 @@ let pre_enter_attributions_dropped () =
       Obs.Profile.add_retire ~weight:100;
       Alcotest.(check int) "nothing attributed" 0 (Obs.Profile.total_cycles ());
       Obs.Profile.enter ~func:"f" ~pc:0;
-      Obs.Profile.add_exec ~instrs:1 ~cycles:7 ~loads:0 ~stores:0;
+      Obs.Profile.add_exec ~instrs:1 ~cycles:7;
       Alcotest.(check int) "post-enter attributed" 7
         (Obs.Profile.total_cycles ()))
 
 (* ---------------- determinism ---------------- *)
 
-let collapsed_of ~name ~seed ~samples =
-  with_profile (fun () ->
-      let nf = replay_profiled ~name ~seed ~samples in
-      Castan.Profile_report.collapsed ~nf:name nf.Nf.Nf_def.program)
+let blocks_of json =
+  match Obs.Json.member "blocks" json with
+  | Some (Obs.Json.List blocks) -> blocks
+  | _ -> Alcotest.fail "profile json lacks a blocks list"
 
-let replay_collapsed_deterministic () =
-  let a = collapsed_of ~name:"nat-hash-ring" ~seed:11 ~samples:400 in
-  let b = collapsed_of ~name:"nat-hash-ring" ~seed:11 ~samples:400 in
-  Alcotest.(check bool) "non-empty" true (String.length a > 0);
-  Alcotest.(check string) "byte-identical collapsed output" a b
+(* [timers_s] is wall time, so only the blocks are compared. *)
+let replay_blocks_deterministic () =
+  let blocks () =
+    with_profile (fun () ->
+        let nf = replay_profiled ~name:"nat-hash-ring" ~seed:11 ~samples:400 in
+        let json =
+          Castan.Profile_report.to_json ~nf:"nat-hash-ring" nf.Nf.Nf_def.program
+        in
+        Obs.Json.to_string (Obs.Json.List (blocks_of json)))
+  in
+  let a = blocks () and b = blocks () in
+  Alcotest.(check bool) "non-empty" true (a <> "[]");
+  Alcotest.(check string) "byte-identical blocks" a b
 
-(* ---------------- collapsed format and accounting ---------------- *)
+(* ---------------- JSON accounting ---------------- *)
 
-let collapsed_well_formed () =
+let json_blocks_sum_to_total () =
   with_profile (fun () ->
       let nf = replay_profiled ~name:"lb-hash-table" ~seed:3 ~samples:300 in
-      let program = nf.Nf.Nf_def.program in
-      let out = Castan.Profile_report.collapsed ~nf:"lb-hash-table" program in
-      let lines =
-        String.split_on_char '\n' out |> List.filter (fun l -> l <> "")
+      let json =
+        Castan.Profile_report.to_json ~nf:"lb-hash-table" nf.Nf.Nf_def.program
       in
-      Alcotest.(check bool) "has stacks" true (lines <> []);
+      let blocks = blocks_of json in
+      Alcotest.(check bool) "has blocks" true (blocks <> []);
       let sum =
         List.fold_left
-          (fun acc line ->
-            let sp =
-              match String.rindex_opt line ' ' with
-              | Some i -> i
-              | None -> Alcotest.failf "no count in %S" line
-            in
-            let frames = String.sub line 0 sp in
-            if String.contains frames ' ' then
-              Alcotest.failf "space inside frames of %S" line;
-            (match String.split_on_char ';' frames with
-            | [ nf_frame; _func; _block ] ->
-                Alcotest.(check string) "nf frame" "lb-hash-table" nf_frame
-            | _ -> Alcotest.failf "expected 3 frames in %S" line);
-            let count =
-              match
-                int_of_string_opt
-                  (String.sub line (sp + 1) (String.length line - sp - 1))
-              with
-              | Some n when n > 0 -> n
-              | _ -> Alcotest.failf "bad count in %S" line
-            in
-            acc + count)
-          0 lines
+          (fun acc b ->
+            match Obs.Json.member "cycles" b with
+            | Some (Obs.Json.Int n) -> acc + n
+            | _ ->
+                Alcotest.failf "block without cycles: %s"
+                  (Obs.Json.to_string b))
+          0 blocks
       in
-      let rows = Castan.Profile_report.rows program in
-      Alcotest.(check int) "counts sum to attributed total"
-        (Castan.Profile_report.total_cycles rows)
-        sum;
-      (* the JSON surface reports the same total *)
-      match
-        Obs.Json.member "total_cycles"
-          (Castan.Profile_report.to_json ~nf:"lb-hash-table" program)
-      with
+      (match Obs.Json.member "total_cycles" json with
       | Some (Obs.Json.Int n) ->
-          Alcotest.(check int) "json total matches" sum n
-      | _ -> Alcotest.fail "profile json lacks total_cycles")
+          Alcotest.(check int) "blocks sum to total" n sum
+      | _ -> Alcotest.fail "profile json lacks total_cycles");
+      Alcotest.(check int) "total is every attributed cycle"
+        (Obs.Profile.total_cycles ()) sum)
 
-(* ---------------- symbex attribution ---------------- *)
+(* ---------------- replay-only attribution ---------------- *)
 
 let analysis_config () =
   { (Castan.Analyze.default_config ()) with
@@ -117,24 +105,49 @@ let analysis_config () =
     time_budget = 300.0;
     instr_budget = 150_000 }
 
-let symbex_attributes_sites_and_timers () =
+let analyze nf = Castan.Analyze.run ~config:(analysis_config ()) nf
+
+let symbex_timers_only () =
   with_profile (fun () ->
-      let nf = Nf.Registry.find "lpm-btrie" in
-      ignore
-        (Castan.Analyze.run ~config:(analysis_config ()) nf
-          : Castan.Analyze.outcome);
-      Alcotest.(check bool) "symbolic execution attributed sites" true
-        (Obs.Profile.sites () <> []);
+      ignore (analyze (Nf.Registry.find "lpm-btrie") : Castan.Analyze.outcome);
+      Alcotest.(check int) "symbolic execution attributes no sites" 0
+        (List.length (Obs.Profile.sites ()));
       let timers = Obs.Profile.timers () in
       Alcotest.(check bool) "symbex timer" true (List.mem_assoc "symbex" timers);
       Alcotest.(check bool) "solver timer" true
         (List.mem_assoc "solver" timers))
 
+let site_lines () =
+  List.map
+    (fun ((func, pc), (s : Obs.Profile.stats)) ->
+      Printf.sprintf "%s:%d cycles=%d instrs=%d ld=%d st=%d l1=%d l2=%d l3=%d \
+                      dram=%d"
+        func pc s.cycles s.instrs s.loads s.stores s.l1 s.l2 s.l3 s.dram)
+    (Obs.Profile.sites ())
+
+(* What [castan profile --analyze] records: the profiler stays on across the
+   analysis that synthesizes the workload, and the sites must be exactly
+   those of the workload's replay profiled on its own. *)
+let analyze_then_replay_sites () =
+  let nf = Nf.Registry.find "lpm-btrie" in
+  let both, w =
+    with_profile (fun () ->
+        let w = (analyze nf).Castan.Analyze.workload in
+        replay nf w ~samples:300;
+        (site_lines (), w))
+  in
+  let alone =
+    with_profile (fun () ->
+        replay nf w ~samples:300;
+        site_lines ())
+  in
+  Alcotest.(check bool) "replay attributed sites" true (alone <> []);
+  Alcotest.(check (list string)) "the replay's sites only" alone both
+
 (* ---------------- no perturbation ---------------- *)
 
 let fingerprint () =
-  let nf = Nf.Registry.find "lpm-btrie" in
-  let o = Castan.Analyze.run ~config:(analysis_config ()) nf in
+  let o = analyze (Nf.Registry.find "lpm-btrie") in
   ( o.Castan.Analyze.predicted_cost,
     Array.to_list o.Castan.Analyze.workload.Testbed.Workload.packets
     |> List.map Nf.Packet.to_string )
@@ -151,12 +164,14 @@ let tests =
       disabled_records_nothing;
     Alcotest.test_case "pre-enter attributions dropped" `Quick
       pre_enter_attributions_dropped;
-    Alcotest.test_case "replay: collapsed byte-identical" `Quick
-      replay_collapsed_deterministic;
-    Alcotest.test_case "collapsed: well-formed, sums to total" `Quick
-      collapsed_well_formed;
-    Alcotest.test_case "symbex: sites and wall-time buckets" `Quick
-      symbex_attributes_sites_and_timers;
+    Alcotest.test_case "replay: blocks byte-identical" `Quick
+      replay_blocks_deterministic;
+    Alcotest.test_case "json: blocks sum to total" `Quick
+      json_blocks_sum_to_total;
+    Alcotest.test_case "symbex: timers only, no sites" `Quick
+      symbex_timers_only;
+    Alcotest.test_case "analyze + replay: the replay's sites" `Quick
+      analyze_then_replay_sites;
     Alcotest.test_case "no perturbation: analysis identical" `Slow
       profiler_off_vs_on_identical;
   ]

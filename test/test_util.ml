@@ -143,6 +143,26 @@ let stats_median_int () =
   check Alcotest.int "even lower" 2 (Util.Stats.median_int [| 4; 1; 2; 3 |]);
   check Alcotest.int "single" 7 (Util.Stats.median_int [| 7 |])
 
+(* Both sorted views against [List.sort]: lengths far past the insertion-sort
+   cutoff, values from a narrow range around zero so that duplicates dominate
+   (the case the fat partition exists for) and negatives occur. *)
+let stats_sort_matches_list_sort =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 20 >>= fun span ->
+      array_size (int_range 1 5_000) (int_range (-span) span))
+  in
+  QCheck.Test.make ~name:"Stats sorts agree with List.sort" ~count:200
+    (QCheck.make ~print:QCheck.Print.(array int) gen)
+    (fun a ->
+      let n = Array.length a in
+      let sorted = List.sort compare (Array.to_list a) in
+      let cdf = Util.Stats.cdf_of_samples (Array.map float_of_int a) in
+      let q i = if n = 1 then 0.0 else float_of_int i /. float_of_int (n - 1) in
+      Util.Stats.median_int a = List.nth sorted ((n - 1) / 2)
+      && List.init n (fun i -> int_of_float (Util.Stats.quantile cdf (q i)))
+         = sorted)
+
 let stats_mean_stddev () =
   check (Alcotest.float 1e-9) "mean" 2.0 (Util.Stats.mean [| 1.0; 2.0; 3.0 |]);
   if abs_float (Util.Stats.stddev [| 2.0; 2.0; 2.0 |]) > 1e-9 then
@@ -192,6 +212,7 @@ let tests =
     Alcotest.test_case "stats median" `Quick stats_median;
     qtest stats_quantile_sorted;
     Alcotest.test_case "stats median_int" `Quick stats_median_int;
+    qtest stats_sort_matches_list_sort;
     Alcotest.test_case "stats mean/stddev" `Quick stats_mean_stddev;
     Alcotest.test_case "table render" `Quick table_render;
     Alcotest.test_case "durable write basics" `Quick durable_write_basics;

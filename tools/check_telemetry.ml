@@ -6,15 +6,12 @@
                                            hold only counters; one that
                                            lists experiments must time each
                                            of them, in order, in
-                                           experiments_timed
-     check_telemetry collapsed FILE     -- flamegraph collapsed stacks
-     check_telemetry profile FILE.json [COLLAPSED]
-                                        -- castan profile --profile-json
-                                           output, optionally cross-checked
-                                           against its collapsed twin
+                                           experiments_timed; a profile
+                                           section must hold blocks whose
+                                           cycles sum to total_cycles
      check_telemetry pool FILE.json [MIN_TASKS]
                                         -- manifest records jobs + pool
-                                           counters (and ran >= MIN_TASKS
+                                           tasks (and ran >= MIN_TASKS
                                            pool tasks)
      check_telemetry pool-eq A.json B.json
                                         -- two manifests agree on everything
@@ -130,76 +127,36 @@ let check_metrics path =
             fail "%s: experiments_timed ids [%s] do not match experiments" path
               (String.concat ", " timed_ids)
       | Some _ -> fail "%s: experiments is not a list" path);
+      (* A profile manifest's blocks must account for every attributed
+         cycle. *)
+      (match Obs.Json.member "profile" obj with
+      | None -> ()
+      | Some p ->
+          let total =
+            match Obs.Json.member "total_cycles" p with
+            | Some (Obs.Json.Int n) -> n
+            | _ -> fail "%s: profile without integer total_cycles" path
+          in
+          let blocks =
+            match Obs.Json.member "blocks" p with
+            | Some (Obs.Json.List (_ :: _ as l)) -> l
+            | _ -> fail "%s: profile blocks missing or empty" path
+          in
+          let sum =
+            List.fold_left
+              (fun acc b ->
+                match Obs.Json.member "cycles" b with
+                | Some (Obs.Json.Int n) -> acc + n
+                | _ -> fail "%s: profile block without integer cycles" path)
+              0 blocks
+          in
+          if sum <> total then
+            fail "%s: profile blocks sum to %d cycles but total_cycles is %d"
+              path sum total);
       Printf.printf "%s: manifest ok\n" path
 
-(* Each collapsed-stack line is `frames count`: a space-free semicolon-joined
-   frame stack, one space, a non-negative integer.  Returns the counts. *)
-let collapsed_counts path =
-  let lines =
-    read_file path |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "")
-  in
-  if lines = [] then fail "%s: empty collapsed profile" path;
-  List.mapi
-    (fun i line ->
-      let ln = i + 1 in
-      match String.rindex_opt line ' ' with
-      | None -> fail "%s:%d: no count field" path ln
-      | Some sp ->
-          let frames = String.sub line 0 sp in
-          let count = String.sub line (sp + 1) (String.length line - sp - 1) in
-          if frames = "" || String.contains frames ' ' then
-            fail "%s:%d: malformed frame stack %S" path ln frames;
-          (match int_of_string_opt count with
-          | Some n when n >= 0 -> n
-          | _ -> fail "%s:%d: count %S is not a non-negative integer" path ln count))
-    lines
-
-let check_collapsed path =
-  let counts = collapsed_counts path in
-  Printf.printf "%s: %d stacks, %d samples ok\n" path (List.length counts)
-    (List.fold_left ( + ) 0 counts)
-
-let check_profile path collapsed =
-  match Obs.Json.parse (read_file path) with
-  | Error e -> fail "%s: not JSON: %s" path e
-  | Ok obj ->
-      (match Obs.Json.member "schema_version" obj with
-      | Some (Obs.Json.Int _) -> ()
-      | _ -> fail "%s: missing schema_version" path);
-      let total =
-        match Obs.Json.member "total_cycles" obj with
-        | Some (Obs.Json.Int n) -> n
-        | _ -> fail "%s: missing total_cycles" path
-      in
-      let blocks =
-        match Obs.Json.member "blocks" obj with
-        | Some (Obs.Json.List l) -> l
-        | _ -> fail "%s: blocks is not a list" path
-      in
-      if blocks = [] then fail "%s: no profiled blocks" path;
-      let sum =
-        List.fold_left
-          (fun acc b ->
-            match Obs.Json.member "cycles" b with
-            | Some (Obs.Json.Int n) -> acc + n
-            | _ -> fail "%s: block without integer cycles" path)
-          0 blocks
-      in
-      if sum <> total then
-        fail "%s: blocks sum to %d cycles but total_cycles is %d" path sum total;
-      (match collapsed with
-      | None -> ()
-      | Some cpath ->
-          let csum = List.fold_left ( + ) 0 (collapsed_counts cpath) in
-          if csum <> total then
-            fail "%s: collapsed stacks sum to %d cycles but %s reports %d"
-              cpath csum path total);
-      Printf.printf "%s: profile ok (%d blocks, %d cycles)\n" path
-        (List.length blocks) total
-
 (* `check_telemetry pool FILE.json [MIN_TASKS]`: the manifest must record
-   which job count produced it and the pool's own accounting — and, when
+   which job count produced it and how many pool tasks ran — and, when
    MIN_TASKS is given, prove the pool actually ran (a parallel smoke run
    that silently fell back to serial would pass every equality check). *)
 let check_pool path min_tasks =
@@ -211,19 +168,15 @@ let check_pool path min_tasks =
         | Some (Obs.Json.Int j) when j >= 1 -> j
         | _ -> fail "%s: missing or non-positive jobs field" path
       in
-      let pool =
+      let tasks =
         match Obs.Json.member "pool" obj with
-        | Some (Obs.Json.Obj p) -> p
+        | Some (Obs.Json.Obj p) -> (
+            match List.assoc_opt "tasks" p with
+            | Some (Obs.Json.Int n) when n >= 0 -> n
+            | _ -> fail "%s: pool.tasks missing or not a non-negative integer"
+                     path)
         | _ -> fail "%s: no pool section" path
       in
-      let int_field k =
-        match List.assoc_opt k pool with
-        | Some (Obs.Json.Int n) when n >= 0 -> n
-        | _ -> fail "%s: pool.%s missing or not a non-negative integer" path k
-      in
-      let tasks = int_field "tasks" in
-      ignore (int_field "steals" : int);
-      ignore (int_field "worker_busy_ns" : int);
       (match min_tasks with
       | Some m when tasks < m ->
           fail "%s: expected at least %d pool tasks, saw %d" path m tasks
@@ -233,8 +186,7 @@ let check_pool path min_tasks =
 (* `check_telemetry pool-eq A.json B.json`: everything the pool promises to
    keep bit-identical across job counts must match — experiment list,
    config, seed and every counter.  Exempt by design: generated_at_unix,
-   jobs, pool, wall times (experiments_timed seconds) and the profile
-   section's timer buckets. *)
+   jobs, pool and wall times (experiments_timed seconds). *)
 let check_pool_eq path_a path_b =
   let load path =
     match Obs.Json.parse (read_file path) with
@@ -306,9 +258,6 @@ let () =
   match Sys.argv with
   | [| _; "trace"; path |] -> check_trace path
   | [| _; "metrics"; path |] -> check_metrics path
-  | [| _; "collapsed"; path |] -> check_collapsed path
-  | [| _; "profile"; path |] -> check_profile path None
-  | [| _; "profile"; path; collapsed |] -> check_profile path (Some collapsed)
   | [| _; "pool"; path |] -> check_pool path None
   | [| _; "pool"; path; min_tasks |] -> (
       match int_of_string_opt min_tasks with
@@ -322,8 +271,7 @@ let () =
       | _ -> fail "replay: MIN_PACKETS must be a non-negative integer")
   | _ ->
       fail
-        "usage: check_telemetry {trace|metrics|collapsed} FILE\n\
-        \       check_telemetry profile FILE.json [COLLAPSED]\n\
+        "usage: check_telemetry {trace|metrics} FILE\n\
         \       check_telemetry pool FILE.json [MIN_TASKS]\n\
         \       check_telemetry pool-eq A.json B.json\n\
         \       check_telemetry replay FILE.json [MIN_PACKETS]"
