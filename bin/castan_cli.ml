@@ -60,8 +60,8 @@ let set_jobs j =
   Util.Pool.set_default_jobs
     (if j <= 0 then Util.Pool.recommended_jobs () else j)
 
-(* Packet counts for the replaying commands: a non-positive value is a
-   usage error (exit 124), refused before any work or output. *)
+(* Packet and instruction counts: a non-positive value is a usage error
+   (exit 124), refused before any work or output. *)
 let positive_int =
   let parse s =
     match int_of_string_opt s with
@@ -78,14 +78,6 @@ let load_workload path =
     exit 1
   end;
   w
-
-let max_states_arg =
-  Arg.(value & opt int 0 & info [ "max-states" ] ~docv:"N"
-         ~doc:"Resource watchdog: cap the symbex pending-state queue at N \
-               states; the deepest states beyond the cap are killed \
-               (kill reason $(b,watchdog-states)) and the run is reported \
-               degraded (exit code 2) instead of exhausting memory.  0 \
-               (default) disables the cap.")
 
 (* A caught SIGINT/SIGTERM becomes a clean [exit], so the [at_exit]
    telemetry/manifest flushes run and an interrupted run still leaves
@@ -137,9 +129,11 @@ let analyze_cmd =
     Arg.(value & opt (some int) None & info [ "n"; "packets" ] ~docv:"N"
            ~doc:"Number of packets to synthesize (default: the paper's size).")
   in
-  let budget =
-    Arg.(value & opt float 20.0 & info [ "t"; "time-budget" ] ~docv:"SECONDS"
-           ~doc:"Symbolic-execution time budget.")
+  let instrs =
+    Arg.(value
+         & opt positive_int (Castan.Analyze.default_config ()).instr_budget
+         & info [ "instrs" ] ~docv:"N"
+             ~doc:"Symbolic-execution budget in executed instructions.")
   in
   let no_contention =
     Arg.(value & flag & info [ "no-cache-model" ]
@@ -154,8 +148,8 @@ let analyze_cmd =
            ~doc:"Also write PREFIX.ktest and PREFIX.metrics (the analysis \
                  outputs of the paper's §4).")
   in
-  let run name output packets budget no_contention cache_model_file ktest
-      max_states jobs trace metrics log_level =
+  let run name output packets instrs no_contention cache_model_file ktest
+      jobs trace metrics log_level =
     set_jobs jobs;
     install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
         Castan.Manifest.make ~extra:[ ("nf", Obs.Json.Str name) ] ());
@@ -178,8 +172,7 @@ let analyze_cmd =
       {
         (Castan.Analyze.default_config ~cache ()) with
         n_packets = packets;
-        time_budget = budget;
-        max_states;
+        instr_budget = instrs;
       }
     in
     let o =
@@ -189,12 +182,12 @@ let analyze_cmd =
     in
     Printf.printf
       "%s: %d packets, predicted %d cycles total, %d/%d havocs reconciled, \
-       %d states explored in %.1fs\n"
+       %d states explored in %d instructions\n"
       name
       (Testbed.Workload.length o.Castan.Analyze.workload)
       o.Castan.Analyze.predicted_cost o.Castan.Analyze.reconciled
       o.Castan.Analyze.n_havocs o.Castan.Analyze.stats.Symbex.Driver.explored
-      o.Castan.Analyze.analysis_time;
+      o.Castan.Analyze.stats.Symbex.Driver.executed_instrs;
     List.iteri
       (fun k (m : Symbex.State.metrics) ->
         Printf.printf "  pkt %2d predicted: %s\n" k
@@ -212,22 +205,22 @@ let analyze_cmd =
     | Some prefix ->
         List.iter (Printf.printf "wrote %s\n") (Castan.Ktest.write ~prefix o)
     | None -> ());
-    (* Degraded, not failed: all artifacts above are written first.  The
-       watchdog never aborts an analysis — it prunes states and the run
-       completes — so the only signal left is the exit code. *)
-    let wd = Symbex.Driver.watchdog_kill_total () in
-    if wd > 0 then begin
+    (* Degraded, not failed: all artifacts above are written first.  A
+       run the safety deadline cut short still completes, but its result
+       depends on host speed, so the exit code says so. *)
+    if Symbex.Driver.deadline_cuts () > 0 then begin
       Printf.printf
-        "completed degraded: resource watchdog killed %d state(s)\n%!" wd;
+        "completed degraded: the %.0f s safety deadline cut symbex short\n%!"
+        config.time_budget;
       exit 2
     end
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Synthesize an adversarial workload for an NF")
     Term.(
-      const run $ nf_arg $ output $ packets $ budget $ no_contention
-      $ cache_model_file $ ktest $ max_states_arg $ jobs_arg
-      $ trace_arg $ metrics_arg $ log_level_arg)
+      const run $ nf_arg $ output $ packets $ instrs $ no_contention
+      $ cache_model_file $ ktest $ jobs_arg $ trace_arg $ metrics_arg
+      $ log_level_arg)
 
 (* ---------------- profile ---------------- *)
 
@@ -252,10 +245,6 @@ let profile_cmd =
                  instead of generating generic traffic.  Only the replay \
                  is attributed to blocks; symbolic exploration and solver \
                  time appear as wall-time buckets.")
-  in
-  let budget =
-    Arg.(value & opt float 5.0 & info [ "t"; "time-budget" ] ~docv:"SECONDS"
-           ~doc:"Symbolic-execution time budget for --analyze.")
   in
   let seed =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED"
@@ -287,8 +276,8 @@ let profile_cmd =
             (String.concat ", " matches) first;
           first
   in
-  let run name workload samples analyze budget seed top jobs trace metrics
-      log_level =
+  let run name workload samples analyze seed top jobs trace metrics log_level
+      =
     set_jobs jobs;
     let name = resolve name in
     let nf = Nf.Registry.find name in
@@ -314,7 +303,7 @@ let profile_cmd =
                      (Castan.Analyze.Contention_sets
                         (Castan.Analyze.discover_contention_sets ()))
                    ())
-                with time_budget = budget; seed }
+                with seed }
             in
             (Castan.Analyze.run ~config nf).Castan.Analyze.workload
           end
@@ -339,8 +328,8 @@ let profile_cmd =
        ~doc:"Attribute an NF's replayed cycles to basic blocks (table; \
              with --metrics, the blocks as JSON in the run manifest)")
     Term.(
-      const run $ nf_name $ workload $ samples $ analyze $ budget $ seed $ top
-      $ jobs_arg $ trace_arg $ metrics_arg $ log_level_arg)
+      const run $ nf_name $ workload $ samples $ analyze $ seed $ top $ jobs_arg
+      $ trace_arg $ metrics_arg $ log_level_arg)
 
 (* ---------------- probe-cache ---------------- *)
 
@@ -525,8 +514,7 @@ let experiment_cmd =
                  degradation paths.  RATE 0.0 is bit-identical to no \
                  injection.")
   in
-  let run id config fail_fast inject max_states jobs trace metrics
-      log_level =
+  let run id config fail_fast inject jobs trace metrics log_level =
     set_jobs jobs;
     Util.Resilience.reset ();
     Util.Resilience.set_fail_fast fail_fast;
@@ -540,7 +528,6 @@ let experiment_cmd =
           Printf.printf "%-26s %s\n" e.id e.descr)
         Castan.Harness.all
     else begin
-      let config = { config with Castan.Experiment.max_states } in
       let ids = Castan.Harness.expand_id id in
       (* Wall seconds per entry in run order, prewarm first when it ran:
          the manifest's experiments_timed. *)
@@ -566,20 +553,20 @@ let experiment_cmd =
             (match Castan.Harness.prewarm config ids with
             | Some dt ->
                 record "prewarm" dt;
-                Printf.printf "[prewarm done in %.1fs]\n%!" dt
+                Printf.eprintf "[prewarm done in %.1fs]\n%!" dt
             | None -> ());
             List.iter (fun i -> record i (Castan.Harness.run_id config i)) ids)
       with
       | () ->
           let failures = Util.Resilience.recorded () in
-          let wd = Symbex.Driver.watchdog_kill_total () in
-          if failures <> [] || wd > 0 then begin
+          let cuts = Symbex.Driver.deadline_cuts () in
+          if failures <> [] || cuts > 0 then begin
             if failures <> [] then
               Castan.Report.print_failure_summary failures;
             Printf.printf
-              "completed degraded: %d contained failure(s), %d watchdog \
-               kill(s)\n%!"
-              (List.length failures) wd;
+              "completed degraded: %d contained failure(s), %d analyses cut \
+               by the safety deadline\n%!"
+              (List.length failures) cuts;
             exit 2
           end
       | exception e ->
@@ -593,8 +580,8 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate one of the paper's tables, figures or ablations")
     Term.(
-      const run $ id $ scale $ fail_fast $ inject $ max_states_arg $ jobs_arg
-      $ trace_arg $ metrics_arg $ log_level_arg)
+      const run $ id $ scale $ fail_fast $ inject $ jobs_arg $ trace_arg
+      $ metrics_arg $ log_level_arg)
 
 let () =
   install_signal_handlers ();

@@ -19,7 +19,6 @@ let () =
       (Castan.Analyze.default_config
          ~cache:(Castan.Analyze.Contention_sets sets) ())
       with
-      time_budget = (if smoke then 0.5 else 15.0);
       n_packets = Some (if smoke then 8 else 30);
     }
   in

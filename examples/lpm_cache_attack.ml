@@ -21,12 +21,8 @@ let () =
   Printf.printf "  %d consistent sets\n%!" sets.Cache.Contention.n_classes;
 
   let config =
-    {
-      (Castan.Analyze.default_config
-         ~cache:(Castan.Analyze.Contention_sets sets) ())
-      with
-      time_budget = (if smoke then 0.5 else 15.0);
-    }
+    Castan.Analyze.default_config
+      ~cache:(Castan.Analyze.Contention_sets sets) ()
   in
   let o = Castan.Analyze.run ~config nf in
   Printf.printf "workload: %d packets, predicted %d L3 misses total\n%!"

@@ -14,9 +14,8 @@ let () =
     else Castan.Analyze.discover_contention_sets ()
   in
   let config =
-    { (Castan.Analyze.default_config
-         ~cache:(Castan.Analyze.Contention_sets sets) ())
-      with time_budget = (if smoke then 0.5 else 10.0) }
+    Castan.Analyze.default_config
+      ~cache:(Castan.Analyze.Contention_sets sets) ()
   in
   let o = Castan.Analyze.run ~config nf in
   let zipf = Testbed.Traffic.zipfian ~seed:11 () in

@@ -7,11 +7,10 @@
 
 let smoke = Sys.getenv_opt "CASTAN_SMOKE" <> None
 
-let measure_nf nf_name ~castan_budget =
+let measure_nf nf_name =
   let nf = Nf.Registry.find nf_name in
   let config =
     { (Castan.Analyze.default_config ()) with
-      time_budget = (if smoke then 0.5 else castan_budget);
       n_packets = Some (if smoke then 8 else 30) }
   in
   let o = Castan.Analyze.run ~config nf in
@@ -38,11 +37,11 @@ let measure_nf nf_name ~castan_budget =
   o
 
 let () =
-  let o = measure_nf "nat-unbalanced-tree" ~castan_budget:8.0 in
+  let o = measure_nf "nat-unbalanced-tree" in
   print_endline "\nfirst packets of the CASTAN workload (note the key order):";
   Array.iteri
     (fun k p -> if k < 6 then Printf.printf "  %s\n" (Nf.Packet.to_string p))
     o.workload.Testbed.Workload.packets;
   (* The same attack against the re-balancing tree goes nowhere (§5.3,
      Fig. 11): rebalancing creates local maxima the search cannot escape. *)
-  ignore (measure_nf "nat-red-black-tree" ~castan_budget:8.0)
+  ignore (measure_nf "nat-red-black-tree")

@@ -16,13 +16,14 @@ let () =
   (* 2. Run CASTAN: directed symbolic execution + cache model. *)
   let config =
     { (Castan.Analyze.default_config ()) with
-      n_packets = Some (if smoke then 3 else 10);
-      time_budget = (if smoke then 0.5 else 5.0) }
+      n_packets = Some (if smoke then 3 else 10) }
   in
   let outcome = Castan.Analyze.run ~config nf in
-  Printf.printf "synthesized %d packets (%d states explored, %.1fs):\n"
+  Printf.printf
+    "synthesized %d packets (%d states explored, %d instructions):\n"
     (Testbed.Workload.length outcome.workload)
-    outcome.stats.Symbex.Driver.explored outcome.analysis_time;
+    outcome.stats.Symbex.Driver.explored
+    outcome.stats.Symbex.Driver.executed_instrs;
   Array.iter
     (fun p -> Printf.printf "  %s\n" (Nf.Packet.to_string p))
     outcome.workload.Testbed.Workload.packets;

@@ -12,7 +12,6 @@ type config = {
   instr_budget : int;
   max_states_tried : int;
   seed : int;
-  max_states : int;
 }
 
 let default_config ?(cache = Baseline) () =
@@ -21,11 +20,10 @@ let default_config ?(cache = Baseline) () =
     strategy = Symbex.Searcher.Castan;
     cache;
     m = 2;
-    time_budget = 30.0;
-    instr_budget = 5_000_000;
+    time_budget = 300.0;
+    instr_budget = 12_000;
     max_states_tried = 16;
     seed = 7;
-    max_states = 0;
   }
 
 type outcome = {
@@ -37,7 +35,6 @@ type outcome = {
   reconciled : int;
   unreconciled : int;
   states_tried : int;
-  analysis_time : float;
   stats : Symbex.Driver.stats;
 }
 
@@ -199,7 +196,6 @@ let run ?config (nf : Nf.Nf_def.t) =
   let n_packets =
     match cfg.n_packets with Some n -> n | None -> nf.Nf.Nf_def.castan_packets
   in
-  let t0 = Unix.gettimeofday () in
   let nf_arg = [ ("nf", Obs.Json.Str nf.Nf.Nf_def.name) ] in
   let driver_cfg, mem, cache =
     Obs.Trace.with_span "analyze.build" ~args:nf_arg (fun () ->
@@ -220,7 +216,6 @@ let run ?config (nf : Nf.Nf_def.t) =
             hash_bits = nf.Nf.Nf_def.hash_bits;
             time_budget = cfg.time_budget;
             instr_budget = cfg.instr_budget;
-            max_states = cfg.max_states;
           }
         in
         (driver_cfg, Nf.Nf_def.fresh_symbolic_memory nf, cache_model cfg.cache))
@@ -257,7 +252,6 @@ let run ?config (nf : Nf.Nf_def.t) =
                 reconciled;
                 unreconciled;
                 states_tried = tried + 1;
-                analysis_time = Unix.gettimeofday () -. t0;
                 stats = result.Symbex.Driver.stats;
               }
           | None -> try_states (tried + 1) rest)

@@ -22,17 +22,18 @@ type config = {
   cache : cache_kind;
   m : int;
   time_budget : float;
-  instr_budget : int;
+      (** safety deadline in seconds ({!Symbex.Driver.config}); the
+          exploration budget is [instr_budget] *)
+  instr_budget : int;  (** executed symbex instructions *)
   max_states_tried : int;  (** ranked states to attempt solving *)
   seed : int;
-  max_states : int;  (** watchdog pending-state budget, 0 = unlimited *)
 }
 
 val default_config : ?cache:cache_kind -> unit -> config
-(** Castan searcher, M = 2, 30s/5M-instruction budget, watchdog off,
-    baseline-free contention model must be provided by [cache]
-    (default {!Baseline} so the call works without a discovery run;
-    experiments pass discovered sets). *)
+(** Castan searcher, M = 2, 12,000 instructions (the default-scale
+    experiment budget), 300 s safety deadline.  The contention model must
+    be provided by [cache] (default {!Baseline} so the call works without
+    a discovery run; experiments pass discovered sets). *)
 
 type outcome = {
   nf : string;
@@ -43,7 +44,6 @@ type outcome = {
   reconciled : int;
   unreconciled : int;
   states_tried : int;
-  analysis_time : float;
   stats : Symbex.Driver.stats;
 }
 

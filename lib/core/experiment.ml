@@ -10,33 +10,27 @@ type nf_run = {
 type config = {
   scale : Testbed.Traffic.scale;
   samples : int;
-  analysis_time : float;
   analysis_instrs : int;
   use_contention_model : bool;
   seed : int;
-  max_states : int;
 }
 
 let default_config =
   {
     scale = `Default;
     samples = 20_000;
-    analysis_time = 10.0;
-    analysis_instrs = 3_000_000;
+    analysis_instrs = (Analyze.default_config ()).instr_budget;
     use_contention_model = true;
     seed = 42;
-    max_states = 0;
   }
 
 let quick_config =
   {
     scale = `Quick;
     samples = 4_000;
-    analysis_time = 3.0;
-    analysis_instrs = 800_000;
+    analysis_instrs = 9_000;
     use_contention_model = true;
     seed = 42;
-    max_states = 0;
   }
 
 (* The memo table is shared across pool workers (Harness prewarms campaigns
@@ -62,8 +56,8 @@ let campaign name config =
   let* nf, castan =
     Util.Resilience.guard ~nf:name ~stage:"symbex" (fun () ->
         Obs.Trace.with_span "stage.symbex" ~args:nf_arg @@ fun () ->
-        Obs.Log.info "campaign %s: symbex (budget %.1fs, %d instrs)" name
-          config.analysis_time config.analysis_instrs;
+        Obs.Log.info "campaign %s: symbex (budget %d instrs)" name
+          config.analysis_instrs;
         Util.Resilience.checkpoint ~nf:name ~stage:"symbex" ();
         let nf = Nf.Registry.find name in
         let analysis_cfg =
@@ -76,10 +70,8 @@ let campaign name config =
                   else Analyze.Baseline)
                ())
             with
-            time_budget = config.analysis_time;
             instr_budget = config.analysis_instrs;
             seed = config.seed;
-            max_states = config.max_states;
           }
         in
         (nf, Analyze.run ~config:analysis_cfg nf))

@@ -19,19 +19,22 @@ type nf_run = {
 type config = {
   scale : Testbed.Traffic.scale;
   samples : int;  (** latency samples per workload *)
-  analysis_time : float;  (** symbex budget per NF, seconds *)
   analysis_instrs : int;
+      (** symbex budget per NF, in executed instructions: the only
+          exploration budget, so a campaign does not depend on host speed
+          or [-j] *)
   use_contention_model : bool;  (** false = baseline cache-model ablation *)
   seed : int;
-  max_states : int;  (** symbex watchdog pending-state budget, 0 = off *)
 }
 
 val default_config : config
-(** Default scale, 20,000 samples, 10s/3M-instruction analysis budget,
-    contention model on. *)
+(** Default scale, 20,000 samples, 12,000-instruction analysis budget
+    ({!Analyze.default_config}'s), contention model on.  [--full] keeps
+    the budget and raises the workload sizes. *)
 
 val quick_config : config
-(** Scaled down for tests and smoke runs. *)
+(** Scaled down for tests and smoke runs: 4,000 samples and a
+    9,000-instruction analysis budget. *)
 
 val try_run :
   ?config:config -> string -> (nf_run, Util.Resilience.failure) result

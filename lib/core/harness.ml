@@ -99,7 +99,7 @@ let tables =
     ("table3", "median L3 misses per packet",
      fun c -> let ok, failed = all_runs c in
        Report.print_misses_table ~failed ok);
-    ("table4", "CASTAN analysis: packets generated, run time",
+    ("table4", "CASTAN analysis: packets generated, instructions executed",
      fun c -> let ok, failed = all_runs c in
        Report.print_analysis_table ~failed ok);
     ("table5", "median latency deviation from NOP (ns)",
@@ -111,14 +111,15 @@ let tables =
 (* Ablations of the design choices                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The ablations' exploration budget: a fraction of the campaign's. *)
 let analysis_budget (c : Experiment.config) frac =
-  (max 1.0 (c.analysis_time *. frac), max 100_000 (c.analysis_instrs / 4))
+  int_of_float (float_of_int c.analysis_instrs *. frac)
 
 (* Directed search: compare the best predicted cost each strategy reaches
    under the same budget. *)
 let ablation_searcher (config : Experiment.config) =
   Printf.printf "\n== ablation-searcher: best predicted cost by strategy ==\n";
-  let time, instrs = analysis_budget config 0.3 in
+  let instr_budget = analysis_budget config 0.3 in
   let nfs = [ "lpm-btrie"; "nat-unbalanced-tree"; "lb-hash-table" ] in
   let strategies = Symbex.Searcher.[ Castan; Dfs; Bfs; Random 11 ] in
   let header = "NF" :: List.map Symbex.Searcher.strategy_name strategies in
@@ -131,8 +132,7 @@ let ablation_searcher (config : Experiment.config) =
              (fun strategy ->
                let cfg =
                  { (Analyze.default_config ()) with
-                   strategy; n_packets = Some 10;
-                   time_budget = time; instr_budget = instrs }
+                   strategy; n_packets = Some 10; instr_budget }
                in
                match Analyze.run ~config:cfg nf with
                | o -> string_of_int o.Analyze.predicted_cost
@@ -166,7 +166,7 @@ let ablation_cache_model (config : Experiment.config) =
       (fun (label, kind) ->
         let cfg =
           { (Analyze.default_config ~cache:kind ()) with
-            time_budget = fst (analysis_budget config 1.0) }
+            instr_budget = analysis_budget config 1.0 }
         in
         let o = Analyze.run ~config:cfg nf in
         let m = Testbed.Tg.measure ~samples nf o.Analyze.workload in
@@ -183,7 +183,7 @@ let ablation_cache_model (config : Experiment.config) =
 (* The loop bound M of the potential-cost annotation. *)
 let ablation_loop_bound (config : Experiment.config) =
   Printf.printf "\n== ablation-loop-bound: best cost found vs M ==\n";
-  let time, instrs = analysis_budget config 0.3 in
+  let instr_budget = analysis_budget config 0.3 in
   let nfs = [ "lpm-btrie"; "nat-unbalanced-tree" ] in
   let header = [ "NF"; "M=1"; "M=2"; "M=3" ] in
   let rows =
@@ -195,8 +195,7 @@ let ablation_loop_bound (config : Experiment.config) =
              (fun m ->
                let cfg =
                  { (Analyze.default_config ()) with
-                   m; n_packets = Some 10;
-                   time_budget = time; instr_budget = instrs }
+                   m; n_packets = Some 10; instr_budget }
                in
                match Analyze.run ~config:cfg nf with
                | o -> string_of_int o.Analyze.predicted_cost
@@ -209,7 +208,7 @@ let ablation_loop_bound (config : Experiment.config) =
 (* Tailored rainbow tables vs none (§3.5). *)
 let ablation_rainbow (config : Experiment.config) =
   Printf.printf "\n== ablation-rainbow: havoc reconciliation success ==\n";
-  let time, _ = analysis_budget config 0.5 in
+  let instr_budget = analysis_budget config 0.5 in
   let header =
     [ "NF"; "havocs"; "reconciled (tailored)"; "reconciled (none)" ]
   in
@@ -222,7 +221,7 @@ let ablation_rainbow (config : Experiment.config) =
                ~cache:
                  (Analyze.Contention_sets (Analyze.discover_contention_sets ()))
                ())
-            with time_budget = time; n_packets = Some 12 }
+            with instr_budget; n_packets = Some 12 }
         in
         let o = Analyze.run ~config:cfg nf in
         let no_tables = { nf with Nf.Nf_def.keyspaces = [] } in
@@ -247,7 +246,7 @@ let ablation_cpu_transfer (config : Experiment.config) =
   let cfg =
     { (Analyze.default_config
          ~cache:(Analyze.Contention_sets (Analyze.discover_contention_sets ())) ())
-      with time_budget = fst (analysis_budget config 1.0) }
+      with instr_budget = analysis_budget config 1.0 }
   in
   let o = Analyze.run ~config:cfg nf in
   let header = [ "DUT CPU (slice hash)"; "dev vs NOP (ns)"; "L3 miss/pkt" ] in
@@ -333,7 +332,7 @@ let discussion_mixed_traffic (config : Experiment.config) =
   let cfg =
     { (Analyze.default_config
          ~cache:(Analyze.Contention_sets (Analyze.discover_contention_sets ())) ())
-      with time_budget = fst (analysis_budget config 1.0) }
+      with instr_budget = analysis_budget config 1.0 }
   in
   let o = Analyze.run ~config:cfg nf in
   let zipf = Testbed.Traffic.zipfian ~scale:config.scale ~seed:config.seed () in
@@ -376,7 +375,7 @@ let discussion_wcet (config : Experiment.config) =
   let header =
     [ "NF"; "ICFG bound (M=34)"; "CASTAN worst packet"; "measured median" ]
   in
-  let time, instrs = analysis_budget config 0.5 in
+  let instr_budget = analysis_budget config 0.5 in
   let rows =
     List.map
       (fun name ->
@@ -390,8 +389,7 @@ let discussion_wcet (config : Experiment.config) =
             nf.Nf.Nf_def.program.Ir.Cfg.entry
         in
         let cfg =
-          { (Analyze.default_config ()) with
-            n_packets = Some 10; time_budget = time; instr_budget = instrs }
+          { (Analyze.default_config ()) with n_packets = Some 10; instr_budget }
         in
         let o = Analyze.run ~config:cfg nf in
         (* the most expensive single packet on the chosen path: the state the
@@ -520,7 +518,8 @@ let run_id config id : float =
          per-NF isolation of the tables) degrades to a one-line failure
          instead of aborting the run.  With fail-fast on, the exception
          propagates.  The trailer's wall time comes from the same span the
-         trace file records, so human and machine output cannot disagree. *)
+         trace file records, so human and machine output cannot disagree;
+         it goes to stderr, keeping stdout a function of the config. *)
       let result, elapsed =
         Obs.Trace.timed ("experiment:" ^ id)
           ~args:[ ("descr", Obs.Json.Str e.descr) ]
@@ -529,7 +528,7 @@ let run_id config id : float =
                 e.run config))
       in
       (match result with
-      | Ok () -> Printf.printf "[%s done in %.1fs]\n%!" id elapsed
+      | Ok () -> Printf.eprintf "[%s done in %.1fs]\n%!" id elapsed
       | Error f ->
           Printf.printf "[%s failed: %s]\n%!" id (Util.Resilience.to_string f));
       elapsed

@@ -24,7 +24,8 @@ val expand_id : string -> string list
 val run_id : Experiment.config -> string -> float
 (** Runs one entry (guarded: a failing entry prints [\[id failed: ...\]] and
     records the failure instead of raising, unless fail-fast is on) and
-    prints a timing trailer; returns the entry's wall time in seconds.  The
+    prints a timing trailer to stderr; returns the entry's wall time in
+    seconds.  The
     trailer and the return value both come from the {!Obs.Trace.timed} span
     the trace stream records, so the three can never disagree.
     @raise Invalid_argument on unknown ids (message lists known ones). *)

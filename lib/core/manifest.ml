@@ -16,11 +16,9 @@ let config_json (c : Experiment.config) =
     [
       ("scale", Obs.Json.Str (scale_name c.Experiment.scale));
       ("samples", Obs.Json.Int c.Experiment.samples);
-      ("analysis_time", Obs.Json.Float c.Experiment.analysis_time);
       ("analysis_instrs", Obs.Json.Int c.Experiment.analysis_instrs);
       ("use_contention_model", Obs.Json.Bool c.Experiment.use_contention_model);
       ("seed", Obs.Json.Int c.Experiment.seed);
-      ("max_states", Obs.Json.Int c.Experiment.max_states);
     ]
 
 (* Worker-pool accounting: [tasks] lets a manifest reader tell a genuinely

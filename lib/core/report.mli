@@ -41,8 +41,9 @@ val print_analysis_table :
   ?failed:(string * Util.Resilience.failure) list ->
   Experiment.nf_run list ->
   unit
-(** Table 4: packets generated and analysis run time; failed NFs get a
-    [failed:<stage>] row. *)
+(** Table 4: packets generated and symbex instructions executed (the
+    paper reports run time; instructions do not depend on the host);
+    failed NFs get a [failed:<stage>] row. *)
 
 val print_deviation_table :
   ?failed:(string * Util.Resilience.failure) list ->

@@ -36,9 +36,6 @@ let successors f pc =
   | Return _ -> []
   | Assign _ | Load _ | Store _ | Alloc _ | Call _ | Havoc _ -> [ pc + 1 ]
 
-let instr_count t =
-  Hashtbl.fold (fun _ f acc -> acc + Array.length f.body) t.funcs 0
-
 let weight = function
   | Assign (_, e) -> 1 + Expr.ops e
   | Load { addr; _ } -> 1 + Expr.ops addr

@@ -44,9 +44,6 @@ val successors : func -> int -> int list
 (** Intra-procedural successor program counters of the instruction at [pc].
     [Call] falls through to [pc+1]; [Return] has none. *)
 
-val instr_count : t -> int
-(** Total number of instructions across all functions. *)
-
 val weight : instr -> int
 (** "Instructions retired" weight of one NFIR instruction: 1 plus the number
     of operator nodes in its expressions, so a flat NFIR instruction with a

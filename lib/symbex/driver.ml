@@ -8,7 +8,6 @@ type config = {
   instr_budget : int;
   time_budget : float;
   max_completed : int;
-  max_states : int;
 }
 
 let default_config ?(n_packets = 30) costs =
@@ -20,9 +19,8 @@ let default_config ?(n_packets = 30) costs =
     hash_bits = (fun _ -> 16);
     packet_budget = 100_000;
     instr_budget = 5_000_000;
-    time_budget = 30.0;
+    time_budget = 300.0;
     max_completed = 32;
-    max_states = 0;
   }
 
 type stats = {
@@ -33,7 +31,6 @@ type stats = {
   executed_instrs : int;
   wall_time : float;
   degraded : bool;
-  watchdog_kills : int;
 }
 
 type result = {
@@ -69,13 +66,12 @@ let record_run_metrics stats ~completed =
       stats.kill_reasons
   end
 
-(* Process-lifetime watchdog accounting, summed across analyses (and pool
-   worker domains — hence atomic).  The CLI reads it to pick exit code 2
-   when any exploration had to degrade under a resource budget; it is an
-   exit-code signal only, never part of the deterministic output. *)
-let watchdog_total = Atomic.make 0
-let watchdog_kill_total () = Atomic.get watchdog_total
-let reset_watchdog_total () = Atomic.set watchdog_total 0
+(* Process-lifetime count of explorations the safety deadline cut short,
+   summed across analyses (and pool worker domains — hence atomic).  The
+   CLI reads it to pick exit code 2: a cut run's result depends on host
+   speed, so it must never pass silently. *)
+let deadline_cut_total = Atomic.make 0
+let deadline_cuts () = Atomic.get deadline_cut_total
 
 let run program ~mem ~cache config =
   let annot = Cost.annotate ~m:config.m config.costs program in
@@ -105,37 +101,24 @@ let run program ~mem ~cache config =
     Hashtbl.replace kill_counts label (cur + 1)
   in
   let completed = ref [] and n_completed = ref 0 in
-  (* The wall clock is polled every 1024 executed instructions, *inside*
-     [advance]: a single 20k-instruction slice must not overshoot
-     [time_budget].  Once tripped, the flag is sticky. *)
+  (* The safety deadline is polled between slices and every 1024 executed
+     instructions *inside* [advance], so a single 20k-instruction slice
+     cannot overshoot [time_budget].  Once tripped, the flag is sticky. *)
   let deadline_hit = ref false in
-  let over_deadline () =
+  let deadline_expired () =
+    if not !deadline_hit then deadline_hit := Util.Resilience.expired deadline;
     !deadline_hit
-    || (!executed land 1023 = 0 && Util.Resilience.expired deadline
-        && (deadline_hit := true;
-            true))
   in
-  (* Resource watchdog (max_states).  The pending-state budget degrades
-     the exploration instead of letting the OOM killer abort the process:
-     excess pending states are killed deepest-first — depth ordered by
-     (packet index, raw steps into the packet, state id), the later-forked
-     state dying first on ties — under the [watchdog-states] kill reason,
-     and survivors re-enter the searcher in their original queue order.
-     The check runs between slices, where the only live states are the
-     pending ones; it counts states, not heap bytes, so its kills are a
-     pure function of the exploration. *)
-  let watchdog = ref 0 in
   let out_of_budget () =
     !executed >= config.instr_budget
-    || !deadline_hit
-    || Util.Resilience.expired deadline
+    || deadline_expired ()
     || !n_completed >= config.max_completed
   in
   (* Execute one state until it forks at a plain branch, finishes a packet,
      or dies; loop-head forks continue greedily on the "one more iteration"
      side (§3.4). *)
   let rec advance s slice =
-    if slice = 0 || over_deadline () then
+    if slice = 0 || (!executed land 1023 = 0 && deadline_expired ()) then
       Searcher.add searcher s
     else
       match Exec.step exec_cfg s with
@@ -165,32 +148,6 @@ let run program ~mem ~cache config =
           incr executed;
           count_kill reason
   in
-  let depth_key (s : State.t) = (s.State.pkt, s.State.steps, s.State.id) in
-  let watchdog_check () =
-    let keep = config.max_states in
-    if keep > 0 && Searcher.size searcher > keep then begin
-      let pending = Searcher.drain searcher in
-      let n = List.length pending in
-      let doomed = Hashtbl.create 16 in
-      List.stable_sort (fun a b -> compare (depth_key b) (depth_key a)) pending
-      |> List.iteri (fun i s ->
-             if i < n - keep then Hashtbl.replace doomed s.State.id ());
-      List.iter
-        (fun (s : State.t) ->
-          if Hashtbl.mem doomed s.State.id then begin
-            incr killed;
-            incr watchdog;
-            let cur =
-              match Hashtbl.find_opt kill_counts "watchdog-states" with
-              | Some n -> n
-              | None -> 0
-            in
-            Hashtbl.replace kill_counts "watchdog-states" (cur + 1)
-          end
-          else Searcher.add searcher s)
-        pending
-    end
-  in
   let initial = State.initial program ~cache ~n_packets:config.n_packets ~mem in
   Searcher.add searcher initial;
   let slice = 20_000 in
@@ -215,16 +172,13 @@ let run program ~mem ~cache config =
             ignore (Obs.Trace.exit sp : float)
           end
           else advance s slice;
-          watchdog_check ();
           loop ()
   in
   loop ();
-  let budget_stop =
-    !deadline_hit
-    || !executed >= config.instr_budget
-    || Util.Resilience.expired deadline
-  in
   let pending = Searcher.drain searcher in
+  let truncated =
+    pending <> [] && (!deadline_hit || !executed >= config.instr_budget)
+  in
   let score s = State.priority s annot in
   let ranked =
     List.stable_sort
@@ -241,15 +195,13 @@ let run program ~mem ~cache config =
         |> List.sort compare;
       executed_instrs = !executed;
       wall_time = Unix.gettimeofday () -. start;
-      (* Degraded: the budget truncated exploration with work pending, any
-         state died of a fault (as opposed to normal exploration
-         outcomes), or the resource watchdog had to prune. *)
-      degraded = (budget_stop && pending <> []) || !fault_kill || !watchdog > 0;
-      watchdog_kills = !watchdog;
+      (* Degraded: a budget truncated exploration with work pending, or
+         any state died of a fault (as opposed to normal exploration
+         outcomes). *)
+      degraded = truncated || !fault_kill;
     }
   in
-  if !watchdog > 0 then
-    ignore (Atomic.fetch_and_add watchdog_total !watchdog : int);
+  if !deadline_hit && pending <> [] then Atomic.incr deadline_cut_total;
   record_run_metrics stats ~completed:!n_completed;
   {
     best = (match ranked with [] -> None | s :: _ -> Some s);

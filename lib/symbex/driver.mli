@@ -14,18 +14,18 @@ type config = {
   m : int;  (** loop bound for potential-cost annotation *)
   hash_bits : string -> int;
   packet_budget : int;  (** raw instructions per packet per state *)
-  instr_budget : int;  (** total executed instructions across all states *)
-  time_budget : float;  (** seconds of wall time *)
+  instr_budget : int;
+      (** total executed instructions across all states: the exploration
+          budget *)
+  time_budget : float;
+      (** safety deadline, seconds of wall time.  A run it cuts short is
+          degraded and counted by {!deadline_cuts}. *)
   max_completed : int;  (** stop after this many full-length paths *)
-  max_states : int;
-      (** watchdog: pending-state budget, 0 = unlimited.  When the queue
-          exceeds it, the deepest pending states are killed (reason
-          ["watchdog-states"]) until it fits. *)
 }
 
 val default_config : ?n_packets:int -> Costs.t -> config
-(** 30 packets, castan searcher, M = 2, 5M total instructions, 30s,
-    watchdog off. *)
+(** 30 packets, castan searcher, M = 2, 5M total instructions, 300 s
+    safety deadline. *)
 
 type stats = {
   explored : int;  (** states whose execution advanced at least once *)
@@ -36,14 +36,8 @@ type stats = {
   executed_instrs : int;
   wall_time : float;
   degraded : bool;
-      (** the run was budget-truncated with states still pending, at least
-          one state died of a fault ({!Exec.reason_is_fault}), or the
-          resource watchdog pruned states *)
-  watchdog_kills : int;
-      (** states killed by the resource watchdog (the ["watchdog-states"]
-          entry of [kill_reasons]).  The kill set is deterministic in the
-          budgets: deepest pending states first, depth ordered by (packet,
-          steps, state id). *)
+      (** the run was budget-truncated with states still pending, or at
+          least one state died of a fault ({!Exec.reason_is_fault}) *)
 }
 
 type result = {
@@ -56,16 +50,16 @@ type result = {
 
 val run :
   Ir.Cfg.t -> mem:Ir.Expr.sexpr Ir.Memory.t -> cache:Cache.Model.t -> config -> result
-(** Exploration is strictly bounded: the wall-clock budget is polled every
-    ~1k executed instructions {e inside} a slice (a single 20k-instruction
-    slice cannot overshoot [time_budget]), and state-local faults (heap
+(** Exploration stops once [instr_budget] instructions have executed,
+    checked between execution slices, so the result is a function of the
+    program and the config.  The safety deadline is also polled every ~1k
+    executed instructions {e inside} a slice (a single 20k-instruction
+    slice cannot overshoot [time_budget]).  State-local faults (heap
     exhaustion, out-of-bounds pointers, undefined variables) kill the
     offending state — accounted in [stats.kill_reasons] — rather than
     raising out of the driver. *)
 
-val watchdog_kill_total : unit -> int
-(** Process-lifetime watchdog kills summed across analyses (atomic — pool
-    workers included).  The CLI maps a nonzero total to exit code 2:
-    budget exhaustion degrades, it never aborts. *)
-
-val reset_watchdog_total : unit -> unit
+val deadline_cuts : unit -> int
+(** Process-lifetime count of runs the safety deadline cut short with
+    states still pending (atomic — pool workers included).  The CLI maps
+    a nonzero count to exit code 2: such a result depends on host speed. *)

@@ -76,18 +76,10 @@ let guard ?nf ~stage f =
 (* Deadlines                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type deadline = float option (* absolute gettimeofday instant *)
+type deadline = float (* absolute gettimeofday instant *)
 
-let no_deadline = None
-let deadline_in seconds = Some (Unix.gettimeofday () +. seconds)
-
-let expired = function
-  | None -> false
-  | Some t -> Unix.gettimeofday () >= t
-
-let remaining = function
-  | None -> infinity
-  | Some t -> Float.max 0. (t -. Unix.gettimeofday ())
+let deadline_in seconds = Unix.gettimeofday () +. seconds
+let expired t = Unix.gettimeofday () >= t
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
@@ -100,7 +92,6 @@ let inject ~rate ~seed =
 
 let ambient : injector option ref = ref None
 let set_injection i = ambient := i
-let injection_active () = !ambient <> None
 
 let checkpoint ?nf ~stage () =
   match !ambient with

@@ -10,8 +10,8 @@
 
     - stage failures are {e values} ([('a, failure) result]), carrying the
       stage name, the NF being analyzed, the reason and a backtrace;
-    - long stages run against {e deadlines} that can be polled cheaply from
-      inner loops;
+    - symbolic exploration runs against a {e safety deadline} that can be
+      polled cheaply from inner loops;
     - the degradation paths are themselves testable through a seeded
       {e fault injector} that probabilistically trips guarded stages.
 
@@ -58,17 +58,11 @@ val guard : ?nf:string -> stage:string -> (unit -> 'a) -> ('a, failure) result
 
 type deadline
 
-val no_deadline : deadline
-(** Never expires. *)
-
 val deadline_in : float -> deadline
 (** [deadline_in seconds] expires [seconds] of wall time from now. *)
 
 val expired : deadline -> bool
 (** Cheap enough to poll from an interpreter loop. *)
-
-val remaining : deadline -> float
-(** Seconds left; [infinity] for {!no_deadline}, clamped at [0.]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
@@ -85,8 +79,6 @@ val inject : rate:float -> seed:int -> injector
 val set_injection : injector option -> unit
 (** Installs (or clears) the ambient injector consulted by
     {!checkpoint}.  Default: none. *)
-
-val injection_active : unit -> bool
 
 val checkpoint : ?nf:string -> stage:string -> unit -> unit
 (** Marks the entry of a guarded stage.  No-op unless an ambient injector

@@ -1,16 +1,16 @@
 (* End-to-end tests for the CASTAN core: the four §5 attack classes, the
    ablations' expectations, and the experiment/report plumbing. *)
 
-let quick_analysis ?(n = 10) ?(budget = 5.0) ?cache name =
+(* Every analysis here finishes exploring well inside the default
+   instruction budget. *)
+let quick_analysis ?(n = 10) ?cache name =
   let nf = Nf.Registry.find name in
   let base =
     match cache with
     | Some kind -> Castan.Analyze.default_config ~cache:kind ()
     | None -> Castan.Analyze.default_config ()
   in
-  let config =
-    { base with n_packets = Some n; time_budget = budget; instr_budget = 1_500_000 }
-  in
+  let config = { base with n_packets = Some n } in
   (nf, Castan.Analyze.run ~config nf)
 
 let workload_has_n_distinct_flows () =
@@ -60,8 +60,8 @@ let cache_attack_direct_lookup () =
   (* §5.2: with the contention model, the 1GB table thrashs one L3 set *)
   let sets = Castan.Analyze.discover_contention_sets () in
   let nf, o =
-    quick_analysis ~n:40 ~budget:10.0
-      ~cache:(Castan.Analyze.Contention_sets sets) "lpm-1stage-dl"
+    quick_analysis ~n:40 ~cache:(Castan.Analyze.Contention_sets sets)
+      "lpm-1stage-dl"
   in
   let samples = 4000 in
   let nop = Testbed.Tg.nop_baseline ~samples () in
@@ -109,7 +109,7 @@ let searcher_ablation_directed_wins () =
   let run strategy =
     let config =
       { (Castan.Analyze.default_config ()) with
-        strategy; n_packets = Some 8; time_budget = 2.0; instr_budget = 300_000 }
+        strategy; n_packets = Some 8; instr_budget = 300_000 }
     in
     (Castan.Analyze.run ~config nf).predicted_cost
   in
@@ -118,8 +118,7 @@ let searcher_ablation_directed_wins () =
 
 let experiment_and_report_plumbing () =
   let config = { Castan.Experiment.quick_config with samples = 1500;
-                 analysis_time = 2.0; analysis_instrs = 300_000;
-                 use_contention_model = false } in
+                 analysis_instrs = 300_000; use_contention_model = false } in
   let r = Castan.Experiment.run ~config "lpm-btrie" in
   Alcotest.(check bool) "has manual row" true
     (List.mem "Manual" (Castan.Experiment.workload_labels r));
@@ -154,7 +153,6 @@ let memo_key_is_whole_config () =
   in
   fresh "seed" { config with seed = config.seed + 1 };
   fresh "analysis_instrs" { config with analysis_instrs = 3_000 };
-  fresh "analysis_time" { config with analysis_time = 4.0 };
   Castan.Experiment.clear_cache ()
 
 let pcap_export_import_workload () =
@@ -171,6 +169,36 @@ let analysis_deterministic () =
   let _, o2 = quick_analysis "lpm-btrie" in
   Alcotest.(check bool) "same workload" true
     (o1.workload.Testbed.Workload.packets = o2.workload.Testbed.Workload.packets)
+
+(* nat-unbalanced-tree never runs out of states to explore, so at the
+   quick-scale campaign config the instruction budget is what stops it.
+   The cut run must reproduce byte for byte, also on another domain. *)
+let quick_budget_binds () =
+  let budget = Castan.Experiment.quick_config.analysis_instrs in
+  let config =
+    { (Castan.Analyze.default_config
+         ~cache:
+           (Castan.Analyze.Contention_sets
+              (Castan.Analyze.discover_contention_sets ()))
+         ())
+      with
+      instr_budget = budget;
+      seed = Castan.Experiment.quick_config.seed }
+  in
+  let nf = Nf.Registry.find "nat-unbalanced-tree" in
+  match
+    Util.Pool.map ~jobs:2 (fun () -> Castan.Analyze.run ~config nf) [ (); () ]
+  with
+  | [ a; b ] ->
+      let executed = a.stats.Symbex.Driver.executed_instrs in
+      Alcotest.(check bool)
+        (Printf.sprintf "budget binds (%d >= %d)" executed budget)
+        true (executed >= budget);
+      Alcotest.(check bool) "cut with states pending" true
+        a.stats.Symbex.Driver.degraded;
+      Alcotest.(check string) "identical ktest"
+        (Castan.Ktest.ktest_string a) (Castan.Ktest.ktest_string b)
+  | _ -> assert false
 
 let harness_registry () =
   let ids = Castan.Harness.ids in
@@ -229,6 +257,8 @@ let tests =
       memo_key_is_whole_config;
     Alcotest.test_case "pcap export/import" `Quick pcap_export_import_workload;
     Alcotest.test_case "analysis deterministic" `Quick analysis_deterministic;
+    Alcotest.test_case "quick budget binds on the unbalanced tree" `Slow
+      quick_budget_binds;
     Alcotest.test_case "harness registry" `Quick harness_registry;
     Alcotest.test_case "ktest output" `Quick ktest_output_well_formed;
     Alcotest.test_case "harness fast experiments" `Slow harness_fast_experiments_run;

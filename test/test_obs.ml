@@ -223,7 +223,7 @@ let driver_kill_and_degraded_counters () =
       in
       let config =
         { (Symbex.Driver.default_config ~n_packets:1 costs) with
-          time_budget = 5.0; instr_budget = 200_000 }
+          instr_budget = 200_000 }
       in
       let r = Symbex.Driver.run cfg ~mem ~cache:(Cache.Model.baseline geom) config in
       Alcotest.(check bool) "driver saw the kill" true
@@ -239,13 +239,12 @@ let driver_kill_and_degraded_counters () =
 (* ---------------- telemetry does not perturb results ---------------- *)
 
 let analysis_fingerprint () =
-  (* generous wall-clock budget, binding instruction budget: the run is
-     deterministic in everything except time, so the fingerprint must not
-     depend on whether telemetry is recording *)
+  (* the run is deterministic in everything except time, so the
+     fingerprint must not depend on whether telemetry is recording *)
   let nf = Nf.Registry.find "lpm-btrie" in
   let config =
     { (Castan.Analyze.default_config ()) with
-      n_packets = Some 4; time_budget = 300.0; instr_budget = 150_000 }
+      n_packets = Some 4; instr_budget = 150_000 }
   in
   let o = Castan.Analyze.run ~config nf in
   ( o.Castan.Analyze.predicted_cost,

@@ -1,7 +1,8 @@
 (* Tests for the Util.Pool worker pool and its determinism contract: results
    in input order for every [jobs], lowest-failing-index exception choice,
    counter totals and the failure list identical for every [jobs] (from
-   toy tasks and from real campaigns), split_ix RNG discipline, and the
+   toy tasks and from real campaigns, whose results must match too),
+   split_ix RNG discipline, and the
    memo-table thread-safety the harness prewarm relies on. *)
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -131,15 +132,13 @@ let resilience_sink_order_deterministic () =
     (List.init 8 (Printf.sprintf "s%d"))
     (resilience_sink_with 4)
 
-(* Instruction-bound campaigns (a huge [analysis_time], a small
-   [analysis_instrs], no contention model), as in test_resilience's
-   [watchdog_config]: every counter they bump is a function of the config,
-   so the totals must not depend on how many domains ran them. *)
+(* Small campaigns (a 5,000-instruction budget, no contention model): each
+   is a function of its config, so neither its results nor the counters it
+   bumps may depend on how many domains ran them. *)
 let campaign_config =
   {
     Castan.Experiment.quick_config with
     samples = 401;
-    analysis_time = 1e6;
     analysis_instrs = 5_000;
     use_contention_model = false;
   }
@@ -161,11 +160,13 @@ let counters_at jobs =
       Obs.Metrics.set_active false;
       Obs.Metrics.reset ())
     (fun () ->
-      List.iter
-        (function
-          | Ok _ -> () | Error f -> Alcotest.fail (Util.Resilience.to_string f))
-        (campaigns_at jobs);
-      Obs.Json.to_string (Obs.Metrics.snapshot ()))
+      let runs =
+        List.map
+          (function
+            | Ok r -> r | Error f -> Alcotest.fail (Util.Resilience.to_string f))
+          (campaigns_at jobs)
+      in
+      (Obs.Json.to_string (Obs.Metrics.snapshot ()), runs))
 
 (* At rate 1.0 every checkpoint fires, so which campaign fails where
    cannot depend on scheduling. *)
@@ -182,8 +183,23 @@ let failures_at jobs =
       Util.Resilience.recorded ())
 
 let campaign_telemetry_jobs_invariant () =
-  Alcotest.(check string) "same counters at -j 1 and -j 4" (counters_at 1)
-    (counters_at 4);
+  let counters1, runs1 = counters_at 1 in
+  let counters4, runs4 = counters_at 4 in
+  Alcotest.(check string) "same counters at -j 1 and -j 4" counters1 counters4;
+  List.iter2
+    (fun (r1 : Castan.Experiment.nf_run) (r4 : Castan.Experiment.nf_run) ->
+      let name = r1.nf.name in
+      Alcotest.(check string) (name ^ ": same ktest")
+        (Castan.Ktest.ktest_string r1.castan)
+        (Castan.Ktest.ktest_string r4.castan);
+      Alcotest.(check string) (name ^ ": same predicted metrics")
+        (Castan.Ktest.metrics_string r1.castan)
+        (Castan.Ktest.metrics_string r4.castan);
+      Alcotest.(check bool) (name ^ ": same NOP baseline") true
+        (r1.nop = r4.nop);
+      Alcotest.(check bool) (name ^ ": same workload rows") true
+        (r1.rows = r4.rows))
+    runs1 runs4;
   let f1 = failures_at 1 and f4 = failures_at 4 in
   Alcotest.(check int) "every campaign failed" (List.length campaign_nfs)
     (List.length f1);

@@ -102,7 +102,6 @@ let json_blocks_sum_to_total () =
 let analysis_config () =
   { (Castan.Analyze.default_config ()) with
     n_packets = Some 4;
-    time_budget = 300.0;
     instr_budget = 150_000 }
 
 let analyze nf = Castan.Analyze.run ~config:(analysis_config ()) nf

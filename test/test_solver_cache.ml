@@ -120,7 +120,7 @@ let analysis_slices () =
   let nf = Nf.Registry.find "lpm-btrie" in
   let config =
     { (Castan.Analyze.default_config ()) with
-      n_packets = Some 3; time_budget = 300.0; instr_budget = 20_000 }
+      n_packets = Some 3; instr_budget = 20_000 }
   in
   let dropped = Obs.Metrics.counter "solver.slice.constraints_dropped" in
   Obs.Metrics.reset ();
