@@ -264,14 +264,14 @@ let candidates t dom ~limit =
       if s1 <> s2 then compare s2 s1 else compare v1 v2)
     !out
 
-let access_symbolic t ~pcs expr =
+let access_symbolic t ~pc expr =
   match Solver.Simplify.expr expr with
   | Ir.Expr.Const v ->
       let t', o = access_concrete t v in
       (t', { o with added = None })
   | e ->
       Obs.Metrics.incr m_concretized;
-      let dom = Solver.Solve.domain_of pcs e in
+      let dom = Solver.Pc.domain_of pc e in
       let cands = candidates t dom ~limit:96 in
       let rec first_compatible tried = function
         | [] -> None
@@ -279,7 +279,7 @@ let access_symbolic t ~pcs expr =
             if tried > 24 then None
             else
               let c = Ir.Expr.Cmp (Eq, e, Const v) in
-              if Solver.Solve.feasible_sliced ~query:c pcs then Some (v, c)
+              if Solver.Pc.feasible pc ~query:c then Some (v, c)
               else first_compatible (tried + 1) rest
       in
       let v, added =
@@ -290,7 +290,7 @@ let access_symbolic t ~pcs expr =
                model of the path constraint makes the pointer evaluate to —
                compatible by construction. *)
             Obs.Metrics.incr m_fallback;
-            match Solver.Solve.sat pcs with
+            match Solver.Solve.sat (Solver.Pc.to_list pc) with
             | Sat m ->
                 let v = Solver.Solve.Model.eval m e in
                 (v, Some (Ir.Expr.Cmp (Eq, e, Const v)))

@@ -38,8 +38,7 @@ val baseline : Geometry.t -> t
 val access_concrete : t -> int -> t * outcome
 (** Account a load/store at a concrete virtual address. *)
 
-val access_symbolic :
-  t -> pcs:Ir.Expr.sexpr list -> Ir.Expr.sexpr -> t * outcome
+val access_symbolic : t -> pc:Solver.Pc.t -> Ir.Expr.sexpr -> t * outcome
 (** Concretize and account a symbolic pointer under the given path
     constraints.  The returned [added] constraint (absent when the pointer
     simplified to a constant) must be appended to the state's path

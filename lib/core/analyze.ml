@@ -135,7 +135,7 @@ let synthesize (nf : Nf.Nf_def.t) ~rng ~n_packets (s : Symbex.State.t) =
     Obs.Trace.with_span "analyze.reconcile"
       ~args:[ ("havocs", Obs.Json.Int (List.length havocs)) ]
       (fun () ->
-        Hashrev.Reconcile.run ~tables ~rng ~pcs:s.Symbex.State.pcs ~havocs ())
+        Hashrev.Reconcile.run ~tables ~rng ~pc:s.Symbex.State.pcs ~havocs ())
   in
   match
     Obs.Trace.with_span "analyze.solve"

@@ -11,10 +11,10 @@ type outcome = {
   unreconciled : havoc list;
 }
 
-(* Step 1: candidate hash values for one havoc output under [pcs]: the value
+(* Step 1: candidate hash values for one havoc output under [pc]: the value
    a satisfying model assigns, then a spread of the output's abstract
    domain. *)
-let value_candidates ~rng ~limit pcs output =
+let value_candidates ~rng ~limit pc output =
   let out_expr : Ir.Expr.sexpr = Leaf output in
   let seen = Hashtbl.create 16 in
   let out = ref [] in
@@ -24,10 +24,10 @@ let value_candidates ~rng ~limit pcs output =
       out := v :: !out
     end
   in
-  (match Solver.Solve.sat ~rng pcs with
+  (match Solver.Solve.sat ~rng (Solver.Pc.to_list pc) with
   | Sat m -> push (Solver.Solve.Model.get m output)
   | Unsat | Unknown -> ());
-  let dom = Solver.Solve.domain_of pcs out_expr in
+  let dom = Solver.Pc.domain_of pc out_expr in
   let d : Solver.Domain.t = dom in
   let card = Solver.Domain.cardinal d in
   let want = limit in
@@ -41,16 +41,16 @@ let value_candidates ~rng ~limit pcs output =
 
 (* Steps 2+3 for one havoc: walk candidate hash values, invert each through
    the table, and commit the first (value, key) pair the solver accepts. *)
-let reconcile_one ~tables ~rng ~limit pcs h =
+let reconcile_one ~tables ~rng ~limit pc h =
   match tables h.hv_hash with
   | None -> None
   | Some table ->
       let commit hv key =
         let eq_out : Ir.Expr.sexpr = Cmp (Eq, Leaf h.hv_output, Const hv) in
         let eq_in : Ir.Expr.sexpr = Cmp (Eq, h.hv_input, Const key) in
-        let pcs' = eq_in :: eq_out :: pcs in
-        match Solver.Solve.sat ~rng pcs' with
-        | Sat _ -> Some pcs'
+        let pc' = Solver.Pc.add (Solver.Pc.add pc eq_out) eq_in in
+        match Solver.Solve.sat ~rng (Solver.Pc.to_list pc') with
+        | Sat _ -> Some pc'
         | Unsat ->
             Obs.Log.debug "reconcile: commit UNSAT (pkt %d hv=%d key=0x%x)"
               h.hv_pkt hv key;
@@ -66,7 +66,7 @@ let reconcile_one ~tables ~rng ~limit pcs h =
               | [] -> try_values rest
               | key :: more -> (
                   match commit hv key with
-                  | Some pcs' -> Some pcs'
+                  | Some pc' -> Some pc'
                   | None -> try_keys more)
             in
             let keys = Rainbow.invert table hv in
@@ -74,27 +74,27 @@ let reconcile_one ~tables ~rng ~limit pcs h =
               Obs.Log.debug "reconcile: no preimage (pkt %d hv=%d)" h.hv_pkt hv;
             try_keys keys
       in
-      let vals = value_candidates ~rng ~limit pcs h.hv_output in
+      let vals = value_candidates ~rng ~limit pc h.hv_output in
       if vals = [] then
         Obs.Log.debug "reconcile: no value candidates (pkt %d)" h.hv_pkt;
       try_values vals
 
-let run ~tables ?(rng = Util.Rng.create 0x5a17) ?(value_candidates = 24) ~pcs
+let run ~tables ?(rng = Util.Rng.create 0x5a17) ?(value_candidates = 24) ~pc
     ~havocs () =
   let limit = value_candidates in
   let ordered =
     List.stable_sort (fun a b -> compare a.hv_pkt b.hv_pkt) havocs
   in
-  let pcs, reconciled, unreconciled =
+  let pc, reconciled, unreconciled =
     List.fold_left
-      (fun (pcs, ok, failed) h ->
-        match reconcile_one ~tables ~rng ~limit pcs h with
-        | Some pcs' -> (pcs', h :: ok, failed)
-        | None -> (pcs, ok, h :: failed))
-      (pcs, [], []) ordered
+      (fun (pc, ok, failed) h ->
+        match reconcile_one ~tables ~rng ~limit pc h with
+        | Some pc' -> (pc', h :: ok, failed)
+        | None -> (pc, ok, h :: failed))
+      (pc, [], []) ordered
   in
   {
-    constraints = pcs;
+    constraints = Solver.Pc.to_list pc;
     reconciled = List.rev reconciled;
     unreconciled = List.rev unreconciled;
   }

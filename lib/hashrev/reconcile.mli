@@ -33,7 +33,7 @@ val run :
   tables:(string -> Rainbow.t option) ->
   ?rng:Util.Rng.t ->
   ?value_candidates:int ->
-  pcs:Ir.Expr.sexpr list ->
+  pc:Solver.Pc.t ->
   havocs:havoc list ->
   unit ->
   outcome

@@ -1,11 +1,10 @@
 (** Accounting for the feasibility fast path.
 
-    {!Solve.feasible_sliced} slices each query down to the part of the path
-    condition it shares symbols with ({!Slice}) and then only refutes it.
-    This module counts those queries.  It no longer caches anything (see
-    DESIGN.md §9); the [hits], [subset_hits] and [model_reuse] fields of
-    {!stats} are kept so that existing readers of the record still build,
-    and are always 0.
+    {!Pc.feasible} slices each query down to the part of the path
+    condition it shares symbols with and then only refutes it.  This module
+    counts those queries.  It no longer caches anything (see DESIGN.md §9);
+    the [hits], [subset_hits] and [model_reuse] fields of {!stats} are kept
+    so that existing readers of the record still build, and are always 0.
 
     The count is an atomic, so {!Util.Pool} tasks add to it directly and
     the total does not depend on the job count. *)

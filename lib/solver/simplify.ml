@@ -72,6 +72,9 @@ and negate_simplified (e : sexpr) : sexpr =
   match e with
   | Const 0 -> Const 1
   | Const _ -> Const 0
+  (* [cmp] leaves [b == 0] unrewritten only for a non-comparison boolean
+     [b]; its negation is [b] itself, as [cmp Ne b (Const 0)] would give. *)
+  | Cmp (Eq, b, Const 0) when is_boolean b -> b
   | Cmp (Eq, a, b) -> Cmp (Ne, a, b)
   | Cmp (Ne, a, b) -> Cmp (Eq, a, b)
   | Cmp (Lt, a, b) -> Cmp (Le, b, a)

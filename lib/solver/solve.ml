@@ -48,19 +48,28 @@ type info = {
   known_mask : int;  (* bits whose value is forced *)
   known_value : int;  (* value of those bits; subset of known_mask *)
   dom : Domain.t;  (* interval knowledge *)
+  stamp : int;  (* store epoch of the last change; 0 if never changed *)
 }
+
+(* A constraint we could not decompose.  [settled] is the store epoch at
+   which an arm of [assert_true] that only reads the store parked it, or -1
+   when it came from anywhere else (see [propagate_rounds]). *)
+type residual = { c : sexpr; settled : int }
 
 type store = {
   mutable infos : info SymMap.t;
-  mutable residual : sexpr list;  (* constraints we could not decompose *)
+  mutable residual : residual list;  (* newest first *)
   mutable changed : bool;
+  mutable epoch : int;  (* number of [set_info] calls so far *)
 }
+
+let new_store infos = { infos; residual = []; changed = false; epoch = 0 }
 
 let width_mask w = if w >= 62 then -1 else (1 lsl w) - 1
 
 let initial_info s =
   let w = sym_width s in
-  { known_mask = 0; known_value = 0; dom = Domain.of_width w }
+  { known_mask = 0; known_value = 0; dom = Domain.of_width w; stamp = 0 }
 
 let get_info st s =
   match SymMap.find_opt s st.infos with
@@ -68,7 +77,8 @@ let get_info st s =
   | None -> initial_info s
 
 let set_info st s i =
-  st.infos <- SymMap.add s i st.infos;
+  st.epoch <- st.epoch + 1;
+  st.infos <- SymMap.add s { i with stamp = st.epoch } st.infos;
   st.changed <- true
 
 let set_bits st s ~mask ~value =
@@ -212,12 +222,12 @@ and assert_true st (e : sexpr) =
          key), drop trivially true ones. *)
       let da = abstract_eval st a and db = abstract_eval st b in
       if (da : Domain.t).lo >= (db : Domain.t).hi then raise Contradiction
-      else if (da : Domain.t).hi >= (db : Domain.t).lo then residual st e
+      else if (da : Domain.t).hi >= (db : Domain.t).lo then park st e
   | Cmp (Le, a, b) ->
       let da = abstract_eval st a and db = abstract_eval st b in
       if (da : Domain.t).lo > (db : Domain.t).hi then raise Contradiction
-      else if (da : Domain.t).hi > (db : Domain.t).lo then residual st e
-  | _ -> residual st e
+      else if (da : Domain.t).hi > (db : Domain.t).lo then park st e
+  | _ -> park st e
 
 (* Interval refinement through shifted/offset chains. *)
 and refine_expr_le st (e : sexpr) c =
@@ -259,7 +269,12 @@ and refine_expr_ge st (e : sexpr) c =
       residual st (Cmp (Le, Const c, e))
   | _ -> residual st (Cmp (Le, Const c, e))
 
-and residual st e = st.residual <- e :: st.residual
+and residual st c = st.residual <- { c; settled = -1 } :: st.residual
+
+(* Parks [c] from an arm that only reads the store: asserting [c] again
+   takes the same arm, which depends on nothing but the infos of [c]'s
+   symbols. *)
+and park st c = st.residual <- { c; settled = st.epoch } :: st.residual
 
 (* Mask of bits an expression can possibly have set; used to recognize
    disjoint field packing.  Structural on the bit-manipulation operators
@@ -414,18 +429,45 @@ let decomposable (c0 : sexpr) =
   ignore (range c0 : float * float);
   !ok
 
-let build_store cs =
-  let st = { infos = SymMap.empty; residual = []; changed = false } in
+(* A constraint simplified and run through the overflow guard, once. *)
+type prepared = { expr : sexpr; decomposes : bool }
+
+let prepare c =
+  let expr = Simplify.expr c in
+  { expr; decomposes = decomposable expr }
+
+let prepared_expr p = p.expr
+
+let build_store ps =
+  let st = new_store SymMap.empty in
   List.iter
-    (fun c -> if decomposable c then assert_true st c else residual st c)
-    cs;
+    (fun p -> if p.decomposes then assert_true st p.expr else residual st p.expr)
+    ps;
   st
+
+(* A settled residual none of whose symbols changed since it was parked and
+   none of which is fully known: a round would substitute nothing into it,
+   simplify it to itself (the output of [Simplify.expr] and every subterm of
+   it are fixpoints), and [assert_true] would take the same arm on the same
+   infos and park it again. *)
+let rec untouched st at (e : sexpr) =
+  match e with
+  | Const _ -> true
+  | Leaf s -> (
+      match SymMap.find_opt s st.infos with
+      | Some i -> i.stamp <= at && i.known_mask <> width_mask (sym_width s)
+      | None -> width_mask (sym_width s) <> 0)
+  | Unop (_, a) -> untouched st at a
+  | Binop (_, a, b) | Cmp (_, a, b) -> untouched st at a && untouched st at b
+  | Ite (c, a, b) -> untouched st at c && untouched st at a && untouched st at b
 
 (* Iterate: substitute fully-determined symbols into residual constraints and
    re-propagate, so chains like "h = H(k); idx = h & m; idx = 5" resolve even
-   when information arrives out of order. *)
-let propagate_rounds cs =
-  let st = build_store cs in
+   when information arrives out of order.  A settled residual that nothing
+   touched since it was parked is pushed back as it is: re-asserting it
+   would change nothing (see [untouched]). *)
+let propagate_rounds ps =
+  let st = build_store ps in
   let round () =
     let bound s =
       if fully_known st s then Some ((get_info st s).known_value) else None
@@ -442,12 +484,15 @@ let propagate_rounds cs =
     st.changed <- false;
     let progressed = ref false in
     List.iter
-      (fun c ->
-        let c' = substitute c in
-        if c' <> c then progressed := true;
-        (* Substitution shrinks value ranges, so a residual parked by the
-           overflow guard may become decomposable once its symbols pin. *)
-        if decomposable c' then assert_true st c' else residual st c')
+      (fun r ->
+        if r.settled >= 0 && untouched st r.settled r.c then
+          st.residual <- r :: st.residual
+        else
+          let c' = substitute r.c in
+          if c' <> r.c then progressed := true;
+          (* Substitution shrinks value ranges, so a residual parked by the
+             overflow guard may become decomposable once its symbols pin. *)
+          if decomposable c' then assert_true st c' else residual st c')
       res;
     st.changed || !progressed
   in
@@ -625,9 +670,7 @@ let order_phase st cs tbl rng =
         (fun u ->
           let e = exprs.(u) in
           if not (List.for_all (fully_known st) (syms_of [ e ])) then
-            let st1 =
-              { infos = st.infos; residual = []; changed = false }
-            in
+            let st1 = new_store st.infos in
             match propagate_eq st1 e value.(u) with
             | exception Contradiction -> ()
             | () ->
@@ -670,9 +713,7 @@ let complete st cs rng attempts =
     if compare_sym s' s = 0 then Leaf s'
     else Const (match Hashtbl.find_opt tbl s' with Some v -> v | None -> 0)
   in
-  let mini_store s =
-    { infos = SymMap.singleton s (get_info st s); residual = []; changed = false }
-  in
+  let mini_store s = new_store (SymMap.singleton s (get_info st s)) in
   (* Disjunctions have no propagation rule; during repair, committing to a
      random disjunct is a sound heuristic move (the outer loop re-verifies
      everything). *)
@@ -759,24 +800,24 @@ let m_walksat = Obs.Metrics.counter "solver.walksat.searches"
    constraints and their propagated store on to the completion phase. *)
 type refutation = Refuted | Open of sexpr list * store
 
-let refute cs =
-  let cs = List.map Simplify.expr cs in
-  if List.exists (fun c -> c = Const 0) cs then Refuted
+let refute ps =
+  if List.exists (fun p -> p.expr = Const 0) ps then Refuted
   else
-    let cs = List.filter (fun c -> c <> Const 1) cs in
+    let ps = List.filter (fun p -> p.expr <> Const 1) ps in
+    let cs = List.map prepared_expr ps in
     if order_contradiction cs then begin
       Obs.Metrics.incr m_unsat_ordering;
       Refuted
     end
     else
-      match propagate_rounds cs with
+      match propagate_rounds ps with
       | exception Contradiction ->
           Obs.Metrics.incr m_unsat_propagation;
           Refuted
       | st -> Open (cs, st)
 
 let sat_inner rng attempts cs =
-  match refute cs with
+  match refute (List.map prepare cs) with
   | Refuted -> Unsat
   | Open ([], _) -> Sat Model.empty
   | Open (cs, st) -> (
@@ -810,31 +851,14 @@ let sat ?(rng = Util.Rng.create 0x5eed) ?(attempts = 2000) cs =
 
 (* A model found by search never changes a feasibility verdict (only Unsat
    does), so feasibility stops after the refutation step. *)
-let feasible cs =
+let feasible_prepared ps =
   instrumented
     (fun ok -> if ok then m_verdict_unknown else m_verdict_unsat)
-    (fun () -> match refute cs with Refuted -> false | Open _ -> true)
+    (fun () -> match refute ps with Refuted -> false | Open _ -> true)
 
-(* The query is refuted against only the connected component of [pcs] it
-   shares symbols with: exact because the engine inserts only constraints
-   that passed a feasibility check, so no other component is refutable (see
-   Slice).  Slicing is timed in its own profiler bucket so "solver" keeps
-   measuring refutation. *)
-let feasible_sliced ~query pcs =
-  let want_profile = Obs.Profile.enabled () in
-  let t0 = if want_profile then Unix.gettimeofday () else 0. in
-  let slice, dropped = Slice.relevant ~query:(Simplify.expr query) pcs in
-  Qcache.note_query ~dropped;
-  if want_profile then
-    Obs.Profile.add_timer "solver.cache" (Unix.gettimeofday () -. t0);
-  feasible (query :: slice)
+let feasible cs = feasible_prepared (List.map prepare cs)
 
-let domain_of cs e =
-  let e = Simplify.expr e in
-  (* Only the query's connected component can shape its abstract value, by
-     the same argument as [feasible_sliced]. *)
-  let cs = fst (Slice.relevant ~query:e cs) in
-  let cs = List.map Simplify.expr cs in
-  match propagate_rounds cs with
+let domain_of_prepared ps e =
+  match propagate_rounds ps with
   | exception Contradiction -> Domain.const 0
   | st -> ( try abstract_eval st e with Contradiction -> Domain.const 0)

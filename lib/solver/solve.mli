@@ -43,24 +43,29 @@ val sat :
     (default 2000). *)
 
 val feasible : Ir.Expr.sexpr list -> bool
-(** Feasibility check used on every symbolic branch: [false] only when the
-    refutation step of {!sat} proves the constraints unsatisfiable, so no
-    feasible path is ever dropped.  It never searches for a model, since a
-    model cannot change the verdict: [feasible cs = (sat cs <> Unsat)] for
-    every [cs] and every [rng] and [attempts] given to [sat]. *)
-
-val feasible_sliced : query:Ir.Expr.sexpr -> Ir.Expr.sexpr list -> bool
-(** [feasible_sliced ~query pcs] = [feasible (query :: pcs)] for the symbex
-    hot path, where [pcs] is a path condition whose every constraint
-    already passed a feasibility check at insertion.  The query is refuted
-    against only the connected component of [pcs] it shares symbols with
-    ({!Slice}), plus the ground constraints.  Under that insertion invariant
-    (or for any satisfiable [pcs]) the verdict equals the unsliced one. *)
-
-val domain_of : Ir.Expr.sexpr list -> Ir.Expr.sexpr -> Domain.t
-(** Over-approximates the values [e] can take under the constraints; used by
-    the cache model to enumerate candidate concrete addresses of a symbolic
-    pointer. *)
+(** Feasibility check: [false] only when the refutation step of {!sat}
+    proves the constraints unsatisfiable, so no feasible path is ever
+    dropped.  It never searches for a model, since a model cannot change
+    the verdict: [feasible cs = (sat cs <> Unsat)] for every [cs] and every
+    [rng] and [attempts] given to [sat].  The symbex hot path asks
+    {!Pc.feasible} instead, which refutes the same way against a slice. *)
 
 val syms_of : Ir.Expr.sexpr list -> Ir.Expr.sym list
 (** Symbols occurring in the constraints, deduplicated. *)
+
+(** {2 For {!Pc}} *)
+
+type prepared
+(** A constraint simplified and run through the overflow guard once. *)
+
+val prepare : Ir.Expr.sexpr -> prepared
+val prepared_expr : prepared -> Ir.Expr.sexpr
+(** The simplified constraint. *)
+
+val feasible_prepared : prepared list -> bool
+(** [feasible_prepared (List.map prepare cs) = feasible cs]. *)
+
+val domain_of_prepared : prepared list -> Ir.Expr.sexpr -> Domain.t
+(** [domain_of_prepared ps e] over-approximates the values the simplified
+    expression [e] can take under the constraints, after propagation
+    ([Domain.const 0] when propagation refutes them). *)

@@ -114,13 +114,13 @@ let resolve_pointer (t : State.t) addr_e =
   match addr_e with
   | Ir.Expr.Const _ -> Adversarial (* concrete: model handles directly *)
   | _ ->
-      let dom = Solver.Solve.domain_of t.pcs addr_e in
+      let dom = Solver.Pc.domain_of t.pcs addr_e in
       if Solver.Domain.cardinal dom > fork_domain_limit then Adversarial
       else begin
         let feasible = ref [] in
         Solver.Domain.iter dom (fun v ->
             let c = Solver.Simplify.expr (Ir.Expr.Cmp (Eq, addr_e, Const v)) in
-            if Solver.Solve.feasible_sliced ~query:c t.pcs then
+            if Solver.Pc.feasible t.pcs ~query:c then
               feasible := (v, c) :: !feasible);
         Small (List.rev !feasible)
       end
@@ -132,7 +132,7 @@ let resolve_pointer (t : State.t) addr_e =
 let access (t : State.t) addr_e ~kind finish =
   match resolve_pointer t addr_e with
   | Adversarial ->
-      let cache, o = Cache.Model.access_symbolic t.cache ~pcs:t.pcs addr_e in
+      let cache, o = Cache.Model.access_symbolic t.cache ~pc:t.pcs addr_e in
       Running (finish { t with cache } o.addr o.latency o.miss o.added)
   | Small [] -> Killed (t, No_pointer_target kind)
   | Small [ (v, c) ] ->
@@ -232,7 +232,7 @@ and step_instr cfg (t : State.t) frame instr : step_result =
             Running (advance t (if c <> 0 then if_true else if_false))
         | _ -> (
             let taken_c, not_taken_c = branch_constraints cond_e in
-            let feasible c = Solver.Solve.feasible_sliced ~query:c t.pcs in
+            let feasible c = Solver.Pc.feasible t.pcs ~query:c in
             let mk c pc = State.add_pc (advance t pc) c in
             match (feasible taken_c, feasible not_taken_c) with
             | true, false -> Running (mk taken_c if_true)

@@ -26,7 +26,7 @@ type t = {
   frame : frame;
   stack : frame list;
   mem : Ir.Expr.sexpr Ir.Memory.t;
-  pcs : Ir.Expr.sexpr list;
+  pcs : Solver.Pc.t;
   cache : Cache.Model.t;
   pkt : int;
   n_packets : int;
@@ -78,7 +78,7 @@ let initial program ~cache ~n_packets ~mem =
     frame = entry_frame program 0;
     stack = [];
     mem;
-    pcs = [];
+    pcs = Solver.Pc.empty;
     cache;
     pkt = 0;
     n_packets;
@@ -91,11 +91,8 @@ let initial program ~cache ~n_packets ~mem =
   }
 
 let add_pc t c =
-  match c with
-  | Ir.Expr.Const k when k <> 0 -> t
-  | _ ->
-      if List.exists (Ir.Expr.equal_sexpr c) t.pcs then t
-      else { t with pcs = c :: t.pcs }
+  let pcs = Solver.Pc.add t.pcs c in
+  if pcs == t.pcs then t else { t with pcs }
 
 let start_packet t =
   let done_metrics = t.cur :: t.done_metrics in
@@ -143,4 +140,4 @@ let pp ppf t =
     t.pkt t.n_packets
     (if t.finished then "done" else "live")
     t.frame.func.Ir.Cfg.fname t.frame.pc (current_cost t)
-    (List.length t.pcs)
+    (Solver.Pc.length t.pcs)

@@ -31,7 +31,7 @@ type t = {
   frame : frame;
   stack : frame list;
   mem : Ir.Expr.sexpr Ir.Memory.t;
-  pcs : Ir.Expr.sexpr list;  (** path constraints, newest first *)
+  pcs : Solver.Pc.t;  (** path constraints *)
   cache : Cache.Model.t;
   pkt : int;  (** index of the packet currently being processed *)
   n_packets : int;
@@ -59,10 +59,8 @@ val initial :
     @raise Invalid_argument on a parameter that is not a field name. *)
 
 val add_pc : t -> Ir.Expr.sexpr -> t
-(** Push a path constraint (newest first).  Trivially-true constants and
-    constraints already present structurally are dropped — re-taken branches
-    and re-touched pointers otherwise append the same constraint over and
-    over, inflating every downstream solver call. *)
+(** Push a path constraint ({!Solver.Pc.add}: trivially-true constants and
+    constraints already present structurally are dropped). *)
 
 val start_packet : t -> t
 (** Begin processing the next symbolic packet: archive the current packet's

@@ -52,7 +52,7 @@ let cycles_cdf m =
   Util.Stats.cdf_of_samples
     (Array.map (fun (s : Dut.sample) -> float_of_int s.cycles) m.samples)
 
-let median_latency_ns m = Util.Stats.median (latency_cdf m)
+let median_latency_ns m = Util.Stats.median_of_samples m.latencies_ns
 
 let median_instrs m =
   Util.Stats.median_int (Array.map (fun (s : Dut.sample) -> s.instrs) m.samples)

@@ -12,6 +12,11 @@ val quantile : cdf -> float -> float
 
 val median : cdf -> float
 
+val median_of_samples : float array -> float
+(** [median_of_samples a = median (cdf_of_samples a)], selected in O(n)
+    on a copy instead of sorted ([a] is not modified).  Requires a
+    non-empty array without NaNs. *)
+
 val min_value : cdf -> float
 val max_value : cdf -> float
 
@@ -23,4 +28,5 @@ val mean : float array -> float
 val stddev : float array -> float
 
 val median_int : int array -> int
-(** Median of integer samples (lower median). Requires a non-empty array. *)
+(** Median of integer samples (lower median), selected in O(n) on a copy.
+    Requires a non-empty array. *)

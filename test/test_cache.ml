@@ -339,7 +339,7 @@ let model_symbolic_constraint_valid () =
     Binop (Add, Const 0x40000000, Binop (Mul, dst, Const 8))
   in
   let m = Cache.Model.baseline geom in
-  let _, o = Cache.Model.access_symbolic m ~pcs:[] addr in
+  let _, o = Cache.Model.access_symbolic m ~pc:Solver.Pc.empty addr in
   match o.Cache.Model.added with
   | None -> Alcotest.fail "expected a concretization constraint"
   | Some c -> (
@@ -360,7 +360,7 @@ let model_concentrates_accesses () =
     let addr : Ir.Expr.sexpr =
       Binop (Add, Const 0x40000000, Binop (Mul, dst p, Const 8))
     in
-    let m', o = Cache.Model.access_symbolic !model ~pcs:[] addr in
+    let m', o = Cache.Model.access_symbolic !model ~pc:Solver.Pc.empty addr in
     model := m';
     (match Cache.Contention.class_of_vaddr sets o.Cache.Model.addr with
     | Some cls -> Hashtbl.replace classes_hit cls ()

@@ -98,7 +98,7 @@ let reconcile_single_havoc () =
   let r =
     Hashrev.Reconcile.run
       ~tables:(fun n -> if n = "flow16" then Some table else None)
-      ~pcs ~havocs ()
+      ~pc:(Solver.Pc.of_list pcs) ~havocs ()
   in
   Alcotest.(check int) "reconciled" 1 (List.length r.reconciled);
   match Solver.Solve.sat r.constraints with
@@ -147,7 +147,7 @@ let reconcile_collision_chain () =
   let r =
     Hashrev.Reconcile.run
       ~tables:(fun n -> if n = "flow16" then Some table else None)
-      ~pcs ~havocs:records ()
+      ~pc:(Solver.Pc.of_list pcs) ~havocs:records ()
   in
   Alcotest.(check int) "all reconciled" n (List.length r.reconciled);
   match Solver.Solve.sat r.constraints with
@@ -173,7 +173,9 @@ let reconcile_without_table () =
     [ { Hashrev.Reconcile.hv_pkt = 0; hv_hash = "flow16";
         hv_input = Ir.Expr.Const 7; hv_output = out } ]
   in
-  let r = Hashrev.Reconcile.run ~tables:(fun _ -> None) ~pcs:[] ~havocs () in
+  let r =
+    Hashrev.Reconcile.run ~tables:(fun _ -> None) ~pc:Solver.Pc.empty ~havocs ()
+  in
   Alcotest.(check int) "unreconciled" 1 (List.length r.unreconciled);
   Alcotest.(check int) "constraints unchanged" 0 (List.length r.constraints)
 

@@ -77,6 +77,73 @@ let negate_is_logical_not =
           let n = eval ~leaf (Solver.Simplify.negate e) in
           (v <> 0) = (n = 0) && (n = 0 || n = 1))
 
+(* Expressions that reach the simplifier's boolean rules: small constants
+   (0 and 1 above all), negations, nested comparisons and boolean
+   connectives over comparisons. *)
+let gen_simplifiable : sexpr QCheck.Gen.t =
+  let open QCheck.Gen in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               map (fun c -> Const c) (oneofl [ 0; 0; 1; 1; 2; 3; 255; 65535 ]);
+               oneofl [ dst; src; sport; pkt0 Proto ];
+             ]
+         in
+         if n = 0 then leaf
+         else
+           let sub = self (n / 2) in
+           oneof
+             [
+               leaf;
+               map2
+                 (fun op (a, b) -> Binop (op, a, b))
+                 (oneofl [ Add; Sub; Mul; And; Or; Xor ])
+                 (pair sub sub);
+               map2
+                 (fun (op, k) a -> Binop (op, a, Const k))
+                 (pair (oneofl [ Shl; Lshr; And; Add ]) (int_range 0 8))
+                 sub;
+               map2 (fun op a -> Unop (op, a)) (oneofl [ Neg; Bnot ]) sub;
+               map2
+                 (fun op (a, b) -> Cmp (op, a, b))
+                 (oneofl [ Eq; Ne; Lt; Le ])
+                 (pair sub sub);
+               map2
+                 (fun op (a, k) -> Cmp (op, a, Const k))
+                 (oneofl [ Eq; Ne ])
+                 (pair sub (oneofl [ 0; 1 ]));
+               map (fun (c, (a, b)) -> Ite (c, a, b)) (pair sub (pair sub sub));
+             ])
+
+let rec subterms (e : sexpr) acc =
+  match e with
+  | Const _ | Leaf _ -> e :: acc
+  | Unop (_, a) -> subterms a (e :: acc)
+  | Binop (_, a, b) | Cmp (_, a, b) -> subterms a (subterms b (e :: acc))
+  | Ite (c, a, b) -> subterms c (subterms a (subterms b (e :: acc)))
+
+let fixpoint_throughout e =
+  List.for_all
+    (fun t -> equal_sexpr (Solver.Simplify.expr t) t)
+    (subterms e [])
+
+(* The solver simplifies each path constraint once and re-asserts a parked
+   residual only when something it mentions changed: exact only because
+   what the simplifier returns, and every part of it, simplifies to
+   itself. *)
+let simplify_is_idempotent =
+  QCheck.Test.make
+    ~name:"Simplify.expr is idempotent, every subterm a fixpoint" ~count:2000
+    (QCheck.make ~print:(to_string pp_sym) gen_simplifiable)
+    (fun e -> fixpoint_throughout (Solver.Simplify.expr e))
+
+let negate_is_simplified =
+  QCheck.Test.make ~name:"Simplify.negate returns a fixpoint" ~count:2000
+    (QCheck.make ~print:(to_string pp_sym) gen_simplifiable)
+    (fun e -> fixpoint_throughout (Solver.Simplify.negate e))
+
 let simplify_constant_folds () =
   Alcotest.(check bool) "folds" true
     (Solver.Simplify.expr (Binop (Add, Const 2, Const 3)) = Const 5);
@@ -220,6 +287,17 @@ let unsat_width_overflow () =
 let unsat_interval () =
   must_be_unsat [ Cmp (Lt, sport, Const 10); Cmp (Lt, Const 20, sport) ]
 
+(* The ordering is asserted first, parked on full domains, and refuted
+   only when a propagation round re-checks it against the bounds that
+   arrived after it. *)
+let unsat_parked_ordering () =
+  must_be_unsat
+    [
+      Cmp (Lt, sport, pkt0 Dst_port);
+      Cmp (Le, Const 20, sport);
+      Cmp (Le, pkt0 Dst_port, Const 10);
+    ]
+
 let unsat_congruence_conflict () =
   must_be_unsat
     [
@@ -253,8 +331,8 @@ let sat_cross_packet_ne () =
 
 let domain_of_respects_constraints () =
   let d =
-    Solver.Solve.domain_of
-      [ Cmp (Lt, dst, Const 1000) ]
+    Solver.Pc.domain_of
+      (Solver.Pc.of_list [ Cmp (Lt, dst, Const 1000) ])
       (Binop (Add, Const 50, Binop (Mul, dst, Const 8)))
   in
   Alcotest.(check bool) "lo" true ((d : Solver.Domain.t).lo >= 50);
@@ -305,6 +383,8 @@ let tests =
   [
     qtest simplify_preserves_semantics;
     qtest negate_is_logical_not;
+    qtest simplify_is_idempotent;
+    qtest negate_is_simplified;
     Alcotest.test_case "simplify constants" `Quick simplify_constant_folds;
     qtest domain_ops_sound;
     Alcotest.test_case "meet exactness" `Quick domain_meet_exact;
@@ -320,6 +400,7 @@ let tests =
     Alcotest.test_case "unsat: conflicting eq" `Quick unsat_conflicting_eq;
     Alcotest.test_case "unsat: width overflow" `Quick unsat_width_overflow;
     Alcotest.test_case "unsat: interval" `Quick unsat_interval;
+    Alcotest.test_case "unsat: parked ordering" `Quick unsat_parked_ordering;
     Alcotest.test_case "unsat: congruence" `Quick unsat_congruence_conflict;
     Alcotest.test_case "unsat: order cycle" `Quick unsat_order_cycle;
     Alcotest.test_case "unsat: complement pair" `Quick unsat_direct_complement;

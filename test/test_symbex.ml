@@ -175,7 +175,7 @@ let driver_finds_expensive_path () =
   | Some s -> (
       Alcotest.(check bool) "completed" true s.Symbex.State.finished;
       (* both packets must have taken the expensive branch *)
-      match Solver.Solve.sat s.Symbex.State.pcs with
+      match Solver.Solve.sat (Solver.Pc.to_list s.Symbex.State.pcs) with
       | Sat m ->
           for p = 0 to 1 do
             let dst = Solver.Solve.Model.get m (Ir.Expr.Pkt { pkt = p; field = Dst_ip }) in
@@ -195,7 +195,7 @@ let driver_metrics_match_interp () =
   match r.best with
   | None -> Alcotest.fail "no best"
   | Some s -> (
-      match Solver.Solve.sat s.Symbex.State.pcs with
+      match Solver.Solve.sat (Solver.Pc.to_list s.Symbex.State.pcs) with
       | Sat m ->
           let dst = Solver.Solve.Model.get m (Ir.Expr.Pkt { pkt = 0; field = Dst_ip }) in
           let cfg = Ir.Lower.program toy_two_paths in

@@ -163,6 +163,32 @@ let stats_sort_matches_list_sort =
       && List.init n (fun i -> int_of_float (Util.Stats.quantile cdf (q i)))
          = sorted)
 
+(* The selected medians against the sorted reads, bit for bit: float
+   samples from a narrow set so that duplicates dominate, lengths on both
+   sides of the insertion-sort cutoff; the input stays untouched. *)
+let stats_select_matches_sort =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 20 >>= fun span ->
+      array_size (int_range 1 3_000)
+        (map (fun k -> 4000. +. (float_of_int k /. 8.)) (int_range (-span) span)))
+  in
+  QCheck.Test.make ~name:"Stats selected medians equal the sorted reads"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(array float) gen)
+    (fun a ->
+      let before = Array.copy a in
+      let n = Array.length a in
+      let ints = Array.map (fun x -> int_of_float (x *. 8.)) a in
+      let sorted_ints = Array.copy ints in
+      Array.sort compare sorted_ints;
+      Int64.equal
+        (Int64.bits_of_float (Util.Stats.median_of_samples a))
+        (Int64.bits_of_float
+           (Util.Stats.median (Util.Stats.cdf_of_samples a)))
+      && Util.Stats.median_int ints = sorted_ints.((n - 1) / 2)
+      && a = before)
+
 let stats_mean_stddev () =
   check (Alcotest.float 1e-9) "mean" 2.0 (Util.Stats.mean [| 1.0; 2.0; 3.0 |]);
   if abs_float (Util.Stats.stddev [| 2.0; 2.0; 2.0 |]) > 1e-9 then
@@ -213,6 +239,7 @@ let tests =
     qtest stats_quantile_sorted;
     Alcotest.test_case "stats median_int" `Quick stats_median_int;
     qtest stats_sort_matches_list_sort;
+    qtest stats_select_matches_sort;
     Alcotest.test_case "stats mean/stddev" `Quick stats_mean_stddev;
     Alcotest.test_case "table render" `Quick table_render;
     Alcotest.test_case "durable write basics" `Quick durable_write_basics;
