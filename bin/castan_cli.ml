@@ -493,35 +493,10 @@ let experiment_cmd =
            ~doc:"Abort on the first stage failure instead of containing it \
                  (exit code 1).")
   in
-  let inject_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ rate; seed ] -> (
-          match (float_of_string_opt rate, int_of_string_opt seed) with
-          | Some rate, Some seed when rate >= 0.0 && rate <= 1.0 ->
-              Ok (rate, seed)
-          | _ -> Error (`Msg (Printf.sprintf "invalid RATE:SEED %S" s)))
-      | _ -> Error (`Msg (Printf.sprintf "expected RATE:SEED, got %S" s))
-    in
-    let print fmt (rate, seed) = Format.fprintf fmt "%g:%d" rate seed in
-    Arg.conv (parse, print)
-  in
-  let inject =
-    Arg.(value & opt (some inject_conv) None & info [ "inject-faults" ]
-           ~docv:"RATE:SEED"
-           ~doc:"Probabilistically fail guarded pipeline stages (probability \
-                 RATE per stage, deterministic from SEED) to exercise the \
-                 degradation paths.  RATE 0.0 is bit-identical to no \
-                 injection.")
-  in
-  let run id config fail_fast inject jobs trace metrics log_level =
+  let run id config fail_fast jobs trace metrics log_level =
     set_jobs jobs;
     Util.Resilience.reset ();
     Util.Resilience.set_fail_fast fail_fast;
-    Util.Resilience.set_injection
-      (Option.map
-         (fun (rate, seed) -> Util.Resilience.inject ~rate ~seed)
-         inject);
     if id = "list" then
       List.iter
         (fun (e : Castan.Harness.entry) ->
@@ -529,8 +504,8 @@ let experiment_cmd =
         Castan.Harness.all
     else begin
       let ids = Castan.Harness.expand_id id in
-      (* Wall seconds per entry in run order, prewarm first when it ran:
-         the manifest's experiments_timed. *)
+      (* Wall seconds per entry in run order, the campaigns first when the
+         ids need any: the manifest's experiments_timed. *)
       let timed = ref [] in
       let record id seconds = timed := (id, seconds) :: !timed in
       install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
@@ -548,14 +523,24 @@ let experiment_cmd =
         Obs.Trace.with_span "run"
           ~args:[ ("id", Obs.Json.Str id) ]
           (fun () ->
-            (* Parallel phase: run the per-NF campaigns on the pool so the
-               serial rendering loop below hits the memo table. *)
-            (match Castan.Harness.prewarm config ids with
-            | Some dt ->
-                record "prewarm" dt;
-                Printf.eprintf "[prewarm done in %.1fs]\n%!" dt
-            | None -> ());
-            List.iter (fun i -> record i (Castan.Harness.run_id config i)) ids)
+            (* Every campaign the ids need runs once, here, at every -j;
+               the entries only read the results. *)
+            let campaigns =
+              match Castan.Harness.campaign_nfs ids with
+              | [] -> []
+              | nfs ->
+                  let campaigns, dt =
+                    Obs.Trace.timed "campaigns"
+                      ~args:[ ("nfs", Obs.Json.Int (List.length nfs)) ]
+                      (fun () -> Castan.Experiment.run_all config nfs)
+                  in
+                  record "campaigns" dt;
+                  Printf.eprintf "[campaigns done in %.1fs]\n%!" dt;
+                  campaigns
+            in
+            List.iter
+              (fun i -> record i (Castan.Harness.run_id config campaigns i))
+              ids)
       with
       | () ->
           let failures = Util.Resilience.recorded () in
@@ -580,7 +565,7 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate one of the paper's tables, figures or ablations")
     Term.(
-      const run $ id $ scale $ fail_fast $ inject $ jobs_arg $ trace_arg
+      const run $ id $ scale $ fail_fast $ jobs_arg $ trace_arg
       $ metrics_arg $ log_level_arg)
 
 let () =

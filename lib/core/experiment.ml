@@ -33,24 +33,10 @@ let quick_config =
     seed = 42;
   }
 
-(* The memo table is shared across pool workers (Harness prewarms campaigns
-   in parallel), so access is Mutex-guarded with double-checked insertion:
-   two workers racing on the same key both run the (deterministic) campaign
-   but agree on one canonical cached value.  The key is the NF name and the
-   whole config: every field is a plain value, and every field can change
-   the campaign. *)
-let cache_mu = Mutex.create ()
-
-let cache :
-    (string * config, (nf_run, Util.Resilience.failure) result) Hashtbl.t =
-  Hashtbl.create 16
-
-let clear_cache () = Mutex.protect cache_mu (fun () -> Hashtbl.reset cache)
-
 (* One NF campaign, split into guarded stages so a failure names where the
    pipeline died.  The [checkpoint] calls are the fault-injection points:
-   no-ops unless `--inject-faults` installed an injector. *)
-let campaign name config =
+   no-ops unless a test installed an injector. *)
+let run config name =
   let ( let* ) = Result.bind in
   let nf_arg = [ ("nf", Obs.Json.Str name) ] in
   let* nf, castan =
@@ -114,23 +100,15 @@ let campaign name config =
       in
       { nf; nop = Testbed.Tg.nop_baseline ~seed ~samples (); rows; castan })
 
-let try_run ?(config = default_config) name =
-  let key = (name, config) in
-  match Mutex.protect cache_mu (fun () -> Hashtbl.find_opt cache key) with
-  | Some r -> r
-  | None ->
-      let r = campaign name config in
-      Mutex.protect cache_mu (fun () ->
-          match Hashtbl.find_opt cache key with
-          | Some canonical -> canonical
-          | None ->
-              Hashtbl.replace cache key r;
-              r)
+type campaigns = (string * (nf_run, Util.Resilience.failure) result) list
 
-let run ?(config = default_config) name =
-  match try_run ~config name with
-  | Ok r -> r
-  | Error f -> failwith (Util.Resilience.to_string f)
+(* Contention sets are discovered once, on the calling domain, before the
+   fan-out: discovery is memoized in [Analyze], and workers racing into it
+   would each run it. *)
+let run_all config names =
+  if config.use_contention_model then
+    ignore (Analyze.discover_contention_sets () : Cache.Contention.t);
+  List.combine names (Util.Pool.map (run config) names)
 
 let find_row r label =
   match List.find_opt (fun row -> row.label = label) r.rows with

@@ -1,8 +1,16 @@
 type entry = {
   id : string;
   descr : string;
-  run : Experiment.config -> unit;
+  run : Experiment.config -> Experiment.campaigns -> unit;
 }
+
+(* Figures and tables read their NFs' campaigns from the list `castan
+   experiment` ran up front ([campaign_nfs] names them); an NF missing from
+   it is a caller's bug, not a campaign to run here. *)
+let campaign (campaigns : Experiment.campaigns) name =
+  match List.assoc_opt name campaigns with
+  | Some r -> r
+  | None -> invalid_arg ("Harness: no campaign for " ^ name)
 
 (* ------------------------------------------------------------------ *)
 (* Figures (§5.2-§5.4)                                                 *)
@@ -45,8 +53,8 @@ let figures =
 
 let figure_nfs = List.map (fun f -> (f.fid, f.nf_name)) figures
 
-let run_figure f config =
-  match Experiment.try_run ~config f.nf_name with
+let run_figure f _config campaigns =
+  match campaign campaigns f.nf_name with
   | Error fl ->
       (* The figure degrades to a stub; the campaign's failure is already in
          the resilience sink for the end-of-run summary. *)
@@ -67,44 +75,31 @@ let run_figure f config =
 
 let table_nfs = List.filter (fun n -> n <> "nop") Nf.Registry.names
 
-(* Discover contention sets once on the main domain before fanning out:
-   otherwise every worker races into the (Mutex-guarded, but expensive)
-   discovery and duplicates the work. *)
-let predis_contention (config : Experiment.config) =
-  if config.use_contention_model && Util.Pool.default_jobs () > 1 then
-    ignore (Analyze.discover_contention_sets () : Cache.Contention.t)
-
-(* Per-NF isolation: each campaign is guarded, so the result splits into
-   completed runs plus [failed:<stage>] columns — the table always renders.
-   Campaigns fan out on the pool (one task per NF, memoized), so at [-j 1]
-   this is exactly the old serial loop. *)
-let all_runs config =
-  predis_contention config;
-  List.partition_map Fun.id
-    (Util.Pool.map
-       (fun n ->
-         match Experiment.try_run ~config n with
-         | Ok r -> Either.Left r
-         | Error f -> Either.Right (n, f))
-       table_nfs)
+(* Per-NF isolation: each campaign is guarded, so the tables split into
+   completed runs plus [failed:<stage>] columns — a table always renders. *)
+let table (print : ?failed:_ -> _ -> unit) _config campaigns =
+  let ok, failed =
+    List.partition_map
+      (fun n ->
+        match campaign campaigns n with
+        | Ok r -> Either.Left r
+        | Error f -> Either.Right (n, f))
+      table_nfs
+  in
+  print ~failed ok
 
 let tables =
   [
     ("table1", "maximum throughput (Mpps) per NF and workload",
-     fun c -> let ok, failed = all_runs c in
-       Report.print_throughput_table ~failed ok);
+     table Report.print_throughput_table);
     ("table2", "median instructions retired per packet",
-     fun c -> let ok, failed = all_runs c in
-       Report.print_instrs_table ~failed ok);
+     table Report.print_instrs_table);
     ("table3", "median L3 misses per packet",
-     fun c -> let ok, failed = all_runs c in
-       Report.print_misses_table ~failed ok);
+     table Report.print_misses_table);
     ("table4", "CASTAN analysis: packets generated, instructions executed",
-     fun c -> let ok, failed = all_runs c in
-       Report.print_analysis_table ~failed ok);
+     table Report.print_analysis_table);
     ("table5", "median latency deviation from NOP (ns)",
-     fun c -> let ok, failed = all_runs c in
-       Report.print_deviation_table ~failed ok);
+     table Report.print_deviation_table);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -287,8 +282,7 @@ let ablation_prefetch (config : Experiment.config) =
     List.map
       (fun (label, nf, w) ->
         let med prefetch =
-          Util.Stats.median
-            (Testbed.Tg.cycles_cdf (Testbed.Tg.measure ~samples ~prefetch nf w))
+          Testbed.Tg.median_cycles (Testbed.Tg.measure ~samples ~prefetch nf w)
         in
         [ label; Printf.sprintf "%.0f" (med false); Printf.sprintf "%.0f" (med true) ])
       (ablation_cases config.scale)
@@ -305,8 +299,7 @@ let ablation_ddio (config : Experiment.config) =
     List.map
       (fun (label, nf, w) ->
         let med ddio =
-          Util.Stats.median
-            (Testbed.Tg.cycles_cdf (Testbed.Tg.measure ~samples ~ddio nf w))
+          Testbed.Tg.median_cycles (Testbed.Tg.measure ~samples ~ddio nf w)
         in
         let off = med false and on = med true in
         [
@@ -400,9 +393,8 @@ let discussion_wcet (config : Experiment.config) =
             0 o.Analyze.predicted
         in
         let measured =
-          Util.Stats.median
-            (Testbed.Tg.cycles_cdf
-               (Testbed.Tg.measure ~samples:4000 nf o.Analyze.workload))
+          Testbed.Tg.median_cycles
+            (Testbed.Tg.measure ~samples:4000 nf o.Analyze.workload)
           -. float_of_int (Testbed.Dut.overhead_cycles + 290)
         in
         [
@@ -428,35 +420,28 @@ let all =
     (fun f -> { id = f.fid; descr = f.caption; run = run_figure f })
     figures
   @ List.map (fun (id, descr, run) -> { id; descr; run }) tables
-  @ [
-      { id = "ablation-searcher";
-        descr = "directed search vs DFS/BFS/random";
-        run = ablation_searcher };
-      { id = "ablation-cache-model";
-        descr = "contention sets vs oracle vs none";
-        run = ablation_cache_model };
-      { id = "ablation-loop-bound";
-        descr = "potential-cost loop bound M";
-        run = ablation_loop_bound };
-      { id = "ablation-rainbow";
-        descr = "tailored rainbow tables vs none";
-        run = ablation_rainbow };
-      { id = "ablation-cpu-transfer";
-        descr = "contention workload on a different CPU model";
-        run = ablation_cpu_transfer };
-      { id = "ablation-prefetch";
-        descr = "next-line prefetcher on/off (§3.3 claim)";
-        run = ablation_prefetch };
-      { id = "ablation-ddio";
-        descr = "DDIO on/off (§3.3 claim)";
-        run = ablation_ddio };
-      { id = "discussion-mixed-traffic";
-        descr = "partially adversarial traffic under load (§5.5)";
-        run = discussion_mixed_traffic };
-      { id = "discussion-wcet";
-        descr = "ICFG upper bound vs CASTAN lower bound (§6)";
-        run = discussion_wcet };
-    ]
+  @ List.map
+      (fun (id, descr, run) -> { id; descr; run = (fun c _ -> run c) })
+      [
+        ("ablation-searcher", "directed search vs DFS/BFS/random",
+         ablation_searcher);
+        ("ablation-cache-model", "contention sets vs oracle vs none",
+         ablation_cache_model);
+        ("ablation-loop-bound", "potential-cost loop bound M",
+         ablation_loop_bound);
+        ("ablation-rainbow", "tailored rainbow tables vs none",
+         ablation_rainbow);
+        ("ablation-cpu-transfer", "contention workload on a different CPU model",
+         ablation_cpu_transfer);
+        ("ablation-prefetch", "next-line prefetcher on/off (§3.3 claim)",
+         ablation_prefetch);
+        ("ablation-ddio", "DDIO on/off (§3.3 claim)", ablation_ddio);
+        ("discussion-mixed-traffic",
+         "partially adversarial traffic under load (§5.5)",
+         discussion_mixed_traffic);
+        ("discussion-wcet", "ICFG upper bound vs CASTAN lower bound (§6)",
+         discussion_wcet);
+      ]
 
 let ids = List.map (fun e -> e.id) all
 
@@ -470,10 +455,9 @@ let expand_id = function
   | "all" -> ids
   | id -> [ id ]
 
-(* Campaign NFs behind a list of experiment ids, in first-use order — the
-   order a serial run would execute them in.  Ablations and discussion
-   entries drive [Analyze.run] directly (unmemoized), so they contribute
-   nothing here. *)
+(* Campaign NFs behind a list of experiment ids, in first-use order.
+   Ablations and discussion entries drive [Analyze.run] directly, so they
+   contribute nothing here. *)
 let campaign_nfs ids =
   let nf_of_id id =
     match List.assoc_opt id figure_nfs with
@@ -482,32 +466,11 @@ let campaign_nfs ids =
         if List.exists (fun (tid, _, _) -> tid = id) tables then table_nfs
         else []
   in
-  let seen = Hashtbl.create 16 in
-  List.concat_map nf_of_id ids
-  |> List.filter (fun n ->
-         if Hashtbl.mem seen n then false
-         else begin
-           Hashtbl.add seen n ();
-           true
-         end)
+  List.fold_left
+    (fun acc n -> if List.mem n acc then acc else acc @ [ n ])
+    [] (List.concat_map nf_of_id ids)
 
-let prewarm config ids =
-  let nfs = campaign_nfs ids in
-  if Util.Pool.default_jobs () <= 1 || List.length nfs < 2 then None
-  else begin
-    predis_contention config;
-    let (), elapsed =
-      Obs.Trace.timed "prewarm"
-        ~args:[ ("nfs", Obs.Json.Int (List.length nfs)) ]
-        (fun () ->
-          ignore
-            (Util.Pool.map (fun n -> Experiment.try_run ~config n) nfs
-              : (Experiment.nf_run, Util.Resilience.failure) result list))
-    in
-    Some elapsed
-  end
-
-let run_id config id : float =
+let run_id config campaigns id : float =
   match find id with
   | None ->
       invalid_arg
@@ -525,7 +488,7 @@ let run_id config id : float =
           ~args:[ ("descr", Obs.Json.Str e.descr) ]
           (fun () ->
             Util.Resilience.guard ~stage:("experiment:" ^ id) (fun () ->
-                e.run config))
+                e.run config campaigns))
       in
       (match result with
       | Ok () -> Printf.eprintf "[%s done in %.1fs]\n%!" id elapsed

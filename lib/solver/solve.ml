@@ -103,6 +103,19 @@ let refine_dom st s refine =
   | None -> raise Contradiction
   | Some d -> if d <> i.dom then set_info st s { i with dom = d }
 
+(* Syntactically non-negative: constants >= 0, symbols (valued in
+   [0, 2^width)), comparisons, and operators that keep non-negative operands
+   non-negative (values stay far below the native int's range, as the
+   interval refinements below assume too). *)
+let rec nonneg (e : sexpr) =
+  match e with
+  | Const c -> c >= 0
+  | Leaf _ | Cmp _ -> true
+  | Binop ((Add | Mul | Div | Rem | And | Or | Xor | Shl | Lshr), a, b)
+  | Ite (_, a, b) ->
+      nonneg a && nonneg b
+  | Unop _ | Binop (Sub, _, _) -> false
+
 (* assert e = c, decomposing through invertible operations *)
 let rec propagate_eq st (e : sexpr) c =
   match e with
@@ -243,10 +256,11 @@ and refine_expr_le st (e : sexpr) c =
       refine_expr_le st x (if c < 0 then -(((-c) + k - 1) / k) else c / k)
   | Binop (Shl, x, Const k) when k >= 0 -> refine_expr_le st x (c asr k)
   | Binop (Or, a, b) ->
-      (* Necessary, not sufficient (a, b <= a|b for non-negatives): refine
-         both sides but keep the constraint for final checking. *)
-      refine_expr_le st a c;
-      refine_expr_le st b c;
+      (* Necessary, not sufficient: a <= a|b when b >= 0, and symmetrically
+         (a negative b makes a|b negative).  Refine each side the other's
+         sign allows, and keep the constraint for final checking. *)
+      if nonneg b then refine_expr_le st a c;
+      if nonneg a then refine_expr_le st b c;
       residual st (Cmp (Le, e, Const c))
   | _ -> residual st (Cmp (Le, e, Const c))
 
@@ -262,10 +276,11 @@ and refine_expr_ge st (e : sexpr) c =
   | Binop (Shl, x, Const k) when k >= 0 ->
       refine_expr_ge st x ((c + (1 lsl k) - 1) asr k)
   | Binop (Or, a, b) ->
-      (* a = (a|b) - (bits from b) >= c - max(b), and symmetrically. *)
+      (* a|b <= a + b when b >= 0, so a >= c - max(b), and symmetrically.
+         A possibly negative b has no maximum (its mask reads -1). *)
       let ma = possible_mask st a and mb = possible_mask st b in
-      if c - mb > 0 then refine_expr_ge st a (c - mb);
-      if c - ma > 0 then refine_expr_ge st b (c - ma);
+      if nonneg b && c - mb > 0 then refine_expr_ge st a (c - mb);
+      if nonneg a && c - ma > 0 then refine_expr_ge st b (c - ma);
       residual st (Cmp (Le, Const c, e))
   | _ -> residual st (Cmp (Le, Const c, e))
 

@@ -48,9 +48,9 @@ let measure_all ?seed ?samples nf pairs =
 
 let latency_cdf m = Util.Stats.cdf_of_samples m.latencies_ns
 
-let cycles_cdf m =
-  Util.Stats.cdf_of_samples
-    (Array.map (fun (s : Dut.sample) -> float_of_int s.cycles) m.samples)
+let cycles m = Array.map (fun (s : Dut.sample) -> float_of_int s.cycles) m.samples
+let cycles_cdf m = Util.Stats.cdf_of_samples (cycles m)
+let median_cycles m = Util.Stats.median_of_samples (cycles m)
 
 let median_latency_ns m = Util.Stats.median_of_samples m.latencies_ns
 

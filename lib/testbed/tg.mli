@@ -40,6 +40,10 @@ val measure_all :
 
 val latency_cdf : measurement -> Util.Stats.cdf
 val cycles_cdf : measurement -> Util.Stats.cdf
+
+val median_cycles : measurement -> float
+(** [Util.Stats.median (cycles_cdf m)], selected without sorting. *)
+
 val median_latency_ns : measurement -> float
 val median_instrs : measurement -> int
 val median_l3_misses : measurement -> int

@@ -7,7 +7,9 @@
 
     - Results come back in input order, regardless of completion order.
     - [~jobs:1] (and single-item inputs) take the exact pre-pool serial
-      code path: no domains are spawned.
+      code path: no domains are spawned.  So a caller needs no serial
+      special case of its own: [castan experiment] runs its campaigns
+      through one [map] at every job count ([Castan.Experiment.run_all]).
     - Telemetry needs no merging.  [Obs.Metrics] counters are atomic
       sums, [Util.Resilience.recorded] sorts its failures, and the trace
       sink and the log write whole lines under a lock.  The profiler

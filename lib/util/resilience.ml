@@ -105,4 +105,4 @@ let checkpoint ?nf ~stage () =
       if rate > 0. && Mutex.protect draw_mu (fun () -> Rng.float rng) < rate
       then
         raise
-          (Injected (failure ?nf ~stage "injected fault (--inject-faults)"))
+          (Injected (failure ?nf ~stage "injected fault"))

@@ -78,7 +78,8 @@ val inject : rate:float -> seed:int -> injector
 
 val set_injection : injector option -> unit
 (** Installs (or clears) the ambient injector consulted by
-    {!checkpoint}.  Default: none. *)
+    {!checkpoint}.  Default: none.  Only tests install one; the CLI has no
+    injection flag. *)
 
 val checkpoint : ?nf:string -> stage:string -> unit -> unit
 (** Marks the entry of a guarded stage.  No-op unless an ambient injector

@@ -119,13 +119,14 @@ let searcher_ablation_directed_wins () =
 let experiment_and_report_plumbing () =
   let config = { Castan.Experiment.quick_config with samples = 1500;
                  analysis_instrs = 300_000; use_contention_model = false } in
-  let r = Castan.Experiment.run ~config "lpm-btrie" in
+  let r =
+    match Castan.Experiment.run config "lpm-btrie" with
+    | Ok r -> r
+    | Error f -> Alcotest.fail (Util.Resilience.to_string f)
+  in
   Alcotest.(check bool) "has manual row" true
     (List.mem "Manual" (Castan.Experiment.workload_labels r));
   ignore (Castan.Experiment.find_row r "CASTAN");
-  (* memoized *)
-  let r2 = Castan.Experiment.run ~config "lpm-btrie" in
-  Alcotest.(check bool) "memoized" true (r == r2);
   (* rendering doesn't raise *)
   Castan.Report.print_cdf_figure ~id:"test" ~title:"t" ~unit_label:"ns"
     (Castan.Report.latency_series r);
@@ -133,27 +134,7 @@ let experiment_and_report_plumbing () =
   Castan.Report.print_instrs_table [ r ];
   Castan.Report.print_misses_table [ r ];
   Castan.Report.print_deviation_table [ r ];
-  Castan.Report.print_analysis_table [ r ];
-  Castan.Experiment.clear_cache ()
-
-(* Every config field can change a campaign, so each must key its own
-   memo cell: a second config must never be served the first one's run. *)
-let memo_key_is_whole_config () =
-  let config =
-    { Castan.Experiment.quick_config with samples = 200;
-      analysis_instrs = 2_000; use_contention_model = false }
-  in
-  Castan.Experiment.clear_cache ();
-  let r = Castan.Experiment.run ~config "nop" in
-  Alcotest.(check bool) "same config, same cell" true
-    (Castan.Experiment.run ~config "nop" == r);
-  let fresh field config =
-    Alcotest.(check bool) (field ^ " keys its own cell") false
-      (Castan.Experiment.run ~config "nop" == r)
-  in
-  fresh "seed" { config with seed = config.seed + 1 };
-  fresh "analysis_instrs" { config with analysis_instrs = 3_000 };
-  Castan.Experiment.clear_cache ()
+  Castan.Report.print_analysis_table [ r ]
 
 let pcap_export_import_workload () =
   let _, o = quick_analysis "lpm-btrie" in
@@ -212,9 +193,33 @@ let harness_registry () =
   | None -> Alcotest.fail "fig4 missing");
   (* figure -> NF map covers the paper's 9 distinct NFs over 12 figures *)
   Alcotest.(check int) "12 figures" 12 (List.length Castan.Harness.figure_nfs);
-  match Castan.Harness.run_id Castan.Experiment.quick_config "no-such-id" with
+  match Castan.Harness.run_id Castan.Experiment.quick_config [] "no-such-id" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection"
+
+(* `castan experiment` runs the campaigns of [campaign_nfs ids] once and
+   hands them to every entry; an entry whose NF is missing from that list
+   fails, contained, naming the NF. *)
+let harness_campaign_nfs () =
+  let table_nfs = List.filter (fun n -> n <> "nop") Nf.Registry.names in
+  Alcotest.(check (list string)) "first-use order, no duplicates"
+    ("lpm-1stage-dl" :: List.filter (fun n -> n <> "lpm-1stage-dl") table_nfs)
+    (Castan.Harness.campaign_nfs [ "fig4"; "fig5"; "table1" ]);
+  Alcotest.(check (list string)) "ablations need no campaign" []
+    (Castan.Harness.campaign_nfs
+       [ "ablation-prefetch"; "ablation-rainbow"; "discussion-wcet" ]);
+  Util.Resilience.reset ();
+  Fun.protect ~finally:Util.Resilience.reset (fun () ->
+      ignore
+        (Castan.Harness.run_id Castan.Experiment.quick_config [] "fig4"
+          : float);
+      match Util.Resilience.recorded () with
+      | [ f ] ->
+          Alcotest.(check string) "the failure names the NF"
+            (Printexc.to_string
+               (Invalid_argument "Harness: no campaign for lpm-1stage-dl"))
+            f.Util.Resilience.reason
+      | l -> Alcotest.failf "expected one failure, got %d" (List.length l))
 
 let ktest_output_well_formed () =
   let _, o = quick_analysis ~n:4 "lpm-btrie" in
@@ -238,8 +243,8 @@ let ktest_output_well_formed () =
 let harness_fast_experiments_run () =
   (* the machine-feature ablations are cheap end to end; smoke them *)
   let config = { Castan.Experiment.quick_config with samples = 1000 } in
-  ignore (Castan.Harness.run_id config "ablation-prefetch" : float);
-  ignore (Castan.Harness.run_id config "ablation-ddio" : float)
+  ignore (Castan.Harness.run_id config [] "ablation-prefetch" : float);
+  ignore (Castan.Harness.run_id config [] "ablation-ddio" : float)
 
 let tests =
   [
@@ -253,13 +258,12 @@ let tests =
     Alcotest.test_case "predicted metrics" `Quick predicted_metrics_nonempty;
     Alcotest.test_case "searcher ablation" `Slow searcher_ablation_directed_wins;
     Alcotest.test_case "experiment plumbing" `Slow experiment_and_report_plumbing;
-    Alcotest.test_case "memo key is the whole config" `Quick
-      memo_key_is_whole_config;
     Alcotest.test_case "pcap export/import" `Quick pcap_export_import_workload;
     Alcotest.test_case "analysis deterministic" `Quick analysis_deterministic;
     Alcotest.test_case "quick budget binds on the unbalanced tree" `Slow
       quick_budget_binds;
     Alcotest.test_case "harness registry" `Quick harness_registry;
+    Alcotest.test_case "harness campaign NFs" `Quick harness_campaign_nfs;
     Alcotest.test_case "ktest output" `Quick ktest_output_well_formed;
     Alcotest.test_case "harness fast experiments" `Slow harness_fast_experiments_run;
   ]

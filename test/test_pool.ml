@@ -1,9 +1,8 @@
 (* Tests for the Util.Pool worker pool and its determinism contract: results
    in input order for every [jobs], lowest-failing-index exception choice,
    counter totals and the failure list identical for every [jobs] (from
-   toy tasks and from real campaigns, whose results must match too),
-   split_ix RNG discipline, and the
-   memo-table thread-safety the harness prewarm relies on. *)
+   toy tasks and from real campaigns, whose results must match too), and
+   split_ix RNG discipline. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -146,11 +145,7 @@ let campaign_config =
 let campaign_nfs = [ "lpm-btrie"; "lb-hash-table"; "nat-red-black-tree" ]
 
 let campaigns_at jobs =
-  Castan.Experiment.clear_cache ();
-  Fun.protect ~finally:Castan.Experiment.clear_cache (fun () ->
-      Util.Pool.map ~jobs
-        (fun nf -> Castan.Experiment.try_run ~config:campaign_config nf)
-        campaign_nfs)
+  Util.Pool.map ~jobs (Castan.Experiment.run campaign_config) campaign_nfs
 
 let counters_at jobs =
   Obs.Metrics.reset ();
@@ -234,37 +229,6 @@ let stats_count_tasks () =
   Alcotest.(check int) "serial path bypasses the pool" 0
     (Util.Pool.stats ()).Util.Pool.tasks
 
-(* ---------------- the memo table under concurrency ---------------- *)
-
-let experiment_memo_thread_safe () =
-  Castan.Experiment.clear_cache ();
-  let results =
-    Util.Pool.map ~jobs:4
-      (fun _ -> Castan.Experiment.try_run ~config:Castan.Experiment.quick_config "nop")
-      [ 1; 2; 3; 4 ]
-  in
-  Alcotest.(check int) "four results" 4 (List.length results);
-  List.iter
-    (fun r ->
-      match r with
-      | Ok run ->
-          Alcotest.(check string) "campaign for the right NF" "nop"
-            run.Castan.Experiment.nf.Nf.Nf_def.name
-      | Error f -> Alcotest.fail (Util.Resilience.to_string f))
-    results;
-  (* racing callers must have agreed on one canonical memoized value *)
-  (match results with
-  | Ok first :: rest ->
-      List.iter
-        (fun r ->
-          match r with
-          | Ok run ->
-              Alcotest.(check bool) "same canonical campaign" true (run == first)
-          | Error _ -> ())
-        rest
-  | _ -> ());
-  Castan.Experiment.clear_cache ()
-
 let tests =
   [
     qtest map_matches_serial;
@@ -282,8 +246,6 @@ let tests =
     Alcotest.test_case "nested pool falls back to sequential" `Quick
       nested_pool_falls_back_sequential;
     Alcotest.test_case "pool stats count tasks" `Quick stats_count_tasks;
-    Alcotest.test_case "experiment memo is thread-safe" `Quick
-      experiment_memo_thread_safe;
     Alcotest.test_case "campaign counters and failures are jobs-invariant"
       `Slow campaign_telemetry_jobs_invariant;
   ]

@@ -242,28 +242,20 @@ let injection_config =
   }
 
 let harness_tables_survive_injection () =
-  Castan.Experiment.clear_cache ();
   Util.Resilience.reset ();
   Util.Resilience.set_injection
     (Some (Util.Resilience.inject ~rate:0.3 ~seed:42));
   Fun.protect
     ~finally:(fun () ->
       Util.Resilience.set_injection None;
-      Util.Resilience.reset ();
-      Castan.Experiment.clear_cache ())
+      Util.Resilience.reset ())
     (fun () ->
       let nfs = List.filter (fun n -> n <> "nop") Nf.Registry.names in
-      let outcomes =
-        List.map
-          (fun n -> (n, Castan.Experiment.try_run ~config:injection_config n))
-          nfs
-      in
       (* every NF is either a valid campaign or a structured failure — by
-         construction of the result type an exception escaping try_run would
-         have aborted the test *)
-      let failed =
-        List.filter (fun (_, r) -> Result.is_error r) outcomes
-      in
+         construction of the result type an exception escaping a campaign
+         would have aborted the test *)
+      let campaigns = Castan.Experiment.run_all injection_config nfs in
+      let failed = List.filter (fun (_, r) -> Result.is_error r) campaigns in
       Alcotest.(check bool)
         (Printf.sprintf "rate 0.3 fails some NFs (got %d/%d)"
            (List.length failed) (List.length nfs))
@@ -276,26 +268,13 @@ let harness_tables_survive_injection () =
           | Error f ->
               Alcotest.(check bool) "failure names a pipeline stage" true
                 (List.mem f.Util.Resilience.stage [ "symbex"; "testbed" ]))
-        outcomes;
-      (* failures are recorded for the end-of-run summary, and memoized:
-         re-running returns identical results without re-injecting *)
-      let recorded = Util.Resilience.recorded () in
+        campaigns;
+      (* failures are recorded for the end-of-run summary *)
       Alcotest.(check int) "one record per failed NF"
-        (List.length failed) (List.length recorded);
-      let again =
-        List.map
-          (fun n -> (n, Castan.Experiment.try_run ~config:injection_config n))
-          nfs
-      in
-      Alcotest.(check bool) "memoized (no second injection)" true
-        (List.for_all2
-           (fun (_, a) (_, b) -> Result.is_error a = Result.is_error b)
-           outcomes again);
-      Alcotest.(check int) "no new records" (List.length recorded)
-        (List.length (Util.Resilience.recorded ()));
+        (List.length failed) (List.length (Util.Resilience.recorded ()));
       (* the tables render with failed:<stage> cells instead of raising *)
-      ignore (Castan.Harness.run_id injection_config "table1" : float);
-      ignore (Castan.Harness.run_id injection_config "table4" : float);
+      ignore (Castan.Harness.run_id injection_config campaigns "table1" : float);
+      ignore (Castan.Harness.run_id injection_config campaigns "table4" : float);
       (* the failure summary renders *)
       Castan.Report.print_failure_summary (Util.Resilience.recorded ()))
 

@@ -329,6 +329,32 @@ let sat_cross_packet_ne () =
   let ports = List.init 5 (fun p -> Solver.Solve.Model.get m (Pkt { pkt = p; field = Src_port })) in
   Alcotest.(check int) "all distinct" 5 (List.length (List.sort_uniq compare ports))
 
+(* An [or] with a possibly negative operand bounds neither side by the
+   other's mask: src_port - dst_port is negative at the second witness. *)
+let sat_or_negative_operand () =
+  let diff = Binop (Sub, sport, pkt0 Dst_port) in
+  List.iter
+    (fun (name, c, (sp, dp)) ->
+      let leaf = function
+        | Pkt { field = Src_port; _ } -> sp
+        | Pkt { field = Dst_port; _ } -> dp
+        | _ -> 0
+      in
+      Alcotest.(check bool) (name ^ ": witness satisfies it") true
+        (eval ~leaf c <> 0);
+      Alcotest.(check bool) (name ^ ": feasible") true
+        (Solver.Solve.feasible [ c ]);
+      match Solver.Solve.sat [ c ] with
+      | Sat m ->
+          Alcotest.(check bool) (name ^ ": model satisfies it") true
+            (Solver.Solve.check m [ c ])
+      | Unsat | Unknown -> Alcotest.fail (name ^ ": not Sat"))
+    [
+      ("43702 < 4900 | diff", Cmp (Lt, Const 43702, Binop (Or, Const 4900, diff)),
+       (50000, 0));
+      ("(7 | diff) <= 5", Cmp (Le, Binop (Or, Const 7, diff), Const 5), (0, 1));
+    ]
+
 let domain_of_respects_constraints () =
   let d =
     Solver.Pc.domain_of
@@ -405,6 +431,8 @@ let tests =
     Alcotest.test_case "unsat: order cycle" `Quick unsat_order_cycle;
     Alcotest.test_case "unsat: complement pair" `Quick unsat_direct_complement;
     Alcotest.test_case "cross-packet Ne" `Quick sat_cross_packet_ne;
+    Alcotest.test_case "or over a negative operand" `Quick
+      sat_or_negative_operand;
     Alcotest.test_case "domain_of" `Quick domain_of_respects_constraints;
     qtest sat_models_random_linear;
     qtest feasible_never_rejects_sat;

@@ -244,8 +244,11 @@ let prefetch_harmless_for_nf_traffic () =
   let nf = Nf.Registry.find "lpm-1stage-dl" in
   let w = Testbed.Traffic.zipfian ~scale:`Quick ~seed:9 () in
   let med prefetch =
-    Util.Stats.median
-      (Testbed.Tg.cycles_cdf (Testbed.Tg.measure ~samples:3000 ~prefetch nf w))
+    let m = Testbed.Tg.measure ~samples:3000 ~prefetch nf w in
+    let sorted = Util.Stats.median (Testbed.Tg.cycles_cdf m) in
+    Alcotest.(check (float 0.0)) "median_cycles reads the sorted median"
+      sorted (Testbed.Tg.median_cycles m);
+    sorted
   in
   Alcotest.(check (float 25.0)) "prefetcher changes little" (med false) (med true)
 

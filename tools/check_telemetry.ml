@@ -16,7 +16,8 @@
      check_telemetry pool-eq A.json B.json
                                         -- two manifests agree on everything
                                            the worker pool promises to keep
-                                           bit-identical (metrics, config)
+                                           bit-identical (metrics, config,
+                                           the ids of experiments_timed)
                                            regardless of -j
      check_telemetry replay FILE.json [MIN_PACKETS]
                                         -- manifest records coherent
@@ -99,7 +100,7 @@ let check_metrics path =
       | Some _ -> fail "%s: metrics must hold exactly a counters object" path
       | None -> fail "%s: no metrics snapshot" path);
       (* An experiment manifest times every entry it ran, in run order,
-         after an optional leading prewarm entry. *)
+         after a leading campaigns entry when the entries needed any. *)
       (match Obs.Json.member "experiments" obj with
       | None -> ()
       | Some (Obs.Json.List ids) ->
@@ -121,7 +122,7 @@ let check_metrics path =
               timed
           in
           let timed_ids =
-            match timed_ids with "prewarm" :: rest -> rest | l -> l
+            match timed_ids with "campaigns" :: rest -> rest | l -> l
           in
           if List.map (fun i -> Obs.Json.Str i) timed_ids <> ids then
             fail "%s: experiments_timed ids [%s] do not match experiments" path
@@ -185,8 +186,9 @@ let check_pool path min_tasks =
 
 (* `check_telemetry pool-eq A.json B.json`: everything the pool promises to
    keep bit-identical across job counts must match — experiment list,
-   config, seed and every counter.  Exempt by design: generated_at_unix,
-   jobs, pool and wall times (experiments_timed seconds). *)
+   config, seed, every counter and the ids experiments_timed lists.  Exempt
+   by design: generated_at_unix, jobs, pool and wall times
+   (experiments_timed seconds). *)
 let check_pool_eq path_a path_b =
   let load path =
     match Obs.Json.parse (read_file path) with
@@ -197,8 +199,8 @@ let check_pool_eq path_a path_b =
   (* [experiments]/[config]/[seed] appear only in experiment manifests;
      analyze manifests carry neither, which is fine as long as the two
      files agree on what they carry. *)
-  let eq_subtree ~required key =
-    match (Obs.Json.member key a, Obs.Json.member key b) with
+  let eq_subtree ~required key member =
+    match (member a, member b) with
     | None, None when not required -> ()
     | Some va, Some vb ->
         if Obs.Json.to_string va <> Obs.Json.to_string vb then
@@ -210,9 +212,15 @@ let check_pool_eq path_a path_b =
         fail "pool-eq: %s present in only one of %s and %s" key path_a path_b
   in
   List.iter
-    (eq_subtree ~required:false)
+    (fun key -> eq_subtree ~required:false key (Obs.Json.member key))
     [ "experiments"; "config"; "seed" ];
-  eq_subtree ~required:true "metrics";
+  (* The entries and their order, without their wall seconds. *)
+  eq_subtree ~required:false "experiments_timed ids" (fun obj ->
+      match Obs.Json.member "experiments_timed" obj with
+      | Some (Obs.Json.List l) ->
+          Some (Obs.Json.List (List.filter_map (Obs.Json.member "id") l))
+      | v -> v);
+  eq_subtree ~required:true "metrics" (Obs.Json.member "metrics");
   Printf.printf "pool-eq: %s and %s agree on all deterministic sections\n"
     path_a path_b
 
