@@ -334,16 +334,20 @@ let profile_cmd =
 (* ---------------- probe-cache ---------------- *)
 
 let probe_cmd =
+  (* Unset, each flag takes the default `analyze' discovers with, so a
+     saved file holds the sets `analyze' would discover. *)
   let pool =
-    Arg.(value & opt int 256 & info [ "pool" ] ~docv:"N"
-           ~doc:"Candidate addresses per 1GB page.")
+    Arg.(value & opt (some int) None & info [ "pool" ] ~docv:"N"
+           ~doc:"Candidate addresses per 1GB page (default: $(b,analyze)'s).")
   in
   let pages =
-    Arg.(value & opt int 2 & info [ "pages" ] ~docv:"N" ~doc:"1GB pages probed.")
+    Arg.(value & opt (some int) None & info [ "pages" ] ~docv:"N"
+           ~doc:"1GB pages probed (default: $(b,analyze)'s).")
   in
   let reboots =
-    Arg.(value & opt int 2 & info [ "reboots" ] ~docv:"N"
-           ~doc:"Simulated reboots (fresh page placements).")
+    Arg.(value & opt (some int) None & info [ "reboots" ] ~docv:"N"
+           ~doc:"Simulated reboots, each a fresh page placement (default: \
+                 $(b,analyze)'s).")
   in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
@@ -352,7 +356,7 @@ let probe_cmd =
   let run pool pages reboots output =
     let t0 = Unix.gettimeofday () in
     let sets =
-      Castan.Analyze.discover_contention_sets ~pool ~pages ~reboots ()
+      Castan.Analyze.discover_contention_sets ?pool ?pages ?reboots ()
     in
     Printf.printf "discovered %d consistent contention sets in %.1fs\n"
       sets.Cache.Contention.n_classes
@@ -523,8 +527,10 @@ let experiment_cmd =
         Obs.Trace.with_span "run"
           ~args:[ ("id", Obs.Json.Str id) ]
           (fun () ->
-            (* Every campaign the ids need runs once, here, at every -j;
-               the entries only read the results. *)
+            (* One discovery per run, never forced in a pool task.  Every
+               campaign the ids need runs once, here, at every -j; the
+               entries only read the results. *)
+            let sets = lazy (Castan.Analyze.discover_contention_sets ()) in
             let campaigns =
               match Castan.Harness.campaign_nfs ids with
               | [] -> []
@@ -532,14 +538,18 @@ let experiment_cmd =
                   let campaigns, dt =
                     Obs.Trace.timed "campaigns"
                       ~args:[ ("nfs", Obs.Json.Int (List.length nfs)) ]
-                      (fun () -> Castan.Experiment.run_all config nfs)
+                      (fun () ->
+                        Castan.Experiment.run_all config
+                          ~cache:(Contention_sets (Lazy.force sets))
+                          nfs)
                   in
                   record "campaigns" dt;
                   Printf.eprintf "[campaigns done in %.1fs]\n%!" dt;
                   campaigns
             in
             List.iter
-              (fun i -> record i (Castan.Harness.run_id config campaigns i))
+              (fun i ->
+                record i (Castan.Harness.run_id config sets campaigns i))
               ids)
       with
       | () ->

@@ -76,26 +76,32 @@ type t = {
 
 let consistent ?(slice_seed = 0) ?(pages = 8) ?(reboots = 2) ~geom ~offsets () =
   (* Each run assigns every offset a local set id (or none).  Offsets are
-     consistently co-located iff their id vectors across all runs agree. *)
-  let runs = ref [] in
-  for reboot = 0 to reboots - 1 do
+     consistently co-located iff their id vectors across all runs agree.
+     Each reboot probes a machine of its own, so reboots are pool tasks; a
+     reboot's pages run in order, because [Vmem] places a page on first
+     touch. *)
+  let reboot_runs reboot =
     let m = Probe.machine ~slice_seed ~vmem_seed:(1 + reboot) geom in
-    for page = 1 to pages do
-      let base = page lsl Vmem.page_bits in
-      let pool = Array.map (fun o -> base + o) offsets in
-      let sets = discover_sets m ~pool () in
-      let ids = Hashtbl.create (Array.length offsets) in
-      List.iteri
-        (fun id members ->
-          List.iter (fun a -> Hashtbl.replace ids (Vmem.offset_of a) id) members)
-        sets;
-      runs := ids :: !runs
-    done
-  done;
+    List.init pages (fun i ->
+        let base = (i + 1) lsl Vmem.page_bits in
+        let pool = Array.map (fun o -> base + o) offsets in
+        let sets = discover_sets m ~pool () in
+        let ids = Hashtbl.create (Array.length offsets) in
+        List.iteri
+          (fun id members ->
+            List.iter (fun a -> Hashtbl.replace ids (Vmem.offset_of a) id) members)
+          sets;
+        ids)
+  in
+  (* Last run first, as the serial loop listed them: the class ids below
+     follow [Hashtbl] iteration over the signatures. *)
+  let runs =
+    List.rev (List.concat (Util.Pool.map reboot_runs (List.init reboots Fun.id)))
+  in
   let signature o =
     List.map
       (fun ids -> match Hashtbl.find_opt ids o with Some id -> id | None -> -1)
-      !runs
+      runs
   in
   (* Offsets unclassified in any run are dropped; the rest are grouped by
      their cross-run signature. *)
@@ -140,15 +146,13 @@ let classes t =
   |> List.sort compare
 
 let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "castan-contention-sets v1 alpha=%d line=%d classes=%d\n"
-        t.alpha t.line t.n_classes;
-      Hashtbl.iter
-        (fun line_id cls -> Printf.fprintf oc "%d %d\n" (line_id * t.line) cls)
-        t.class_of)
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "castan-contention-sets v1 alpha=%d line=%d classes=%d\n"
+    t.alpha t.line t.n_classes;
+  Hashtbl.iter
+    (fun line_id cls -> Printf.bprintf b "%d %d\n" (line_id * t.line) cls)
+    t.class_of;
+  Util.Durable.write_string ~path (Buffer.contents b)
 
 exception Parse_error of string
 
@@ -188,6 +192,10 @@ let load_result path =
            if offset mod line <> 0 then
              fail
                (Printf.sprintf "misaligned offset %d (line size %d)" offset line);
+           if cls < 0 || cls >= n_classes then
+             fail
+               (Printf.sprintf "class %d out of range (classes=%d)" cls
+                  n_classes);
            Hashtbl.replace class_of (offset / line) cls
          end
        done

@@ -38,7 +38,8 @@ val consistent :
     virtual pages across [reboots] simulated reboots (fresh page placements,
     same CPU) and intersects the results.  [offsets] are line-aligned byte
     offsets within a 1GB page.  Defaults: 8 pages, 2 reboots, matching the
-    paper's methodology. *)
+    paper's methodology.  Each reboot is one {!Util.Pool.map} task, so the
+    result is the same at every job count. *)
 
 val standard_offsets : Geometry.t -> count:int -> int array
 (** The canonical candidate pool: [count] line-aligned page offsets that all
@@ -55,12 +56,14 @@ val classes : t -> (int * int list) list
 val save : t -> string -> unit
 (** Persist the discovered sets (discovery is the expensive step of the
     workflow: probe the machine once, analyze many NFs).  Plain text:
-    a header line, then one "offset class" pair per line. *)
+    a header line, then one "offset class" pair per line, written
+    atomically ({!Util.Durable.write_string}). *)
 
 val load_result : string -> (t, string) result
 (** Non-raising loader.  [Error] carries a descriptive message — file, line
     number and reason — for unreadable or malformed files (bad header,
-    malformed entry, misaligned offset). *)
+    malformed entry, misaligned offset, class id outside
+    [\[0, classes)]). *)
 
 val load : string -> t
 (** Raising convenience wrapper over {!load_result}.

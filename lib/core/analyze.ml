@@ -10,7 +10,6 @@ type config = {
   m : int;
   time_budget : float;
   instr_budget : int;
-  max_states_tried : int;
   seed : int;
 }
 
@@ -22,7 +21,6 @@ let default_config ?(cache = Baseline) () =
     m = 2;
     time_budget = 300.0;
     instr_budget = 12_000;
-    max_states_tried = 16;
     seed = 7;
   }
 
@@ -39,10 +37,10 @@ type outcome = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Memoized rainbow tables and contention sets                         *)
+(* Rainbow tables and contention sets                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Both memo tables are shared across pool workers (campaigns for different
+(* The rainbow memo is shared across pool workers (campaigns for different
    NFs reuse the same rainbow tables), so lookups are Mutex-guarded with
    double-checked insertion: losing a race costs one redundant deterministic
    build, never an inconsistent table. *)
@@ -75,30 +73,10 @@ let rainbow_for hash_name ks =
               Hashtbl.replace rainbow_cache key t;
               t)
 
-let contention_mu = Mutex.create ()
-
-let contention_cache : (int * int * int * int, Cache.Contention.t) Hashtbl.t =
-  Hashtbl.create 4
-
-let discover_contention_sets ?(slice_seed = 0) ?(pool = 512) ?(pages = 2)
-    ?(reboots = 2) () =
-  let key = (slice_seed, pool, pages, reboots) in
-  match
-    Mutex.protect contention_mu (fun () -> Hashtbl.find_opt contention_cache key)
-  with
-  | Some t -> t
-  | None ->
-      let geom = Cache.Geometry.xeon_e5_2667v2 in
-      let offsets = Cache.Contention.standard_offsets geom ~count:pool in
-      let t =
-        Cache.Contention.consistent ~slice_seed ~pages ~reboots ~geom ~offsets ()
-      in
-      Mutex.protect contention_mu (fun () ->
-          match Hashtbl.find_opt contention_cache key with
-          | Some t -> t
-          | None ->
-              Hashtbl.replace contention_cache key t;
-              t)
+let discover_contention_sets ?(pool = 512) ?(pages = 2) ?(reboots = 2) () =
+  let geom = Cache.Geometry.xeon_e5_2667v2 in
+  let offsets = Cache.Contention.standard_offsets geom ~count:pool in
+  Cache.Contention.consistent ~pages ~reboots ~geom ~offsets ()
 
 (* ------------------------------------------------------------------ *)
 (* The pipeline                                                        *)
@@ -182,6 +160,9 @@ let synthesize (nf : Nf.Nf_def.t) ~rng ~n_packets (s : Symbex.State.t) =
           List.length havocs )
   | Unsat | Unknown -> None
 
+(* Ranked states to attempt solving before giving up on the NF. *)
+let states_to_try = 16
+
 let run ?config (nf : Nf.Nf_def.t) =
   let cfg = match config with Some c -> c | None -> default_config () in
   (* Pin every id sequence an analysis consumes to its start: symbol,
@@ -236,7 +217,7 @@ let run ?config (nf : Nf.Nf_def.t) =
           (Printf.sprintf "Castan.Analyze: no solvable state for %s"
              nf.Nf.Nf_def.name)
     | s :: rest -> (
-        if tried >= cfg.max_states_tried then
+        if tried >= states_to_try then
           failwith
             (Printf.sprintf "Castan.Analyze: gave up solving states for %s"
                nf.Nf.Nf_def.name)

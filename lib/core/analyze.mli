@@ -5,8 +5,8 @@
     havoced hashes are reconciled through rainbow tables (§3.5), the path
     constraint is solved, and the model's packets become the workload.  If
     the best state's constraints cannot be solved, the next-ranked states
-    are tried — mirroring the tool's "pick the state with the highest
-    cost" step with a practical fallback.
+    are tried, up to 16 in all — mirroring the tool's "pick the state with
+    the highest cost" step with a practical fallback.
 
     Rainbow tables are built once per (hash, key-space) pair and memoized
     across analyses. *)
@@ -25,7 +25,6 @@ type config = {
       (** safety deadline in seconds ({!Symbex.Driver.config}); the
           exploration budget is [instr_budget] *)
   instr_budget : int;  (** executed symbex instructions *)
-  max_states_tried : int;  (** ranked states to attempt solving *)
   seed : int;
 }
 
@@ -33,7 +32,7 @@ val default_config : ?cache:cache_kind -> unit -> config
 (** Castan searcher, M = 2, 12,000 instructions (the default-scale
     experiment budget), 300 s safety deadline.  The contention model must
     be provided by [cache] (default {!Baseline} so the call works without
-    a discovery run; experiments pass discovered sets). *)
+    a discovery run; experiments pass the sets their run discovered). *)
 
 type outcome = {
   nf : string;
@@ -52,10 +51,9 @@ val run : ?config:config -> Nf.Nf_def.t -> outcome
     happen for the 11 evaluation NFs). *)
 
 val discover_contention_sets :
-  ?slice_seed:int -> ?pool:int -> ?pages:int -> ?reboots:int -> unit ->
-  Cache.Contention.t
-(** Convenience wrapper running §3.2 discovery with the standard candidate
-    pool; memoized on its arguments (the empirical model is reused across
-    NF analyses, as one would reuse the files on disk).  Defaults: a pool of
-    512 offsets, 2 pages × 2 reboots — fewer pages than the paper's 8, which
-    stays {!Cache.Contention.consistent}'s own default. *)
+  ?pool:int -> ?pages:int -> ?reboots:int -> unit -> Cache.Contention.t
+(** Runs §3.2 discovery with the standard candidate pool.  It probes
+    afresh on every call; a caller that needs the sets twice passes the
+    value on.  Defaults: a pool of 512 offsets, 2 pages × 2 reboots — fewer
+    pages than the paper's 8, which stays {!Cache.Contention.consistent}'s
+    own default. *)

@@ -11,7 +11,6 @@ type config = {
   scale : Testbed.Traffic.scale;
   samples : int;
   analysis_instrs : int;
-  use_contention_model : bool;
   seed : int;
 }
 
@@ -20,7 +19,6 @@ let default_config =
     scale = `Default;
     samples = 20_000;
     analysis_instrs = (Analyze.default_config ()).instr_budget;
-    use_contention_model = true;
     seed = 42;
   }
 
@@ -29,14 +27,13 @@ let quick_config =
     scale = `Quick;
     samples = 4_000;
     analysis_instrs = 9_000;
-    use_contention_model = true;
     seed = 42;
   }
 
 (* One NF campaign, split into guarded stages so a failure names where the
    pipeline died.  The [checkpoint] calls are the fault-injection points:
    no-ops unless a test installed an injector. *)
-let run config name =
+let run config ~cache name =
   let ( let* ) = Result.bind in
   let nf_arg = [ ("nf", Obs.Json.Str name) ] in
   let* nf, castan =
@@ -48,14 +45,7 @@ let run config name =
         let nf = Nf.Registry.find name in
         let analysis_cfg =
           {
-            (Analyze.default_config
-               ~cache:
-                 (if config.use_contention_model then
-                    Analyze.Contention_sets
-                      (Analyze.discover_contention_sets ())
-                  else Analyze.Baseline)
-               ())
-            with
+            (Analyze.default_config ~cache ()) with
             instr_budget = config.analysis_instrs;
             seed = config.seed;
           }
@@ -102,13 +92,8 @@ let run config name =
 
 type campaigns = (string * (nf_run, Util.Resilience.failure) result) list
 
-(* Contention sets are discovered once, on the calling domain, before the
-   fan-out: discovery is memoized in [Analyze], and workers racing into it
-   would each run it. *)
-let run_all config names =
-  if config.use_contention_model then
-    ignore (Analyze.discover_contention_sets () : Cache.Contention.t);
-  List.combine names (Util.Pool.map (run config) names)
+let run_all config ~cache names =
+  List.combine names (Util.Pool.map (run config ~cache) names)
 
 let find_row r label =
   match List.find_opt (fun row -> row.label = label) r.rows with

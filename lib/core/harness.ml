@@ -1,7 +1,9 @@
 type entry = {
   id : string;
   descr : string;
-  run : Experiment.config -> Experiment.campaigns -> unit;
+  run :
+    Experiment.config -> Cache.Contention.t Lazy.t -> Experiment.campaigns ->
+    unit;
 }
 
 (* Figures and tables read their NFs' campaigns from the list `castan
@@ -53,7 +55,7 @@ let figures =
 
 let figure_nfs = List.map (fun f -> (f.fid, f.nf_name)) figures
 
-let run_figure f _config campaigns =
+let run_figure f _config _sets campaigns =
   match campaign campaigns f.nf_name with
   | Error fl ->
       (* The figure degrades to a stub; the campaign's failure is already in
@@ -77,7 +79,7 @@ let table_nfs = List.filter (fun n -> n <> "nop") Nf.Registry.names
 
 (* Per-NF isolation: each campaign is guarded, so the tables split into
    completed runs plus [failed:<stage>] columns — a table always renders. *)
-let table (print : ?failed:_ -> _ -> unit) _config campaigns =
+let table (print : ?failed:_ -> _ -> unit) _config _sets campaigns =
   let ok, failed =
     List.partition_map
       (fun n ->
@@ -112,7 +114,7 @@ let analysis_budget (c : Experiment.config) frac =
 
 (* Directed search: compare the best predicted cost each strategy reaches
    under the same budget. *)
-let ablation_searcher (config : Experiment.config) =
+let ablation_searcher (config : Experiment.config) _sets =
   Printf.printf "\n== ablation-searcher: best predicted cost by strategy ==\n";
   let instr_budget = analysis_budget config 0.3 in
   let nfs = [ "lpm-btrie"; "nat-unbalanced-tree"; "lb-hash-table" ] in
@@ -139,7 +141,7 @@ let ablation_searcher (config : Experiment.config) =
 
 (* Cache-model quality: empirical contention sets vs the ground-truth oracle
    vs no model, measured end to end on the cache-sensitive NF. *)
-let ablation_cache_model (config : Experiment.config) =
+let ablation_cache_model (config : Experiment.config) sets =
   Printf.printf
     "\n== ablation-cache-model: LPM 1-stage DL, measured CASTAN workload ==\n";
   let nf = Nf.Registry.find "lpm-1stage-dl" in
@@ -148,8 +150,7 @@ let ablation_cache_model (config : Experiment.config) =
   let kinds =
     [
       ("baseline", Analyze.Baseline);
-      ("contention-sets",
-       Analyze.Contention_sets (Analyze.discover_contention_sets ()));
+      ("contention-sets", Analyze.Contention_sets (Lazy.force sets));
       ("oracle", Analyze.Oracle);
     ]
   in
@@ -176,7 +177,7 @@ let ablation_cache_model (config : Experiment.config) =
   Util.Table.print ~header ~rows
 
 (* The loop bound M of the potential-cost annotation. *)
-let ablation_loop_bound (config : Experiment.config) =
+let ablation_loop_bound (config : Experiment.config) _sets =
   Printf.printf "\n== ablation-loop-bound: best cost found vs M ==\n";
   let instr_budget = analysis_budget config 0.3 in
   let nfs = [ "lpm-btrie"; "nat-unbalanced-tree" ] in
@@ -201,7 +202,7 @@ let ablation_loop_bound (config : Experiment.config) =
   Util.Table.print ~header ~rows
 
 (* Tailored rainbow tables vs none (§3.5). *)
-let ablation_rainbow (config : Experiment.config) =
+let ablation_rainbow (config : Experiment.config) sets =
   Printf.printf "\n== ablation-rainbow: havoc reconciliation success ==\n";
   let instr_budget = analysis_budget config 0.5 in
   let header =
@@ -213,9 +214,7 @@ let ablation_rainbow (config : Experiment.config) =
         let nf = Nf.Registry.find name in
         let cfg =
           { (Analyze.default_config
-               ~cache:
-                 (Analyze.Contention_sets (Analyze.discover_contention_sets ()))
-               ())
+               ~cache:(Analyze.Contention_sets (Lazy.force sets)) ())
             with instr_budget; n_packets = Some 12 }
         in
         let o = Analyze.run ~config:cfg nf in
@@ -233,14 +232,14 @@ let ablation_rainbow (config : Experiment.config) =
 
 (* Contention sets are processor-specific: a workload synthesized against
    one hidden slice hash loses its teeth on a different CPU model. *)
-let ablation_cpu_transfer (config : Experiment.config) =
+let ablation_cpu_transfer (config : Experiment.config) sets =
   Printf.printf
     "\n== ablation-cpu-transfer: CASTAN workload measured on other CPUs ==\n";
   let nf = Nf.Registry.find "lpm-1stage-dl" in
   let samples = max 4000 (config.samples / 2) in
   let cfg =
     { (Analyze.default_config
-         ~cache:(Analyze.Contention_sets (Analyze.discover_contention_sets ())) ())
+         ~cache:(Analyze.Contention_sets (Lazy.force sets)) ())
       with instr_budget = analysis_budget config 1.0 }
   in
   let o = Analyze.run ~config:cfg nf in
@@ -274,7 +273,7 @@ let ablation_cases scale =
 
 (* The paper's §3.3 claims: prefetching barely matters for NF traffic, and
    DDIO improves all workloads the same. *)
-let ablation_prefetch (config : Experiment.config) =
+let ablation_prefetch (config : Experiment.config) _sets =
   Printf.printf "\n== ablation-prefetch: next-line prefetcher on/off ==\n";
   let samples = max 4000 (config.samples / 2) in
   let header = [ "NF x workload"; "median cycles (off)"; "median cycles (on)" ] in
@@ -289,7 +288,7 @@ let ablation_prefetch (config : Experiment.config) =
   in
   Util.Table.print ~header ~rows
 
-let ablation_ddio (config : Experiment.config) =
+let ablation_ddio (config : Experiment.config) _sets =
   Printf.printf "\n== ablation-ddio: DMA writes allocate into the cache ==\n";
   let samples = max 4000 (config.samples / 2) in
   let header =
@@ -318,13 +317,13 @@ let ablation_ddio (config : Experiment.config) =
 
 (* A partially adversarial stream: even a small CASTAN fraction hurts every
    packet behind it in the queue (head-of-line blocking). *)
-let discussion_mixed_traffic (config : Experiment.config) =
+let discussion_mixed_traffic (config : Experiment.config) sets =
   Printf.printf
     "\n== discussion-mixed-traffic: CASTAN fraction vs latency under load ==\n";
   let nf = Nf.Registry.find "lpm-1stage-dl" in
   let cfg =
     { (Analyze.default_config
-         ~cache:(Analyze.Contention_sets (Analyze.discover_contention_sets ())) ())
+         ~cache:(Analyze.Contention_sets (Lazy.force sets)) ())
       with instr_budget = analysis_budget config 1.0 }
   in
   let o = Analyze.run ~config:cfg nf in
@@ -360,7 +359,7 @@ let discussion_mixed_traffic (config : Experiment.config) =
 (* CASTAN under-approximates the worst case; the annotated ICFG (with every
    memory access charged a DRAM trip) over-approximates it — the WCET-style
    contrast of §6. *)
-let discussion_wcet (config : Experiment.config) =
+let discussion_wcet (config : Experiment.config) _sets =
   Printf.printf
     "\n== discussion-wcet: ICFG upper bound vs CASTAN lower bound (cycles/packet) ==\n";
   let geom = Cache.Geometry.xeon_e5_2667v2 in
@@ -421,7 +420,7 @@ let all =
     figures
   @ List.map (fun (id, descr, run) -> { id; descr; run }) tables
   @ List.map
-      (fun (id, descr, run) -> { id; descr; run = (fun c _ -> run c) })
+      (fun (id, descr, run) -> { id; descr; run = (fun c sets _ -> run c sets) })
       [
         ("ablation-searcher", "directed search vs DFS/BFS/random",
          ablation_searcher);
@@ -470,7 +469,7 @@ let campaign_nfs ids =
     (fun acc n -> if List.mem n acc then acc else acc @ [ n ])
     [] (List.concat_map nf_of_id ids)
 
-let run_id config campaigns id : float =
+let run_id config sets campaigns id : float =
   match find id with
   | None ->
       invalid_arg
@@ -488,7 +487,7 @@ let run_id config campaigns id : float =
           ~args:[ ("descr", Obs.Json.Str e.descr) ]
           (fun () ->
             Util.Resilience.guard ~stage:("experiment:" ^ id) (fun () ->
-                e.run config campaigns))
+                e.run config sets campaigns))
       in
       (match result with
       | Ok () -> Printf.eprintf "[%s done in %.1fs]\n%!" id elapsed

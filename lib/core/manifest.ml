@@ -17,7 +17,6 @@ let config_json (c : Experiment.config) =
       ("scale", Obs.Json.Str (scale_name c.Experiment.scale));
       ("samples", Obs.Json.Int c.Experiment.samples);
       ("analysis_instrs", Obs.Json.Int c.Experiment.analysis_instrs);
-      ("use_contention_model", Obs.Json.Bool c.Experiment.use_contention_model);
       ("seed", Obs.Json.Int c.Experiment.seed);
     ]
 

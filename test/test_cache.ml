@@ -309,6 +309,33 @@ let contention_save_load () =
         members)
     (Cache.Contention.classes c)
 
+(* A discovery's reboots are pool tasks; the saved sets must not depend on
+   how many domains probed them.  The digest was recorded with the serial
+   reboot loop. *)
+let contention_pinned_across_jobs () =
+  let offsets = Cache.Contention.standard_offsets geom ~count:160 in
+  let saved jobs =
+    let before = Util.Pool.default_jobs () in
+    Util.Pool.set_default_jobs jobs;
+    let c =
+      Fun.protect
+        ~finally:(fun () -> Util.Pool.set_default_jobs before)
+        (fun () ->
+          Cache.Contention.consistent ~pages:1 ~reboots:2 ~geom ~offsets ())
+    in
+    let path = Filename.temp_file "castan" ".sets" in
+    Cache.Contention.save c path;
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    Digest.to_hex (Digest.string text)
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "saved sets at -j %d" jobs)
+        "d839ac711dee62f9f515ee50933f0d6b" (saved jobs))
+    [ 1; 2 ]
+
 let consistent_sets_nonempty () =
   let offsets = Cache.Contention.standard_offsets geom ~count:160 in
   let c = Cache.Contention.consistent ~pages:2 ~reboots:1 ~geom ~offsets () in
@@ -390,6 +417,8 @@ let tests =
     Alcotest.test_case "discovery vs ground truth" `Slow discovery_matches_ground_truth;
     Alcotest.test_case "consistent sets" `Slow consistent_sets_nonempty;
     Alcotest.test_case "contention save/load" `Slow contention_save_load;
+    Alcotest.test_case "contention sets pinned at every -j" `Slow
+      contention_pinned_across_jobs;
     Alcotest.test_case "model concrete" `Quick model_concrete_hits_and_misses;
     Alcotest.test_case "model constraint valid" `Quick model_symbolic_constraint_valid;
     Alcotest.test_case "model concentrates" `Slow model_concentrates_accesses;

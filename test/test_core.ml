@@ -13,6 +13,15 @@ let quick_analysis ?(n = 10) ?cache name =
   let config = { base with n_packets = Some n } in
   (nf, Castan.Analyze.run ~config nf)
 
+(* One discovery for every test that analyzes under the contention model:
+   [discover_contention_sets] probes afresh on each call.  Alcotest runs
+   the tests on the main domain, so it is never forced from two. *)
+let contention_sets = lazy (Castan.Analyze.discover_contention_sets ())
+
+(* For entries that must not discover: forcing it fails the entry, and
+   run_id records the failure. *)
+let no_sets = lazy (Alcotest.fail "this entry discovers contention sets")
+
 let workload_has_n_distinct_flows () =
   let _, o = quick_analysis "lpm-btrie" in
   Alcotest.(check int) "packets" 10 (Testbed.Workload.length o.workload);
@@ -58,9 +67,9 @@ let collision_attack_hash_table () =
 
 let cache_attack_direct_lookup () =
   (* §5.2: with the contention model, the 1GB table thrashs one L3 set *)
-  let sets = Castan.Analyze.discover_contention_sets () in
   let nf, o =
-    quick_analysis ~n:40 ~cache:(Castan.Analyze.Contention_sets sets)
+    quick_analysis ~n:40
+      ~cache:(Castan.Analyze.Contention_sets (Lazy.force contention_sets))
       "lpm-1stage-dl"
   in
   let samples = 4000 in
@@ -118,9 +127,9 @@ let searcher_ablation_directed_wins () =
 
 let experiment_and_report_plumbing () =
   let config = { Castan.Experiment.quick_config with samples = 1500;
-                 analysis_instrs = 300_000; use_contention_model = false } in
+                 analysis_instrs = 300_000 } in
   let r =
-    match Castan.Experiment.run config "lpm-btrie" with
+    match Castan.Experiment.run config ~cache:Baseline "lpm-btrie" with
     | Ok r -> r
     | Error f -> Alcotest.fail (Util.Resilience.to_string f)
   in
@@ -158,9 +167,7 @@ let quick_budget_binds () =
   let budget = Castan.Experiment.quick_config.analysis_instrs in
   let config =
     { (Castan.Analyze.default_config
-         ~cache:
-           (Castan.Analyze.Contention_sets
-              (Castan.Analyze.discover_contention_sets ()))
+         ~cache:(Castan.Analyze.Contention_sets (Lazy.force contention_sets))
          ())
       with
       instr_budget = budget;
@@ -193,7 +200,10 @@ let harness_registry () =
   | None -> Alcotest.fail "fig4 missing");
   (* figure -> NF map covers the paper's 9 distinct NFs over 12 figures *)
   Alcotest.(check int) "12 figures" 12 (List.length Castan.Harness.figure_nfs);
-  match Castan.Harness.run_id Castan.Experiment.quick_config [] "no-such-id" with
+  match
+    Castan.Harness.run_id Castan.Experiment.quick_config no_sets []
+      "no-such-id"
+  with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection"
 
@@ -211,7 +221,8 @@ let harness_campaign_nfs () =
   Util.Resilience.reset ();
   Fun.protect ~finally:Util.Resilience.reset (fun () ->
       ignore
-        (Castan.Harness.run_id Castan.Experiment.quick_config [] "fig4"
+        (Castan.Harness.run_id Castan.Experiment.quick_config no_sets []
+           "fig4"
           : float);
       match Util.Resilience.recorded () with
       | [ f ] ->
@@ -241,10 +252,36 @@ let ktest_output_well_formed () =
   List.iter (fun p -> Alcotest.(check bool) "file exists" true (Sys.file_exists p); Sys.remove p) paths
 
 let harness_fast_experiments_run () =
-  (* the machine-feature ablations are cheap end to end; smoke them *)
+  (* the machine-feature ablations are cheap end to end; smoke them.  They
+     analyze nothing, so they must not discover. *)
   let config = { Castan.Experiment.quick_config with samples = 1000 } in
-  ignore (Castan.Harness.run_id config [] "ablation-prefetch" : float);
-  ignore (Castan.Harness.run_id config [] "ablation-ddio" : float)
+  Util.Resilience.reset ();
+  Fun.protect ~finally:Util.Resilience.reset (fun () ->
+      ignore (Castan.Harness.run_id config no_sets [] "ablation-prefetch" : float);
+      ignore (Castan.Harness.run_id config no_sets [] "ablation-ddio" : float);
+      Alcotest.(check (list string)) "no failure" []
+        (List.map Util.Resilience.to_string (Util.Resilience.recorded ())))
+
+(* A discovery that raises fails, contained, each entry that forces it,
+   and runs once: a forced [lazy] re-raises the exception it stored. *)
+let harness_failed_discovery_contained () =
+  let runs = ref 0 in
+  let sets = lazy (incr runs; failwith "probing failed") in
+  Util.Resilience.reset ();
+  Fun.protect ~finally:Util.Resilience.reset (fun () ->
+      List.iter
+        (fun id ->
+          ignore
+            (Castan.Harness.run_id Castan.Experiment.quick_config sets [] id
+              : float))
+        [ "ablation-cpu-transfer"; "discussion-mixed-traffic" ];
+      Alcotest.(check int) "discovered once" 1 !runs;
+      Alcotest.(check (list string)) "both entries failed"
+        [ "experiment:ablation-cpu-transfer";
+          "experiment:discussion-mixed-traffic" ]
+        (List.map
+           (fun f -> f.Util.Resilience.stage)
+           (Util.Resilience.recorded ())))
 
 let tests =
   [
@@ -266,4 +303,6 @@ let tests =
     Alcotest.test_case "harness campaign NFs" `Quick harness_campaign_nfs;
     Alcotest.test_case "ktest output" `Quick ktest_output_well_formed;
     Alcotest.test_case "harness fast experiments" `Slow harness_fast_experiments_run;
+    Alcotest.test_case "harness contains a failed discovery" `Quick
+      harness_failed_discovery_contained;
   ]

@@ -139,13 +139,14 @@ let campaign_config =
     Castan.Experiment.quick_config with
     samples = 401;
     analysis_instrs = 5_000;
-    use_contention_model = false;
   }
 
 let campaign_nfs = [ "lpm-btrie"; "lb-hash-table"; "nat-red-black-tree" ]
 
 let campaigns_at jobs =
-  Util.Pool.map ~jobs (Castan.Experiment.run campaign_config) campaign_nfs
+  Util.Pool.map ~jobs
+    (Castan.Experiment.run campaign_config ~cache:Baseline)
+    campaign_nfs
 
 let counters_at jobs =
   Obs.Metrics.reset ();

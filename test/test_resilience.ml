@@ -207,6 +207,11 @@ let contention_load_errors () =
     "malformed entry";
   check_error "castan-contention-sets v1 alpha=20 line=64 classes=1\n65 0\n"
     "misaligned offset";
+  (* a class id must index one of the header's classes *)
+  check_error "castan-contention-sets v1 alpha=20 line=64 classes=1\n0 5\n"
+    "line 2: class 5 out of range (classes=1)";
+  check_error "castan-contention-sets v1 alpha=20 line=64 classes=1\n0 -3\n"
+    "line 2: class -3 out of range";
   (* line numbers are part of the message *)
   check_error "castan-contention-sets v1 alpha=20 line=64 classes=1\n64 0\n65 0\n"
     "line 3";
@@ -238,7 +243,6 @@ let injection_config =
     Castan.Experiment.quick_config with
     samples = 401;
     analysis_instrs = 3_000;
-    use_contention_model = false;
   }
 
 let harness_tables_survive_injection () =
@@ -254,7 +258,9 @@ let harness_tables_survive_injection () =
       (* every NF is either a valid campaign or a structured failure — by
          construction of the result type an exception escaping a campaign
          would have aborted the test *)
-      let campaigns = Castan.Experiment.run_all injection_config nfs in
+      let campaigns =
+        Castan.Experiment.run_all injection_config ~cache:Baseline nfs
+      in
       let failed = List.filter (fun (_, r) -> Result.is_error r) campaigns in
       Alcotest.(check bool)
         (Printf.sprintf "rate 0.3 fails some NFs (got %d/%d)"
@@ -273,8 +279,13 @@ let harness_tables_survive_injection () =
       Alcotest.(check int) "one record per failed NF"
         (List.length failed) (List.length (Util.Resilience.recorded ()));
       (* the tables render with failed:<stage> cells instead of raising *)
-      ignore (Castan.Harness.run_id injection_config campaigns "table1" : float);
-      ignore (Castan.Harness.run_id injection_config campaigns "table4" : float);
+      let no_sets = lazy (Alcotest.fail "tables discover nothing") in
+      ignore
+        (Castan.Harness.run_id injection_config no_sets campaigns "table1"
+          : float);
+      ignore
+        (Castan.Harness.run_id injection_config no_sets campaigns "table4"
+          : float);
       (* the failure summary renders *)
       Castan.Report.print_failure_summary (Util.Resilience.recorded ()))
 
