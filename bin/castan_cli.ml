@@ -11,16 +11,30 @@
                                          --quick, default or --full scale;
                                          --metrics records its wall times
 
-   `castan profile` attributes the DUT replay only; with --metrics its
-   blocks land in the run manifest's "profile" section, the one record of
-   a profile.  Manifests, ktest files and sample dumps are written
-   atomically (Util.Durable); a killed run is re-run, not resumed. *)
+   `castan profile` attributes the DUT replay of a pcap (`analyze -o'
+   writes one) or of generated traffic; with --metrics its blocks land in
+   the run manifest's "profile" section, the one record of a profile.
+   Manifests, ktest files and sample dumps are written atomically
+   (Util.Durable); a killed run is re-run, not resumed. *)
 
 open Cmdliner
 
+(* An NF name exactly as `castan list' prints it.  Anything else is a
+   usage error (exit 124), refused before any work. *)
+let nf_name =
+  let parse s =
+    if List.mem s Nf.Registry.names then Ok s
+    else
+      Error
+        (`Msg
+          (Printf.sprintf "unknown NF %S (known: %s)" s
+             (String.concat ", " Nf.Registry.names)))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let nf_arg =
   let doc = "Network function name (see `castan list')." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"NF" ~doc)
+  Arg.(required & pos 0 (some nf_name) None & info [] ~docv:"NF" ~doc)
 
 (* ---------------- telemetry plumbing ---------------- *)
 
@@ -225,26 +239,19 @@ let analyze_cmd =
 (* ---------------- profile ---------------- *)
 
 let profile_cmd =
-  let nf_name =
-    Arg.(required & opt (some string) None & info [ "nf" ] ~docv:"NF"
-           ~doc:"Network function to profile (a unique prefix of a `castan \
-                 list' name is accepted, e.g. $(b,nat)).")
+  let nf =
+    Arg.(required & opt (some nf_name) None & info [ "nf" ] ~docv:"NF"
+           ~doc:"Network function to profile (see `castan list').")
   in
   let workload =
     Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"PCAP"
-           ~doc:"Replay this workload instead of generated uniform-random \
+           ~doc:"Replay this workload (e.g. the one `castan analyze NF -o \
+                 PCAP' synthesized) instead of generated uniform-random \
                  traffic.")
   in
   let samples =
     Arg.(value & opt positive_int 2_000 & info [ "samples" ] ~docv:"N"
            ~doc:"Packets to replay through the DUT.")
-  in
-  let analyze =
-    Arg.(value & flag & info [ "analyze" ]
-           ~doc:"Synthesize the workload with the full CASTAN analysis \
-                 instead of generating generic traffic.  Only the replay \
-                 is attributed to blocks; symbolic exploration and solver \
-                 time appear as wall-time buckets.")
   in
   let seed =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED"
@@ -254,32 +261,7 @@ let profile_cmd =
     Arg.(value & opt int 20 & info [ "top" ] ~docv:"N"
            ~doc:"Rows in the hot-block table.")
   in
-  (* Exact name, else unique-or-first prefix match, so `--nf nat' works. *)
-  let resolve name =
-    if List.mem name Nf.Registry.names then name
-    else
-      let matches =
-        List.filter
-          (fun n ->
-            String.length n >= String.length name
-            && String.sub n 0 (String.length name) = name)
-          Nf.Registry.names
-      in
-      match matches with
-      | [] ->
-          Printf.eprintf "castan: unknown NF %s (known: %s)\n%!" name
-            (String.concat ", " Nf.Registry.names);
-          exit 1
-      | [ one ] -> one
-      | first :: _ ->
-          Printf.printf "note: %s matches %s; profiling %s\n" name
-            (String.concat ", " matches) first;
-          first
-  in
-  let run name workload samples analyze seed top jobs trace metrics log_level
-      =
-    set_jobs jobs;
-    let name = resolve name in
+  let run name workload samples seed top trace metrics log_level =
     let nf = Nf.Registry.find name in
     let program = nf.Nf.Nf_def.program in
     install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
@@ -296,20 +278,8 @@ let profile_cmd =
       match workload with
       | Some path -> load_workload path
       | None ->
-          if analyze then begin
-            let config =
-              { (Castan.Analyze.default_config
-                   ~cache:
-                     (Castan.Analyze.Contention_sets
-                        (Castan.Analyze.discover_contention_sets ()))
-                   ())
-                with seed }
-            in
-            (Castan.Analyze.run ~config nf).Castan.Analyze.workload
-          end
-          else
-            Testbed.Workload.shape nf.Nf.Nf_def.shape
-              (Testbed.Traffic.unirand ~scale:`Quick ~seed ())
+          Testbed.Workload.shape nf.Nf.Nf_def.shape
+            (Testbed.Traffic.unirand ~scale:`Quick ~seed ())
     in
     let dut = Testbed.Dut.create nf in
     ignore (Testbed.Dut.replay dut w ~samples : Testbed.Dut.sample array);
@@ -328,8 +298,8 @@ let profile_cmd =
        ~doc:"Attribute an NF's replayed cycles to basic blocks (table; \
              with --metrics, the blocks as JSON in the run manifest)")
     Term.(
-      const run $ nf_name $ workload $ samples $ analyze $ seed $ top $ jobs_arg
-      $ trace_arg $ metrics_arg $ log_level_arg)
+      const run $ nf $ workload $ samples $ seed $ top $ trace_arg $ metrics_arg
+      $ log_level_arg)
 
 (* ---------------- probe-cache ---------------- *)
 
@@ -354,6 +324,8 @@ let probe_cmd =
            ~doc:"Persist the sets for later `analyze --cache-model FILE' runs.")
   in
   let run pool pages reboots output =
+    (* The other subcommands' default job count: reboots are pool tasks. *)
+    set_jobs 0;
     let t0 = Unix.gettimeofday () in
     let sets =
       Castan.Analyze.discover_contention_sets ?pool ?pages ?reboots ()

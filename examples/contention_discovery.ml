@@ -21,7 +21,7 @@ let () =
   let offsets = Cache.Contention.standard_offsets geom ~count in
   let pool = Array.map (fun o -> (1 lsl 30) + o) offsets in
   let t0 = Unix.gettimeofday () in
-  let sets = Cache.Contention.discover_sets m ~pool () in
+  let sets = Cache.Contention.discover_sets m ~pool in
   Printf.printf "single run: %d sets (sizes %s) in %.1fs\n%!"
     (List.length sets)
     (String.concat "," (List.map (fun s -> string_of_int (List.length s)) sets))
@@ -48,7 +48,7 @@ let () =
   let consistent =
     Cache.Contention.consistent ~pages:(if smoke then 1 else 2)
       ~reboots:(if smoke then 1 else 2) ~geom
-      ~offsets:(Cache.Contention.standard_offsets geom ~count) ()
+      ~offsets:(Cache.Contention.standard_offsets geom ~count)
   in
   Printf.printf "consistent across pages/reboots: %d classes in %.1fs\n"
     consistent.Cache.Contention.n_classes

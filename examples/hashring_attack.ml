@@ -27,7 +27,7 @@ let () =
     "%d packets; %d hash havocs, %d reconciled through the rainbow table, \
      %d left partially symbolic\n"
     (Testbed.Workload.length o.workload)
-    o.n_havocs o.reconciled o.unreconciled;
+    o.n_havocs o.reconciled (o.n_havocs - o.reconciled);
 
   (* Verify reconciliation for real: re-hash the emitted packets and check
      they land in the ring slots the analysis targeted. *)

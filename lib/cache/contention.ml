@@ -46,7 +46,10 @@ let classify m ~delta core candidates =
         candidates
       |> fun extra -> victim :: rest @ extra
 
-let discover_sets m ~pool ?(max_sets = 64) () =
+(* Sets one discovery run establishes at most. *)
+let sets_per_run = 64
+
+let discover_sets m ~pool =
   let delta = Probe.delta m.Probe.geom in
   let rec loop sets candidates n =
     if n = 0 || List.length candidates <= Geometry.l3_assoc m.Probe.geom then
@@ -65,7 +68,7 @@ let discover_sets m ~pool ?(max_sets = 64) () =
             in
             loop (full_set :: sets) remaining (n - 1)
   in
-  loop [] (Array.to_list pool) max_sets
+  loop [] (Array.to_list pool) sets_per_run
 
 type t = {
   alpha : int;
@@ -74,18 +77,18 @@ type t = {
   n_classes : int;
 }
 
-let consistent ?(slice_seed = 0) ?(pages = 8) ?(reboots = 2) ~geom ~offsets () =
+let consistent ~pages ~reboots ~geom ~offsets =
   (* Each run assigns every offset a local set id (or none).  Offsets are
      consistently co-located iff their id vectors across all runs agree.
      Each reboot probes a machine of its own, so reboots are pool tasks; a
      reboot's pages run in order, because [Vmem] places a page on first
      touch. *)
   let reboot_runs reboot =
-    let m = Probe.machine ~slice_seed ~vmem_seed:(1 + reboot) geom in
+    let m = Probe.machine ~vmem_seed:(1 + reboot) geom in
     List.init pages (fun i ->
         let base = (i + 1) lsl Vmem.page_bits in
         let pool = Array.map (fun o -> base + o) offsets in
-        let sets = discover_sets m ~pool () in
+        let sets = discover_sets m ~pool in
         let ids = Hashtbl.create (Array.length offsets) in
         List.iteri
           (fun id members ->

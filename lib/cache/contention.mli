@@ -13,11 +13,10 @@
     reboots and keeps only the classes of page offsets that co-locate every
     time. *)
 
-val discover_sets :
-  Probe.machine -> pool:int array -> ?max_sets:int -> unit -> int list list
-(** [discover_sets m ~pool ()] partitions (a subset of) the candidate virtual
-    addresses into contention sets, largest signal first.  Addresses whose
-    set could not be established are omitted. *)
+val discover_sets : Probe.machine -> pool:int array -> int list list
+(** [discover_sets m ~pool] partitions (a subset of) the candidate virtual
+    addresses into at most 64 contention sets, largest signal first.
+    Addresses whose set could not be established are omitted. *)
 
 type t = {
   alpha : int;  (** L3 associativity used during discovery *)
@@ -27,19 +26,14 @@ type t = {
 }
 
 val consistent :
-  ?slice_seed:int ->
-  ?pages:int ->
-  ?reboots:int ->
-  geom:Geometry.t ->
-  offsets:int array ->
-  unit ->
-  t
-(** [consistent ~geom ~offsets ()] runs the discovery on [pages] distinct 1GB
-    virtual pages across [reboots] simulated reboots (fresh page placements,
-    same CPU) and intersects the results.  [offsets] are line-aligned byte
-    offsets within a 1GB page.  Defaults: 8 pages, 2 reboots, matching the
-    paper's methodology.  Each reboot is one {!Util.Pool.map} task, so the
-    result is the same at every job count. *)
+  pages:int -> reboots:int -> geom:Geometry.t -> offsets:int array -> t
+(** [consistent ~pages ~reboots ~geom ~offsets] runs the discovery on
+    [pages] distinct 1GB virtual pages across [reboots] simulated reboots
+    (fresh page placements, same CPU: slice hash 0) and intersects the
+    results.  [offsets] are line-aligned byte offsets within a 1GB page.
+    The pipeline's page and reboot counts are
+    [Castan.Analyze.discover_contention_sets]'s.  Each reboot is one
+    {!Util.Pool.map} task, so the result is the same at every job count. *)
 
 val standard_offsets : Geometry.t -> count:int -> int array
 (** The canonical candidate pool: [count] line-aligned page offsets that all

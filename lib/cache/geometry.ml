@@ -27,6 +27,8 @@ let xeon_e5_2667v2 =
     clock_ghz = 3.3;
   }
 
+let op_cycles weight = max 1 (weight * 3 / 5)
+
 let sets t level = level.size_kib * 1024 / t.line / level.ways
 let l3_sets_per_slice t = sets t t.l3 / t.l3_slices
 let l3_assoc t = t.l3.ways

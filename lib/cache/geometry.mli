@@ -22,6 +22,10 @@ type t = {
 
 val xeon_e5_2667v2 : t
 
+val op_cycles : int -> int
+(** Cycles to retire [weight] non-memory instructions: 3/5 of a cycle each
+    on the superscalar core, at least 1 (§3.3's calibrated CPI). *)
+
 val sets : t -> level -> int
 (** Number of sets of a non-sliced level. *)
 

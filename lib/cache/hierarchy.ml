@@ -115,5 +115,3 @@ let invalidate_line t paddr =
   Level.invalidate t.l2 ~set:(l2_set t line) ~tag:line;
   let slice = slice_of_line t line in
   Level.invalidate t.l3.(slice) ~set:(line mod t.l3_sets) ~tag:line
-
-let geometry t = t.geom

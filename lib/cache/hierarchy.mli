@@ -49,5 +49,3 @@ val ground_truth_slice : t -> int -> int
 val l3_set : t -> int -> int
 (** In-slice L3 set index of a physical address (page-independent bits are
     not guaranteed; callers must treat this as physical). *)
-
-val geometry : t -> Geometry.t

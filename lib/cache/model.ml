@@ -61,12 +61,6 @@ let baseline geom =
     touched = Iset.empty;
   }
 
-let name t =
-  match t.kind with
-  | Contention _ -> "contention-sets"
-  | Oracle _ -> "oracle"
-  | Baseline -> "baseline"
-
 let line_of t vaddr = vaddr / t.geom.Geometry.line
 
 let class_key t line =

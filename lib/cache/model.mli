@@ -43,5 +43,3 @@ val access_symbolic : t -> pc:Solver.Pc.t -> Ir.Expr.sexpr -> t * outcome
     constraints.  The returned [added] constraint (absent when the pointer
     simplified to a constant) must be appended to the state's path
     constraint. *)
-
-val name : t -> string

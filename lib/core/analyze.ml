@@ -31,7 +31,6 @@ type outcome = {
   predicted_cost : int;
   n_havocs : int;
   reconciled : int;
-  unreconciled : int;
   states_tried : int;
   stats : Symbex.Driver.stats;
 }
@@ -64,7 +63,7 @@ let rainbow_for hash_name ks =
              few times |keys| worth of chain steps is needed for coverage
              past associativity on the ring. *)
           let chains = max 32768 (ks.Hashrev.Rainbow.count / 64) in
-          Hashrev.Rainbow.build ~hash ks ~chains ~chain_len:256 ()
+          Hashrev.Rainbow.build ~hash ~chains ~chain_len:256 ks
       in
       Mutex.protect rainbow_mu (fun () ->
           match Hashtbl.find_opt rainbow_cache key with
@@ -76,7 +75,7 @@ let rainbow_for hash_name ks =
 let discover_contention_sets ?(pool = 512) ?(pages = 2) ?(reboots = 2) () =
   let geom = Cache.Geometry.xeon_e5_2667v2 in
   let offsets = Cache.Contention.standard_offsets geom ~count:pool in
-  Cache.Contention.consistent ~pages ~reboots ~geom ~offsets ()
+  Cache.Contention.consistent ~pages ~reboots ~geom ~offsets
 
 (* ------------------------------------------------------------------ *)
 (* The pipeline                                                        *)
@@ -156,15 +155,13 @@ let synthesize (nf : Nf.Nf_def.t) ~rng ~n_packets (s : Symbex.State.t) =
       Some
         ( Testbed.Workload.make ~name:"CASTAN" packets,
           List.length r.Hashrev.Reconcile.reconciled,
-          List.length r.Hashrev.Reconcile.unreconciled,
           List.length havocs )
   | Unsat | Unknown -> None
 
 (* Ranked states to attempt solving before giving up on the NF. *)
 let states_to_try = 16
 
-let run ?config (nf : Nf.Nf_def.t) =
-  let cfg = match config with Some c -> c | None -> default_config () in
+let run ~config:cfg (nf : Nf.Nf_def.t) =
   (* Pin every id sequence an analysis consumes to its start: symbol,
      state and fork ids become pure functions of the NF + config, so a
      campaign produces identical constraints (and ktest files) no matter
@@ -191,12 +188,14 @@ let run ?config (nf : Nf.Nf_def.t) =
         in
         let driver_cfg =
           {
-            (Symbex.Driver.default_config ~n_packets costs) with
+            Symbex.Driver.n_packets;
             strategy = cfg.strategy;
+            costs;
             m = cfg.m;
             hash_bits = nf.Nf.Nf_def.hash_bits;
-            time_budget = cfg.time_budget;
             instr_budget = cfg.instr_budget;
+            time_budget = cfg.time_budget;
+            max_completed = 32;
           }
         in
         (driver_cfg, Nf.Nf_def.fresh_symbolic_memory nf, cache_model cfg.cache))
@@ -223,7 +222,7 @@ let run ?config (nf : Nf.Nf_def.t) =
                nf.Nf.Nf_def.name)
         else
           match synthesize nf ~rng ~n_packets s with
-          | Some (workload, reconciled, unreconciled, n_havocs) ->
+          | Some (workload, reconciled, n_havocs) ->
               {
                 nf = nf.Nf.Nf_def.name;
                 workload;
@@ -231,7 +230,6 @@ let run ?config (nf : Nf.Nf_def.t) =
                 predicted_cost = Symbex.State.current_cost s;
                 n_havocs;
                 reconciled;
-                unreconciled;
                 states_tried = tried + 1;
                 stats = result.Symbex.Driver.stats;
               }

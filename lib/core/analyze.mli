@@ -41,12 +41,11 @@ type outcome = {
   predicted_cost : int;  (** total cycles of the chosen state *)
   n_havocs : int;
   reconciled : int;
-  unreconciled : int;
   states_tried : int;
   stats : Symbex.Driver.stats;
 }
 
-val run : ?config:config -> Nf.Nf_def.t -> outcome
+val run : config:config -> Nf.Nf_def.t -> outcome
 (** @raise Failure if no explored state yields a solvable workload (does not
     happen for the 11 evaluation NFs). *)
 
@@ -54,6 +53,6 @@ val discover_contention_sets :
   ?pool:int -> ?pages:int -> ?reboots:int -> unit -> Cache.Contention.t
 (** Runs §3.2 discovery with the standard candidate pool.  It probes
     afresh on every call; a caller that needs the sets twice passes the
-    value on.  Defaults: a pool of 512 offsets, 2 pages × 2 reboots — fewer
-    pages than the paper's 8, which stays {!Cache.Contention.consistent}'s
-    own default. *)
+    value on.  Defaults: a pool of 512 offsets, 2 pages × 2 reboots (the
+    paper probes 8 pages); these are the pipeline's only discovery
+    settings. *)

@@ -394,7 +394,7 @@ let discussion_wcet (config : Experiment.config) _sets =
         let measured =
           Testbed.Tg.median_cycles
             (Testbed.Tg.measure ~samples:4000 nf o.Analyze.workload)
-          -. float_of_int (Testbed.Dut.overhead_cycles + 290)
+          -. float_of_int (Testbed.Dut.overhead_cycles + geom.lat_dram)
         in
         [
           name;

@@ -1,40 +1,11 @@
 type row = { func : string; block : int; stats : Obs.Profile.stats }
 
-(* Sorted leader pcs of a function's basic blocks: pc 0, every branch/jump
-   target, and every fall-through point after an instruction that ends a
-   block. *)
-let leaders (f : Ir.Cfg.func) =
-  let n = Array.length f.Ir.Cfg.body in
-  let is_leader = Array.make (max n 1) false in
-  if n > 0 then is_leader.(0) <- true;
-  let mark pc = if pc >= 0 && pc < n then is_leader.(pc) <- true in
-  Array.iteri
-    (fun pc instr ->
-      match instr with
-      | Ir.Cfg.Branch { if_true; if_false; _ } ->
-          mark if_true;
-          mark if_false;
-          mark (pc + 1)
-      | Ir.Cfg.Jump target ->
-          mark target;
-          mark (pc + 1)
-      | Ir.Cfg.Return _ -> mark (pc + 1)
-      | _ -> ())
-    f.Ir.Cfg.body;
-  let out = ref [] in
-  for pc = n - 1 downto 0 do
-    if is_leader.(pc) then out := pc :: !out
-  done;
-  Array.of_list !out
-
-(* Greatest leader <= pc (leaders is sorted ascending and contains 0). *)
-let block_of leaders pc =
-  let lo = ref 0 and hi = ref (Array.length leaders - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if leaders.(mid) <= pc then lo := mid else hi := mid - 1
-  done;
-  leaders.(!lo)
+(* The leader of the block holding [pc]: the greatest leader <= pc (pc 0
+   is always one). *)
+let rec block_of is_leader pc =
+  if pc <= 0 then 0
+  else if is_leader.(pc) then pc
+  else block_of is_leader (pc - 1)
 
 let add_into (dst : Obs.Profile.stats) (s : Obs.Profile.stats) =
   dst.Obs.Profile.cycles <- dst.Obs.Profile.cycles + s.Obs.Profile.cycles;
@@ -47,7 +18,7 @@ let add_into (dst : Obs.Profile.stats) (s : Obs.Profile.stats) =
   dst.dram <- dst.dram + s.Obs.Profile.dram
 
 let rows program =
-  let leaders_cache : (string, int array) Hashtbl.t = Hashtbl.create 16 in
+  let leaders_cache : (string, bool array) Hashtbl.t = Hashtbl.create 16 in
   let leaders_for func =
     match Hashtbl.find_opt leaders_cache func with
     | Some l -> Some l
@@ -55,7 +26,7 @@ let rows program =
         match Hashtbl.find_opt program.Ir.Cfg.funcs func with
         | None -> None (* pseudo-function: one block at pc 0 *)
         | Some f ->
-            let l = leaders f in
+            let l = Ir.Cfg.leaders f in
             Hashtbl.add leaders_cache func l;
             Some l)
   in
@@ -66,8 +37,8 @@ let rows program =
     (fun ((func, pc), s) ->
       let block =
         match leaders_for func with
-        | Some l when Array.length l > 0 -> block_of l pc
-        | _ -> 0
+        | Some l -> block_of l (min pc (Array.length l - 1))
+        | None -> 0
       in
       let key = (func, block) in
       match Hashtbl.find_opt blocks key with

@@ -3,12 +3,10 @@
     the block JSON that [castan profile --metrics] embeds in its run
     manifest.
 
-    The profiler attributes at [(func, pc)] granularity; this module derives
-    each function's basic-block leaders from its flat CFG (a leader is pc 0,
-    any branch/jump target, and any instruction following a branch, jump or
-    return) and folds every site into the block holding it.  Pseudo-functions
-    the executors use for runtime overhead (["<dpdk>"]) are treated as a
-    single block at pc 0.
+    The profiler attributes at [(func, pc)] granularity; this module folds
+    every site into the basic block holding it ({!Ir.Cfg.leaders}).
+    Pseudo-functions the executors use for runtime overhead (["<dpdk>"])
+    are treated as a single block at pc 0.
 
     Everything emitted here is derived from deterministic integer samples,
     so two identical runs produce byte-identical tables and JSON blocks;

@@ -34,7 +34,7 @@ let chain_end hash ks chain_len start_idx =
   in
   go start_idx 0
 
-let build ~hash ks ?(chains = 4096) ?(chain_len = 64) () =
+let build ~hash ~chains ~chain_len ks =
   let ends = Hashtbl.create chains in
   let n = min chains ks.count in
   (* Each chain walk is a pure function of its start point, so the walks

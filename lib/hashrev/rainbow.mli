@@ -20,10 +20,10 @@ val keyspace :
 
 type t
 
-val build :
-  hash:Hashes.t -> keyspace -> ?chains:int -> ?chain_len:int -> unit -> t
-(** Builds the chain table.  Defaults: 4096 chains of length 64.  Reduction
-    functions map a hash value back into the key space, salted per column. *)
+val build : hash:Hashes.t -> chains:int -> chain_len:int -> keyspace -> t
+(** Builds [chains] chains of [chain_len] steps (at most one chain per key).
+    Reduction functions map a hash value back into the key space, salted per
+    column. *)
 
 val build_exhaustive : hash:Hashes.t -> keyspace -> t
 (** The brute-force variant the paper combines with rainbow tables: a full

@@ -11,10 +11,13 @@ type outcome = {
   unreconciled : havoc list;
 }
 
+(* Hash values step 1 proposes per havoc. *)
+let candidates_per_havoc = 24
+
 (* Step 1: candidate hash values for one havoc output under [pc]: the value
    a satisfying model assigns, then a spread of the output's abstract
    domain. *)
-let value_candidates ~rng ~limit pc output =
+let value_candidates ~rng pc output =
   let out_expr : Ir.Expr.sexpr = Leaf output in
   let seen = Hashtbl.create 16 in
   let out = ref [] in
@@ -30,10 +33,9 @@ let value_candidates ~rng ~limit pc output =
   let dom = Solver.Pc.domain_of pc out_expr in
   let d : Solver.Domain.t = dom in
   let card = Solver.Domain.cardinal d in
-  let want = limit in
-  let stride = max 1 (card / want) in
+  let stride = max 1 (card / candidates_per_havoc) in
   let k = ref 0 in
-  while List.length !out < want && !k < card do
+  while List.length !out < candidates_per_havoc && !k < card do
     push (d.lo + (!k * d.step));
     k := !k + stride
   done;
@@ -41,7 +43,7 @@ let value_candidates ~rng ~limit pc output =
 
 (* Steps 2+3 for one havoc: walk candidate hash values, invert each through
    the table, and commit the first (value, key) pair the solver accepts. *)
-let reconcile_one ~tables ~rng ~limit pc h =
+let reconcile_one ~tables ~rng pc h =
   match tables h.hv_hash with
   | None -> None
   | Some table ->
@@ -74,21 +76,19 @@ let reconcile_one ~tables ~rng ~limit pc h =
               Obs.Log.debug "reconcile: no preimage (pkt %d hv=%d)" h.hv_pkt hv;
             try_keys keys
       in
-      let vals = value_candidates ~rng ~limit pc h.hv_output in
+      let vals = value_candidates ~rng pc h.hv_output in
       if vals = [] then
         Obs.Log.debug "reconcile: no value candidates (pkt %d)" h.hv_pkt;
       try_values vals
 
-let run ~tables ?(rng = Util.Rng.create 0x5a17) ?(value_candidates = 24) ~pc
-    ~havocs () =
-  let limit = value_candidates in
+let run ~tables ?(rng = Util.Rng.create 0x5a17) ~pc ~havocs () =
   let ordered =
     List.stable_sort (fun a b -> compare a.hv_pkt b.hv_pkt) havocs
   in
   let pc, reconciled, unreconciled =
     List.fold_left
       (fun (pc, ok, failed) h ->
-        match reconcile_one ~tables ~rng ~limit pc h with
+        match reconcile_one ~tables ~rng pc h with
         | Some pc' -> (pc', h :: ok, failed)
         | None -> (pc, ok, h :: failed))
       (pc, [], []) ordered

@@ -32,12 +32,11 @@ type outcome = {
 val run :
   tables:(string -> Rainbow.t option) ->
   ?rng:Util.Rng.t ->
-  ?value_candidates:int ->
   pc:Solver.Pc.t ->
   havocs:havoc list ->
   unit ->
   outcome
 (** Havocs are processed in packet order; constraints committed for earlier
     havocs restrict the later ones (the paper's related-keys NAT challenge
-    arises exactly here).  [value_candidates] bounds step 1 (default 24).
+    arises exactly here).  Step 1 proposes at most 24 values per havoc.
     A havoc whose hash has no table is left unreconciled. *)

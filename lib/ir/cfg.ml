@@ -36,6 +36,25 @@ let successors f pc =
   | Return _ -> []
   | Assign _ | Load _ | Store _ | Alloc _ | Call _ | Havoc _ -> [ pc + 1 ]
 
+let leaders f =
+  let n = Array.length f.body in
+  let is_leader = Array.make n false in
+  let mark pc = if pc >= 0 && pc < n then is_leader.(pc) <- true in
+  mark 0;
+  Array.iteri
+    (fun pc -> function
+      | Branch { if_true; if_false; _ } ->
+          mark if_true;
+          mark if_false;
+          mark (pc + 1)
+      | Jump target ->
+          mark target;
+          mark (pc + 1)
+      | Return _ -> mark (pc + 1)
+      | Assign _ | Load _ | Store _ | Alloc _ | Call _ | Havoc _ -> ())
+    f.body;
+  is_leader
+
 let weight = function
   | Assign (_, e) -> 1 + Expr.ops e
   | Load { addr; _ } -> 1 + Expr.ops addr

@@ -44,6 +44,11 @@ val successors : func -> int -> int list
 (** Intra-procedural successor program counters of the instruction at [pc].
     [Call] falls through to [pc+1]; [Return] has none. *)
 
+val leaders : func -> bool array
+(** [(leaders f).(pc)] holds when [pc] starts a basic block: pc 0, every
+    branch or jump target, and every instruction after a branch, jump or
+    return. *)
+
 val weight : instr -> int
 (** "Instructions retired" weight of one NFIR instruction: 1 plus the number
     of operator nodes in its expressions, so a flat NFIR instruction with a

@@ -309,28 +309,20 @@ let compile_action slots (instr : Cfg.instr) : ctx -> int array -> unit =
 let max_chain = 128
 
 (* Fuse runs into [base] (the per-instruction closure array).  Control can
-   enter an instruction only at pc 0, a branch/jump target, or by fall-
+   enter an instruction only at a block leader ({!Cfg.leaders}) or by fall-
    through; fused closures are installed at run heads, so entering a run
    mid-way (necessarily at a jump target, which is itself a run head) never
-   double-charges. *)
-let superblockify slots (body : Cfg.instr array) base =
+   double-charges.  A run starts at a fusible leader or after a non-fusible
+   instruction. *)
+let superblockify slots (f : Cfg.func) base =
+  let body = f.body in
   let n = Array.length body in
-  let is_leader = Array.make n false in
-  if n > 0 then is_leader.(0) <- true;
-  Array.iter
-    (fun instr ->
-      match instr with
-      | Cfg.Branch { if_true; if_false; _ } ->
-          if if_true < n then is_leader.(if_true) <- true;
-          if if_false < n then is_leader.(if_false) <- true;
-      | Cfg.Jump target -> if target < n then is_leader.(target) <- true
-      | _ -> ())
-    body;
+  let is_leader = Cfg.leaders f in
   let code = Array.copy base in
   for start = 0 to n - 1 do
     let starts_run =
       fusible body.(start)
-      && (start = 0 || is_leader.(start) || not (fusible body.(start - 1)))
+      && (is_leader.(start) || not (fusible body.(start - 1)))
     in
     if starts_run then begin
       (* Walk the unique control path: fusible fall-throughs, chaining
@@ -455,7 +447,7 @@ let program (p : Cfg.t) =
               (compile_instr funcs slots pc instr))
           f.body
       in
-      cf.code <- superblockify slots f.body base)
+      cf.code <- superblockify slots f base)
     p.Cfg.funcs;
   { funcs }
 

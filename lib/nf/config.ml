@@ -1,14 +1,5 @@
 type route = { prefix : int; len : int; next_hop : int }
 
-type t = {
-  routes32 : route list;
-  routes27 : route list;
-  vip : int;
-  n_backends : int;
-  chain_buckets : int;
-  ring_entries : int;
-}
-
 let mask_of_len len = if len = 0 then 0 else -1 lsl (32 - len) land 0xFFFFFFFF
 
 let route_matches r ip = ip land mask_of_len r.len = r.prefix
@@ -34,15 +25,12 @@ let family ~longest f =
 
 let make_routes ~longest = List.concat_map (family ~longest) (List.init 8 Fun.id)
 
-let default =
-  {
-    routes32 = make_routes ~longest:32;
-    routes27 = make_routes ~longest:27;
-    vip = 0xC0A80101 (* 192.168.1.1 *);
-    n_backends = 16;
-    chain_buckets = 65_536;
-    ring_entries = 1 lsl 24;
-  }
+let routes32 = make_routes ~longest:32
+let routes27 = make_routes ~longest:27
+let vip = 0xC0A80101 (* 192.168.1.1 *)
+let n_backends = 16
+let chain_buckets = 65_536
+let ring_entries = 1 lsl 24
 
 (* A top-level walk with the best match in its arguments: a lazily
    initialized table runs this on every read of an unwritten cell, so it

@@ -1,4 +1,4 @@
-(** Table-population configuration shared by the evaluation NFs (§5.1).
+(** Table-population constants shared by the evaluation NFs (§5.1).
 
     The LPM forwarding table holds 8 routes each of /8, /16, /24 and — where
     the data structure supports it — /32 (or /27 for single-stage direct
@@ -7,16 +7,23 @@
 
 type route = { prefix : int; len : int; next_hop : int }
 
-type t = {
-  routes32 : route list;  (** longest prefix 32: trie and DPDK LPM *)
-  routes27 : route list;  (** longest prefix 27: 1-stage direct lookup *)
-  vip : int;  (** the load balancer's virtual IP *)
-  n_backends : int;
-  chain_buckets : int;  (** 65,536 *)
-  ring_entries : int;  (** 2^24 ≈ 16.7M *)
-}
+val routes32 : route list
+(** Longest prefix 32: trie and DPDK LPM. *)
 
-val default : t
+val routes27 : route list
+(** Longest prefix 27: 1-stage direct lookup. *)
+
+val vip : int
+(** The load balancer's virtual IP, 192.168.1.1. *)
+
+val n_backends : int
+(** 16 *)
+
+val chain_buckets : int
+(** 65,536 *)
+
+val ring_entries : int
+(** 2^24 ≈ 16.7M *)
 
 val lpm_lookup : route list -> int -> int
 (** Reference longest-prefix-match over a route list; 0 when nothing

@@ -2,7 +2,7 @@ open Ir.Dsl
 
 (* Node layout: [key; value; left; right], 8 bytes each. *)
 
-let make (_cfg : Config.t) =
+let make () =
   let root_region =
     Ir.Memory.array_spec ~name:"bst_root" ~elem_width:8 ~count:1 ()
   in

@@ -6,4 +6,4 @@
     flows — the classic algorithmic-complexity attack (Fig. 9, 10).  This is
     the structure for which the paper hand-crafts a Manual skew workload. *)
 
-val make : Config.t -> Flowtable.t
+val make : unit -> Flowtable.t

@@ -2,14 +2,14 @@ open Ir.Dsl
 
 (* Heap node layout: [key; value; next], 8 bytes each. *)
 
-let make (cfg : Config.t) =
+let make () =
   let buckets =
     Ir.Memory.array_spec ~name:"ht_buckets" ~elem_width:8
-      ~count:cfg.chain_buckets ()
+      ~count:Config.chain_buckets ()
   in
   let regions = [ buckets ] in
   let base = Nf_def.region_base regions "ht_buckets" in
-  let bucket_addr = i base +: ((v "h" &: i (cfg.chain_buckets - 1)) *: i 8) in
+  let bucket_addr = i base +: ((v "h" &: i (Config.chain_buckets - 1)) *: i 8) in
   let functions =
     [
       func Flowtable.lookup_name [ "key"; "h" ]

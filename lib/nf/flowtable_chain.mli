@@ -5,4 +5,4 @@
     cost is the length of the longest chain an adversary can grow — the hash
     collision attack of §5.4 (Fig. 12, 14). *)
 
-val make : Config.t -> Flowtable.t
+val make : unit -> Flowtable.t

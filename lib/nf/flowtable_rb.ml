@@ -80,7 +80,7 @@ let fixup_case ~left_side =
       ];
   ]
 
-let make (_cfg : Config.t) =
+let make () =
   let root_region =
     Ir.Memory.array_spec ~name:"rb_root" ~elem_width:8 ~count:1 ()
   in

@@ -7,4 +7,4 @@
     every time the searcher grows a deep path, the fixup flattens it — the
     local-maxima behaviour discussed in §5.3 (Fig. 11). *)
 
-val make : Config.t -> Flowtable.t
+val make : unit -> Flowtable.t

@@ -5,14 +5,14 @@ open Ir.Dsl
 
 let occupied_tag = 1 lsl 50
 
-let make (cfg : Config.t) =
+let make () =
   let ring =
     Ir.Memory.array_spec ~name:"ring" ~elem_width:8
-      ~count:(cfg.ring_entries * 8) (* 64B per entry *) ()
+      ~count:(Config.ring_entries * 8) (* 64B per entry *) ()
   in
   let regions = [ ring ] in
   let base = Nf_def.region_base regions "ring" in
-  let mask = cfg.ring_entries - 1 in
+  let mask = Config.ring_entries - 1 in
   let slot idx = i base +: (idx *: i 64) in
   let functions =
     [

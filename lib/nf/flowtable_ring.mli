@@ -7,4 +7,4 @@
     behaviour cache contention rather than probe chains — which is exactly
     what CASTAN finds (Fig. 13, 15). *)
 
-val make : Config.t -> Flowtable.t
+val make : unit -> Flowtable.t

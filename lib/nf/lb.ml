@@ -1,6 +1,6 @@
 open Ir.Dsl
 
-let make (cfg : Config.t) (ft : Flowtable.t) =
+let make (ft : Flowtable.t) =
   let rr_region =
     Ir.Memory.array_spec ~name:"lb_rr" ~elem_width:8 ~count:1 ()
   in
@@ -12,7 +12,7 @@ let make (cfg : Config.t) (ft : Flowtable.t) =
       ([
          call "csum" Parse.name Parse.call_args;
          (* non-VIP traffic is statically routed: no data-structure access *)
-         if_ (v "dst_ip" <>: i cfg.vip) [ ret (i 1) ] [];
+         if_ (v "dst_ip" <>: i Config.vip) [ ret (i 1) ] [];
          Flownf.proto_guard;
          "key" <-- ((v "src_ip" <<: i 16) |: v "src_port");
        ]
@@ -24,7 +24,7 @@ let make (cfg : Config.t) (ft : Flowtable.t) =
             [
               load8 "c" rr;
               store8 rr (v "c" +: i 1);
-              "backend" <-- (v "c" %: i cfg.n_backends) +: i 1;
+              "backend" <-- (v "c" %: i Config.n_backends) +: i 1;
               call_ Flowtable.insert_name [ v "key"; v "h"; v "backend" ];
             ]
             [];
@@ -36,7 +36,7 @@ let make (cfg : Config.t) (ft : Flowtable.t) =
       Some
         (fun _rng n ->
           List.init n (fun k ->
-              Packet.make ~dst_ip:cfg.vip ~src_port:(1024 + k) ()))
+              Packet.make ~dst_ip:Config.vip ~src_port:(1024 + k) ()))
     else None
   in
   let prog =
@@ -50,7 +50,7 @@ let make (cfg : Config.t) (ft : Flowtable.t) =
     program = Ir.Lower.program prog;
     hash_bits = Flownf.hash_bits ft;
     keyspaces = Flownf.keyspaces ft ~with_ret_keys:false;
-    shape = (fun p -> { p with Packet.dst_ip = cfg.vip });
+    shape = (fun p -> { p with Packet.dst_ip = Config.vip });
     manual;
     castan_packets =
       (match ft.Flowtable.ft_name with "hash-ring" -> 40 | _ -> 30);

@@ -5,4 +5,4 @@
     statically routed without touching the flow table (hence the workload
     shaper that rewrites generic traffic onto the VIP, as the paper does). *)
 
-val make : Config.t -> Flowtable.t -> Nf_def.t
+val make : Flowtable.t -> Nf_def.t

@@ -1,10 +1,9 @@
 open Ir.Dsl
 
-let make (cfg : Config.t) =
-  let routes = cfg.routes27 in
+let make () =
   let table =
     Ir.Memory.array_spec ~name:"dl_table" ~elem_width:8 ~count:(1 lsl 27)
-      ~init:(fun idx -> Config.lpm_lookup routes (idx lsl 5))
+      ~init:(fun idx -> Config.lpm_lookup Config.routes27 (idx lsl 5))
       ()
   in
   let regions = [ table ] in

@@ -6,4 +6,4 @@
     count, but a textbook target for adversarial memory access because the
     table dwarfs the 25.6MB L3 (Fig. 4, Fig. 5, Tables 1-3). *)
 
-val make : Config.t -> Nf_def.t
+val make : unit -> Nf_def.t

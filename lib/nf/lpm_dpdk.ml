@@ -2,8 +2,8 @@ open Ir.Dsl
 
 let flag = 1 lsl 31
 
-let make (cfg : Config.t) =
-  let routes = cfg.routes32 in
+let make () =
+  let routes = Config.routes32 in
   (* /24 prefixes that contain routes longer than 24 bits get a second-stage
      group each. *)
   let deep_prefixes =

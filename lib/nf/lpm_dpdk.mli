@@ -8,4 +8,4 @@
     contention-causing workloads much harder to find (Fig. 6) — the paper's
     robustness argument for this structure. *)
 
-val make : Config.t -> Nf_def.t
+val make : unit -> Nf_def.t

@@ -57,9 +57,9 @@ let flatten root ~base =
     ordered;
   slots
 
-let make (cfg : Config.t) =
+let make () =
   let root = new_node () in
-  List.iter (insert root) cfg.routes32;
+  List.iter (insert root) Config.routes32;
   (* The region's base is determined by layout; since this is the only/first
      region it equals the layout origin regardless of node count. *)
   let probe_region =
@@ -101,7 +101,7 @@ let make (cfg : Config.t) =
   let deepest =
     List.filter_map
       (fun (r : Config.route) -> if r.len = 32 then Some r.prefix else None)
-      cfg.routes32
+      Config.routes32
   in
   let manual _rng n =
     List.init n (fun k ->

@@ -10,4 +10,4 @@
     routes (plus single-bit variants at the end of the prefix when more
     packets are requested — which is what CASTAN itself discovered). *)
 
-val make : Config.t -> Nf_def.t
+val make : unit -> Nf_def.t

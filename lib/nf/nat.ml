@@ -1,7 +1,6 @@
 open Ir.Dsl
 
-let make (cfg : Config.t) (ft : Flowtable.t) =
-  ignore cfg;
+let make (ft : Flowtable.t) =
   let port_region =
     Ir.Memory.array_spec ~name:"nat_next_port" ~elem_width:8 ~count:1 ()
   in

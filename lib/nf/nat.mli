@@ -6,4 +6,4 @@
     which is what makes NAT reconciliation so much harder than LB's (§5.4).
     New flows allocate an external port from a counter. *)
 
-val make : Config.t -> Flowtable.t -> Nf_def.t
+val make : Flowtable.t -> Nf_def.t

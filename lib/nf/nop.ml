@@ -1,6 +1,6 @@
 open Ir.Dsl
 
-let make (_cfg : Config.t) =
+let make () =
   let prog =
     program ~name:"nop" ~entry:"process" ~regions:[]
       [ func "process" Parse.params [ ret (i 1) ] ]

@@ -1,30 +1,27 @@
-let builders : (string * (Config.t -> Nf_def.t)) list =
+let builders : (string * (unit -> Nf_def.t)) list =
   [
-    ("lb-hash-table", fun c -> Lb.make c (Flowtable_chain.make c));
-    ("lb-hash-ring", fun c -> Lb.make c (Flowtable_ring.make c));
-    ("lb-red-black-tree", fun c -> Lb.make c (Flowtable_rb.make c));
-    ("lb-unbalanced-tree", fun c -> Lb.make c (Flowtable_bst.make c));
-    ("lpm-btrie", fun c -> Lpm_trie.make c);
-    ("lpm-1stage-dl", fun c -> Lpm_direct.make c);
-    ("lpm-2stage-dl", fun c -> Lpm_dpdk.make c);
-    ("nat-hash-table", fun c -> Nat.make c (Flowtable_chain.make c));
-    ("nat-hash-ring", fun c -> Nat.make c (Flowtable_ring.make c));
-    ("nat-red-black-tree", fun c -> Nat.make c (Flowtable_rb.make c));
-    ("nat-unbalanced-tree", fun c -> Nat.make c (Flowtable_bst.make c));
+    ("lb-hash-table", fun () -> Lb.make (Flowtable_chain.make ()));
+    ("lb-hash-ring", fun () -> Lb.make (Flowtable_ring.make ()));
+    ("lb-red-black-tree", fun () -> Lb.make (Flowtable_rb.make ()));
+    ("lb-unbalanced-tree", fun () -> Lb.make (Flowtable_bst.make ()));
+    ("lpm-btrie", Lpm_trie.make);
+    ("lpm-1stage-dl", Lpm_direct.make);
+    ("lpm-2stage-dl", Lpm_dpdk.make);
+    ("nat-hash-table", fun () -> Nat.make (Flowtable_chain.make ()));
+    ("nat-hash-ring", fun () -> Nat.make (Flowtable_ring.make ()));
+    ("nat-red-black-tree", fun () -> Nat.make (Flowtable_rb.make ()));
+    ("nat-unbalanced-tree", fun () -> Nat.make (Flowtable_bst.make ()));
+    ("nop", Nop.make);
   ]
 
-let names = List.map fst builders @ [ "nop" ]
+let names = List.map fst builders
 
-let all ?(cfg = Config.default) () = List.map (fun (_, b) -> b cfg) builders
+let nop = Nop.make
 
-let nop ?(cfg = Config.default) () = Nop.make cfg
-
-let find ?(cfg = Config.default) name =
-  if name = "nop" then nop ~cfg ()
-  else
-    match List.assoc_opt name builders with
-    | Some b -> b cfg
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Registry.find: unknown NF %s (known: %s)" name
-             (String.concat ", " names))
+let find name =
+  match List.assoc_opt name builders with
+  | Some b -> b ()
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Registry.find: unknown NF %s (known: %s)" name
+           (String.concat ", " names))

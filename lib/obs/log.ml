@@ -4,7 +4,6 @@ let rank = function Quiet -> 0 | Info -> 1 | Debug -> 2
 
 let current = ref Quiet
 let set_level l = current := l
-let level () = !current
 
 (* Pool workers log too; the lock keeps each line whole.  Lines from
    concurrent tasks interleave. *)

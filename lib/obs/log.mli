@@ -7,7 +7,6 @@
 type level = Quiet | Info | Debug
 
 val set_level : level -> unit
-val level : unit -> level
 
 val info : ('a, unit, string, unit) format4 -> 'a
 (** Printed at [Info] and [Debug]; prefixed ["castan: "], newline-terminated

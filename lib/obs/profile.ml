@@ -47,8 +47,8 @@ let enter ~func ~pc =
           s
   end
 
-(* 3/5 of a cycle per retired weight unit, matching [Symbex.Costs.default]
-   and the DUT's calibrated CPI; rounded to nearest so weight-1 instructions
+(* 3/5 of a cycle per retired weight unit, the CPI of
+   [Cache.Geometry.op_cycles]; rounded to nearest so weight-1 instructions
    attribute 1 cycle instead of flooring to 0. *)
 let retire_cycles weight = ((weight * 3) + 2) / 5
 

@@ -54,8 +54,8 @@ val enter : func:string -> pc:int -> unit
 
 val add_retire : weight:int -> unit
 (** [weight] retired instructions at the calibrated 3/5 cycles-per-weight
-    CPI (rounded to nearest; the same ratio as [Symbex.Costs.default] and
-    the DUT) — the concrete executors' per-instruction charge. *)
+    CPI (rounded to nearest; the same ratio as [Cache.Geometry.op_cycles])
+    — the concrete executors' per-instruction charge. *)
 
 val add_exec : instrs:int -> cycles:int -> unit
 (** An exact charge of [instrs] instructions costing [cycles] — the DUT's

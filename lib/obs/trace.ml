@@ -18,7 +18,6 @@ let disabled_span = { name = "<disabled>"; start = 0.; args = [] }
    each line whole.  Lines from concurrent tasks interleave. *)
 let sink_mu = Mutex.create ()
 
-let sink () = !current
 let enabled () = Sink.active !current
 
 let set_sink s =

@@ -21,7 +21,6 @@ val set_sink : Sink.t -> unit
 (** Installs the destination and re-bases the trace clock.  The previous
     sink is closed. *)
 
-val sink : unit -> Sink.t
 val enabled : unit -> bool
 
 val enter : ?args:(string * Json.t) list -> string -> span

@@ -1,19 +1,11 @@
-type t = {
-  op_cycles_num : int;
-  op_cycles_den : int;
-  geom : Cache.Geometry.t;
-  hash_weight : string -> int;
-}
+type t = { geom : Cache.Geometry.t; hash_weight : string -> int }
 
-let default ?(hash_weight = fun _ -> 24) geom =
-  { op_cycles_num = 3; op_cycles_den = 5; geom; hash_weight }
-
-let compute_cycles t ~weight = max 1 (weight * t.op_cycles_num / t.op_cycles_den)
+let default ?(hash_weight = fun _ -> 24) geom = { geom; hash_weight }
 
 let instr_local t instr =
-  let base = compute_cycles t ~weight:(Ir.Cfg.weight instr) in
+  let base = Cache.Geometry.op_cycles (Ir.Cfg.weight instr) in
   match instr with
   | Ir.Cfg.Load _ | Ir.Cfg.Store _ -> base + t.geom.Cache.Geometry.lat_l1
   | Ir.Cfg.Havoc { hash; _ } ->
-      base + compute_cycles t ~weight:(t.hash_weight hash)
+      base + Cache.Geometry.op_cycles (t.hash_weight hash)
   | _ -> base

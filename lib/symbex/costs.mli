@@ -3,21 +3,17 @@
 
     Non-memory NFIR operations retire on a superscalar core at less than one
     cycle each; memory operations cost the latency of the level that serves
-    them.  Hash weights come from the analysis configuration because the IR
-    layer does not know hash implementations. *)
+    them ({!Cache.Geometry.op_cycles}).  Hash weights come from the
+    analysis configuration because the IR layer does not know hash
+    implementations. *)
 
 type t = {
-  op_cycles_num : int;  (** non-memory cost = weight * num / den cycles *)
-  op_cycles_den : int;
   geom : Cache.Geometry.t;
   hash_weight : string -> int;  (** instructions per hash application *)
 }
 
 val default : ?hash_weight:(string -> int) -> Cache.Geometry.t -> t
-(** 3/5 of a cycle per retired instruction; unknown hashes weigh 24. *)
-
-val compute_cycles : t -> weight:int -> int
-(** Cycles to retire [weight] non-memory instructions (at least 1). *)
+(** Unknown hashes weigh 24. *)
 
 val instr_local : t -> Ir.Cfg.instr -> int
 (** Local cost of an instruction assuming memory accesses hit L1 — the

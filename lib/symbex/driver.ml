@@ -4,24 +4,10 @@ type config = {
   costs : Costs.t;
   m : int;
   hash_bits : string -> int;
-  packet_budget : int;
   instr_budget : int;
   time_budget : float;
   max_completed : int;
 }
-
-let default_config ?(n_packets = 30) costs =
-  {
-    n_packets;
-    strategy = Searcher.Castan;
-    costs;
-    m = 2;
-    hash_bits = (fun _ -> 16);
-    packet_budget = 100_000;
-    instr_budget = 5_000_000;
-    time_budget = 300.0;
-    max_completed = 32;
-  }
 
 type stats = {
   explored : int;
@@ -33,13 +19,7 @@ type stats = {
   degraded : bool;
 }
 
-type result = {
-  best : State.t option;
-  ranked : State.t list;
-  completed : State.t list;
-  annot : Cost.t;
-  stats : stats;
-}
+type result = { ranked : State.t list; completed : State.t list; stats : stats }
 
 (* Telemetry.  Totals are wired from [stats] once at the end of [run] (the
    per-event counting already happens for the stats record); only the
@@ -76,13 +56,7 @@ let deadline_cuts () = Atomic.get deadline_cut_total
 let run program ~mem ~cache config =
   let annot = Cost.annotate ~m:config.m config.costs program in
   let searcher = Searcher.create config.strategy ~annot in
-  let exec_cfg =
-    {
-      Exec.costs = config.costs;
-      hash_bits = config.hash_bits;
-      packet_budget = config.packet_budget;
-    }
-  in
+  let exec_cfg = { Exec.costs = config.costs; hash_bits = config.hash_bits } in
   let start = Unix.gettimeofday () in
   let deadline = Util.Resilience.deadline_in config.time_budget in
   let explored = ref 0
@@ -203,10 +177,4 @@ let run program ~mem ~cache config =
   in
   if !deadline_hit && pending <> [] then Atomic.incr deadline_cut_total;
   record_run_metrics stats ~completed:!n_completed;
-  {
-    best = (match ranked with [] -> None | s :: _ -> Some s);
-    ranked;
-    completed = !completed;
-    annot;
-    stats;
-  }
+  { ranked; completed = !completed; stats }

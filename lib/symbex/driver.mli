@@ -7,13 +7,14 @@
     caller (the CASTAN core) then solves the winner's path constraint and
     reconciles its havocs into a concrete workload. *)
 
+(** Every field is the caller's: the pipeline's values are
+    [Castan.Analyze]'s. *)
 type config = {
   n_packets : int;
   strategy : Searcher.strategy;
   costs : Costs.t;
   m : int;  (** loop bound for potential-cost annotation *)
   hash_bits : string -> int;
-  packet_budget : int;  (** raw instructions per packet per state *)
   instr_budget : int;
       (** total executed instructions across all states: the exploration
           budget *)
@@ -22,10 +23,6 @@ type config = {
           degraded and counted by {!deadline_cuts}. *)
   max_completed : int;  (** stop after this many full-length paths *)
 }
-
-val default_config : ?n_packets:int -> Costs.t -> config
-(** 30 packets, castan searcher, M = 2, 5M total instructions, 300 s
-    safety deadline. *)
 
 type stats = {
   explored : int;  (** states whose execution advanced at least once *)
@@ -41,10 +38,9 @@ type stats = {
 }
 
 type result = {
-  best : State.t option;  (** highest-cost state seen (complete or not) *)
-  ranked : State.t list;  (** all surviving states, best first *)
+  ranked : State.t list;
+      (** all surviving states, complete or not, highest cost first *)
   completed : State.t list;  (** states that processed every packet *)
-  annot : Cost.t;
   stats : stats;
 }
 

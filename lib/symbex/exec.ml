@@ -1,11 +1,7 @@
-type config = {
-  costs : Costs.t;
-  hash_bits : string -> int;
-  packet_budget : int;
-}
+type config = { costs : Costs.t; hash_bits : string -> int }
 
-let default_config ?(packet_budget = 100_000) costs =
-  { costs; hash_bits = (fun _ -> 16); packet_budget }
+(* Raw instructions one state may run per packet. *)
+let packet_budget = 100_000
 
 type fork = {
   preferred : State.t;
@@ -67,10 +63,10 @@ let advance (t : State.t) pc = { t with frame = { t.frame with pc } }
 
 (* Account one executed instruction: weighted retirement cost plus optional
    memory latency. *)
-let charge cfg (t : State.t) instr ?(mem_latency = 0) ?(load = false)
+let charge (t : State.t) instr ?(mem_latency = 0) ?(load = false)
     ?(store = false) ?(miss = false) ?(extra_weight = 0) () =
   let weight = Ir.Cfg.weight instr + extra_weight in
-  let cycles = Costs.compute_cycles cfg.costs ~weight + mem_latency in
+  let cycles = Cache.Geometry.op_cycles weight + mem_latency in
   let c = t.cur in
   {
     t with
@@ -164,7 +160,7 @@ let branch_constraints cond =
 
 let rec step cfg (t : State.t) : step_result =
   if t.finished then invalid_arg "Exec.step: state already finished";
-  if t.steps >= cfg.packet_budget then Killed (t, Packet_budget)
+  if t.steps >= packet_budget then Killed (t, Packet_budget)
   else
     let frame = t.frame in
     let instr = frame.func.Ir.Cfg.body.(frame.pc) in
@@ -181,7 +177,7 @@ and step_instr cfg (t : State.t) frame instr : step_result =
     match instr with
     | Ir.Cfg.Assign (x, e) ->
         let v = eval_pexpr frame e in
-        let t = charge cfg t instr () in
+        let t = charge t instr () in
         Running (advance (set_var t x v) (frame.pc + 1))
     | Ir.Cfg.Load { dst; addr; width } ->
         let addr_e = eval_pexpr frame addr in
@@ -193,7 +189,7 @@ and step_instr cfg (t : State.t) frame instr : step_result =
           in
           let t = match extra_pc with Some c -> State.add_pc t c | None -> t in
           let t =
-            charge cfg t instr ~mem_latency:o_latency ~load:true ~miss:o_miss ()
+            charge t instr ~mem_latency:o_latency ~load:true ~miss:o_miss ()
           in
           advance (set_var t dst value) (frame.pc + 1)
         in
@@ -210,7 +206,7 @@ and step_instr cfg (t : State.t) frame instr : step_result =
           let t = match extra_pc with Some c -> State.add_pc t c | None -> t in
           let t = { t with State.mem } in
           let t =
-            charge cfg t instr ~mem_latency:o_latency ~store:true ~miss:o_miss ()
+            charge t instr ~mem_latency:o_latency ~store:true ~miss:o_miss ()
           in
           advance t (frame.pc + 1)
         in
@@ -219,14 +215,14 @@ and step_instr cfg (t : State.t) frame instr : step_result =
         match Ir.Memory.try_alloc t.mem ~bytes with
         | Error msg -> Killed (t, Heap_exhausted msg)
         | Ok (mem, base) ->
-            let t = charge cfg { t with mem } instr () in
+            let t = charge { t with mem } instr () in
             Running (advance (set_var t dst (Ir.Expr.Const base)) (frame.pc + 1)))
     | Ir.Cfg.Jump target ->
-        let t = charge cfg t instr () in
+        let t = charge t instr () in
         Running (advance t target)
     | Ir.Cfg.Branch { cond; if_true; if_false; loop_head } -> (
         let cond_e = eval_pexpr frame cond in
-        let t = charge cfg t instr () in
+        let t = charge t instr () in
         match cond_e with
         | Ir.Expr.Const c ->
             Running (advance t (if c <> 0 then if_true else if_false))
@@ -263,7 +259,7 @@ and step_instr cfg (t : State.t) frame instr : step_result =
         let env =
           List.fold_left (fun env (p, v) -> Smap.add p v env) Smap.empty bindings
         in
-        let t = charge cfg t instr () in
+        let t = charge t instr () in
         let caller = { t.frame with pc = frame.pc + 1 } in
         Running
           {
@@ -277,7 +273,7 @@ and step_instr cfg (t : State.t) frame instr : step_result =
           | Some e -> eval_pexpr frame e
           | None -> Ir.Expr.Const 0
         in
-        let t = charge cfg t instr () in
+        let t = charge t instr () in
         match t.stack with
         | [] -> Packet_done t
         | caller :: rest ->
@@ -293,7 +289,7 @@ and step_instr cfg (t : State.t) frame instr : step_result =
           Ir.Expr.fresh ~label:hash ~width:(cfg.hash_bits hash)
         in
         let t =
-          charge cfg t instr ~extra_weight:(cfg.costs.Costs.hash_weight hash) ()
+          charge t instr ~extra_weight:(cfg.costs.Costs.hash_weight hash) ()
         in
         let t = set_var t dst (Ir.Expr.Leaf out_sym) in
         let t =

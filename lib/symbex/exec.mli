@@ -9,13 +9,7 @@
 type config = {
   costs : Costs.t;
   hash_bits : string -> int;  (** output width of a hash, for fresh symbols *)
-  packet_budget : int;
-      (** max raw instructions per packet; guards against loops the loop
-          bound cannot see *)
 }
-
-val default_config : ?packet_budget:int -> Costs.t -> config
-(** Hash widths default to 16 bits; packet budget to 100,000. *)
 
 type fork = {
   preferred : State.t;
@@ -25,7 +19,9 @@ type fork = {
 }
 
 type kill_reason =
-  | Packet_budget  (** per-packet raw instruction budget exhausted *)
+  | Packet_budget
+      (** a state ran 100,000 raw instructions in one packet: guards
+          against loops the loop bound cannot see *)
   | Heap_exhausted of string  (** [Alloc] with no heap left *)
   | Memory_fault of string  (** out-of-bounds, misaligned or wrong-width *)
   | Undefined_var of string

@@ -1,5 +1,4 @@
 type t = {
-  nf : Nf.Nf_def.t;
   (* Resolved once at creation: the entry point's compiled body, its packet-
      field parameter order, a reusable argument buffer and the execution
      context over the NF's flat memory — the per-packet path never
@@ -30,8 +29,6 @@ let desc_ring_lines = 512
 (* DPDK-style burst size: how many packets one replay dispatch pushes
    through the DUT back to back. *)
 let burst_size = 32
-
-let op_cycles weight = max 1 (weight * 3 / 5)
 
 let profile_level = function
   | Cache.Hierarchy.L1 -> Obs.Profile.L1
@@ -70,7 +67,6 @@ let create ?slice_seed ?prefetch ?(ddio = false) nf =
   let entry_fields = Nf.Packet.fields_for entry in
   let mem = Ir.Memory.flat_of_memory (Nf.Nf_def.fresh_memory nf) in
   {
-    nf;
     entry_fn = Ir.Compile.lookup compiled "process";
     entry_fields;
     argv = Array.make (Array.length entry_fields) 0;
@@ -83,9 +79,6 @@ let create ?slice_seed ?prefetch ?(ddio = false) nf =
     desc_base = 41 lsl Cache.Vmem.page_bits;
     ddio;
   }
-
-let geometry t = t.machine.Cache.Probe.geom
-let nf t = t.nf
 
 (* One driver read through the cache hierarchy, charged like an NF load. *)
 let charge t vaddr =
@@ -100,7 +93,7 @@ let charge t vaddr =
    the NIC just DMA-wrote into the next mbuf (mandatory DRAM trip: the DMA
    invalidated that line). *)
 let dpdk_path t =
-  let geom = geometry t in
+  let geom = t.machine.Cache.Probe.geom in
   let k = !(t.pkt_count) in
   let desc = t.desc_base + (k mod desc_ring_lines * geom.Cache.Geometry.line) in
   let mbuf = t.mbuf_base + (k mod mbuf_pool_lines * geom.Cache.Geometry.line) in
@@ -131,7 +124,7 @@ let process t p =
   (* Non-memory work: instruction retirement at the calibrated CPI.  Memory
      latencies were accumulated by the access hook. *)
   {
-    cycles = !(t.cycles_acc) + op_cycles instrs;
+    cycles = !(t.cycles_acc) + Cache.Geometry.op_cycles instrs;
     instrs = overhead_instrs + instrs;
     l3_misses = !(t.misses_acc);
     ret;

@@ -52,6 +52,3 @@ val overhead_cycles : int
 (** ...and 700 cycles per packet (the mandatory mbuf DRAM access adds the
     rest), calibrated so the NOP NF reproduces the
     paper's baselines (271 instructions retired, ≈3.45 Mpps). *)
-
-val geometry : t -> Cache.Geometry.t
-val nf : t -> Nf.Nf_def.t

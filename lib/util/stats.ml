@@ -110,16 +110,6 @@ let median_of_samples samples =
 let min_value c = c.(0)
 let max_value c = c.(Array.length c - 1)
 
-let points c ?(steps = 20) () =
-  let n = Array.length c in
-  let acc = ref [] in
-  for i = steps downto 0 do
-    let q = float_of_int i /. float_of_int steps in
-    let idx = min (n - 1) (int_of_float (q *. float_of_int n)) in
-    acc := (c.(idx), q) :: !acc
-  done;
-  !acc
-
 let mean a =
   assert (Array.length a > 0);
   Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)

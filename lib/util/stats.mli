@@ -20,10 +20,6 @@ val median_of_samples : float array -> float
 val min_value : cdf -> float
 val max_value : cdf -> float
 
-val points : cdf -> ?steps:int -> unit -> (float * float) list
-(** [points c ~steps ()] samples the CDF curve as [(value, fraction)] pairs
-    suitable for plotting or printing; default 20 steps. *)
-
 val mean : float array -> float
 val stddev : float array -> float
 

@@ -25,5 +25,3 @@ let sample t rng =
 let prob t rank =
   assert (rank >= 1 && rank <= t.n);
   if rank = 1 then t.cdf.(0) else t.cdf.(rank - 1) -. t.cdf.(rank - 2)
-
-let support t = t.n

@@ -16,6 +16,3 @@ val sample : t -> Rng.t -> int
 
 val prob : t -> int -> float
 (** [prob t rank] is the probability of [rank]. *)
-
-val support : t -> int
-(** Number of ranks [n]. *)

@@ -274,7 +274,7 @@ let discovery_matches_ground_truth () =
   let m = Cache.Probe.machine ~slice_seed:0 ~vmem_seed:1 geom in
   let offsets = Cache.Contention.standard_offsets geom ~count:192 in
   let pool = Array.map (fun o -> (1 lsl 30) + o) offsets in
-  let sets = Cache.Contention.discover_sets m ~pool () in
+  let sets = Cache.Contention.discover_sets m ~pool in
   Alcotest.(check bool) "several sets" true (List.length sets >= 4);
   let truth a =
     let pa = Cache.Vmem.translate m.Cache.Probe.vmem a in
@@ -292,7 +292,7 @@ let discovery_matches_ground_truth () =
 
 let contention_save_load () =
   let offsets = Cache.Contention.standard_offsets geom ~count:160 in
-  let c = Cache.Contention.consistent ~pages:1 ~reboots:1 ~geom ~offsets () in
+  let c = Cache.Contention.consistent ~pages:1 ~reboots:1 ~geom ~offsets in
   let path = Filename.temp_file "castan" ".sets" in
   Cache.Contention.save c path;
   let c2 = Cache.Contention.load path in
@@ -321,7 +321,7 @@ let contention_pinned_across_jobs () =
       Fun.protect
         ~finally:(fun () -> Util.Pool.set_default_jobs before)
         (fun () ->
-          Cache.Contention.consistent ~pages:1 ~reboots:2 ~geom ~offsets ())
+          Cache.Contention.consistent ~pages:1 ~reboots:2 ~geom ~offsets)
     in
     let path = Filename.temp_file "castan" ".sets" in
     Cache.Contention.save c path;
@@ -338,7 +338,7 @@ let contention_pinned_across_jobs () =
 
 let consistent_sets_nonempty () =
   let offsets = Cache.Contention.standard_offsets geom ~count:160 in
-  let c = Cache.Contention.consistent ~pages:2 ~reboots:1 ~geom ~offsets () in
+  let c = Cache.Contention.consistent ~pages:2 ~reboots:1 ~geom ~offsets in
   Alcotest.(check bool) "classes found" true (c.Cache.Contention.n_classes >= 4);
   (* classified addresses resolve *)
   let cls, members = List.hd (Cache.Contention.classes c) in
@@ -379,7 +379,7 @@ let model_symbolic_constraint_valid () =
 let model_concentrates_accesses () =
   (* with the contention model, symbolic accesses pile into few classes *)
   let offsets = Cache.Contention.standard_offsets geom ~count:160 in
-  let sets = Cache.Contention.consistent ~pages:2 ~reboots:1 ~geom ~offsets () in
+  let sets = Cache.Contention.consistent ~pages:2 ~reboots:1 ~geom ~offsets in
   let model = ref (Cache.Model.contention geom sets) in
   let dst p : Ir.Expr.sexpr = Leaf (Ir.Expr.Pkt { pkt = p; field = Dst_ip }) in
   let classes_hit = Hashtbl.create 8 in

@@ -63,7 +63,7 @@ let exhaustive_full_coverage () =
 
 let chains_invert_verified () =
   let hash = Hashrev.Hashes.flow16 in
-  let t = Hashrev.Rainbow.build ~hash small_keyspace ~chains:2048 ~chain_len:32 () in
+  let t = Hashrev.Rainbow.build ~hash ~chains:2048 ~chain_len:32 small_keyspace in
   let rng = Util.Rng.create 5 in
   let found = ref 0 in
   for _ = 1 to 50 do

@@ -3,7 +3,6 @@
    NAT/LB packet semantics. *)
 
 let qtest = QCheck_alcotest.to_alcotest
-let cfg = Nf.Config.default
 
 let hooks =
   {
@@ -38,7 +37,8 @@ let lpm_matches_oracle name routes =
       in
       o.Ir.Interp.ret = Nf.Config.lpm_lookup routes dst)
 
-let routes27 = List.filter (fun (r : Nf.Config.route) -> r.len <= 27) cfg.routes27
+let routes27 =
+  List.filter (fun (r : Nf.Config.route) -> r.len <= 27) Nf.Config.routes27
 
 (* ---------------- flow tables vs a model map ---------------- *)
 
@@ -76,7 +76,7 @@ let flowtable_model_test name make_ft =
   QCheck.Test.make ~name:(name ^ " behaves like a map") ~count:30
     QCheck.(small_int)
     (fun seed ->
-      let h = harness (make_ft cfg) in
+      let h = harness (make_ft ()) in
       let model : (int, int) Hashtbl.t = Hashtbl.create 64 in
       let rng = Util.Rng.create (77 + seed) in
       let ok = ref true in
@@ -123,7 +123,7 @@ let rb_invariants_hold =
   QCheck.Test.make ~name:"red-black invariants after random inserts" ~count:20
     QCheck.small_int
     (fun seed ->
-      let ft = Nf.Flowtable_rb.make cfg in
+      let ft = Nf.Flowtable_rb.make () in
       let h = harness ft in
       let rng = Util.Rng.create (31 + seed) in
       let inserted = Hashtbl.create 64 in
@@ -161,9 +161,9 @@ let rb_stays_shallow_bst_degenerates () =
     go root
   in
   let n = 256 in
-  let bst = harness (Nf.Flowtable_bst.make cfg) in
+  let bst = harness (Nf.Flowtable_bst.make ()) in
   for k = 1 to n do bst.insert k k done;
-  let rb = harness (Nf.Flowtable_rb.make cfg) in
+  let rb = harness (Nf.Flowtable_rb.make ()) in
   for k = 1 to n do rb.insert k k done;
   Alcotest.(check int) "bst degenerates to a list" n (depth_of (bst.mem ()) "bst_root");
   let rb_depth = depth_of (rb.mem ()) "rb_root" in
@@ -171,15 +171,15 @@ let rb_stays_shallow_bst_degenerates () =
 
 let chain_collisions_grow_chains () =
   (* keys in the same bucket make lookups walk the chain *)
-  let ft = Nf.Flowtable_chain.make cfg in
+  let ft = Nf.Flowtable_chain.make () in
   let h = harness ft in
   let hash = (Option.get ft.hash).Hashrev.Hashes.apply in
   (* find several keys colliding on the bucket index *)
-  let target = hash 1 land (cfg.chain_buckets - 1) in
+  let target = hash 1 land (Nf.Config.chain_buckets - 1) in
   let colliding = ref [] in
   let k = ref 1 in
   while List.length !colliding < 8 do
-    if hash !k land (cfg.chain_buckets - 1) = target then
+    if hash !k land (Nf.Config.chain_buckets - 1) = target then
       colliding := !k :: !colliding;
     incr k
   done;
@@ -190,14 +190,14 @@ let chain_collisions_grow_chains () =
     !colliding
 
 let ring_probe_sequence () =
-  let ft = Nf.Flowtable_ring.make cfg in
+  let ft = Nf.Flowtable_ring.make () in
   let h = harness ft in
   (* two keys with the same ring index force linear probing *)
   let hash = (Option.get ft.hash).Hashrev.Hashes.apply in
   let k1 = 1 in
-  let target = hash k1 land (cfg.ring_entries - 1) in
+  let target = hash k1 land (Nf.Config.ring_entries - 1) in
   let k2 = ref 2 in
-  while hash !k2 land (cfg.ring_entries - 1) <> target do incr k2 done;
+  while hash !k2 land (Nf.Config.ring_entries - 1) <> target do incr k2 done;
   h.insert k1 111;
   h.insert !k2 222;
   Alcotest.(check int) "first" 111 (h.lookup k1);
@@ -240,17 +240,19 @@ let lb_round_robin () =
   let nf = Nf.Registry.find "lb-hash-table" in
   let mem = ref (Nf.Nf_def.fresh_memory nf) in
   let backends =
-    List.init (2 * cfg.n_backends) (fun k ->
-        let p = Nf.Packet.make ~dst_ip:cfg.vip ~src_ip:(0x0A000000 + k)
+    List.init (2 * Nf.Config.n_backends) (fun k ->
+        let p = Nf.Packet.make ~dst_ip:Nf.Config.vip ~src_ip:(0x0A000000 + k)
             ~src_port:(2000 + k) () in
         run_nf nf mem p)
   in
   (* round robin: first n_backends flows hit distinct backends *)
-  let firsts = List.filteri (fun i _ -> i < cfg.n_backends) backends in
-  Alcotest.(check int) "all backends used" cfg.n_backends
+  let firsts = List.filteri (fun i _ -> i < Nf.Config.n_backends) backends in
+  Alcotest.(check int) "all backends used" Nf.Config.n_backends
     (List.length (List.sort_uniq compare firsts));
   (* pinned: re-sending flow 0 gives its original backend *)
-  let p0 = Nf.Packet.make ~dst_ip:cfg.vip ~src_ip:0x0A000000 ~src_port:2000 () in
+  let p0 =
+    Nf.Packet.make ~dst_ip:Nf.Config.vip ~src_ip:0x0A000000 ~src_port:2000 ()
+  in
   Alcotest.(check int) "sticky" (List.hd backends) (run_nf nf mem p0)
 
 let lb_sticky_across_tables =
@@ -295,6 +297,106 @@ let manual_nat_skews () =
   let ports = List.map (fun (p : Nf.Packet.t) -> p.src_port) pkts in
   Alcotest.(check bool) "monotone" true (List.sort compare ports = ports)
 
+(* ---------------- every registry NF, pinned ---------------- *)
+
+(* Destinations at and around the deepest route of each of the 8 route
+   families, (10+f).(f+1).(f+2).(f+3), where the LPM tables differ. *)
+let route_probes =
+  List.concat_map
+    (fun f ->
+      let deepest =
+        ((10 + f) lsl 24) lor ((f + 1) lsl 16) lor ((f + 2) lsl 8) lor (f + 3)
+      in
+      List.map
+        (fun d -> deepest + d)
+        [ -256; -64; -33; -32; -1; 0; 1; 31; 32; 64; 256 ])
+    (List.init 8 Fun.id)
+
+(* Everything building an NF yields, as text: its NFIR listing; its region
+   layout with each region's initial values (all of them in a region of up
+   to 2^16 elements; else an even stride, scattered indices, and the
+   entries a /27 or /24 table holds for [route_probes]); its heap; its
+   workload size; its rainbow key spaces with a sample of their keys; its
+   shaper on a fixed packet; and its first Manual packets. *)
+let nf_fingerprint name =
+  let nf = Nf.Registry.find name in
+  let b = Buffer.create 8192 in
+  Buffer.add_string b (Format.asprintf "%a" Ir.Cfg.pp nf.program);
+  List.iter
+    (fun (s : Ir.Memory.spec) ->
+      Printf.bprintf b "region %s width %d count %d:" s.s_name s.s_elem_width
+        s.s_count;
+      let sample idx =
+        Printf.bprintf b " %d" (s.s_init (idx mod s.s_count))
+      in
+      if s.s_count <= 1 lsl 16 then
+        for idx = 0 to s.s_count - 1 do
+          sample idx
+        done
+      else begin
+        for k = 0 to 255 do
+          sample (k * (s.s_count / 256));
+          sample (k * 0x9E3779B1 land max_int)
+        done;
+        List.iter
+          (fun ip ->
+            sample (ip lsr 5);
+            sample (ip lsr 8))
+          route_probes;
+        sample (s.s_count - 1)
+      end;
+      Buffer.add_char b '\n')
+    nf.program.regions;
+  Printf.bprintf b "heap %d\ncastan_packets %d\n" nf.program.heap_bytes
+    nf.castan_packets;
+  List.iter
+    (fun (hash, (ks : Hashrev.Rainbow.keyspace)) ->
+      Printf.bprintf b "keyspace %s %s %d bits %d:" hash ks.ks_name ks.count
+        (nf.hash_bits hash);
+      for k = 0 to 15 do
+        Printf.bprintf b " %d"
+          (ks.key_of_index (k * 0x9E3779B1 land max_int mod ks.count))
+      done;
+      Buffer.add_char b '\n')
+    nf.keyspaces;
+  Printf.bprintf b "shape %s\n"
+    (Nf.Packet.to_string (nf.shape (Nf.Packet.make ~dst_ip:0x08080808 ())));
+  Option.iter
+    (fun gen ->
+      List.iter
+        (fun p -> Printf.bprintf b "manual %s\n" (Nf.Packet.to_string p))
+        (gen (Util.Rng.create 1) 4))
+    nf.manual;
+  Buffer.contents b
+
+(* [nf_fingerprint]'s MD5 per NF.  A change meant to leave every NF as it
+   is (a refactor of the builders or of [Nf.Config]) must leave every digest
+   in place. *)
+let registry_digests =
+  [
+    ("lb-hash-table", "c454a5f3818ebe89fd6c46e1f738cfe3");
+    ("lb-hash-ring", "4bb5d4e524e9632bbbcfb318dfbd2d42");
+    ("lb-red-black-tree", "62bf671ef7f78b1c92f14a83d1ba3616");
+    ("lb-unbalanced-tree", "aa1274ed0fbaffe6c5cdb23dcf2d2a6a");
+    ("lpm-btrie", "022b6fbfc7e28708007ff4aa6385abd8");
+    ("lpm-1stage-dl", "e3642d9071b2284d2b42307c519ac9b5");
+    ("lpm-2stage-dl", "476f848ffb4ad450aca8272c7e97c160");
+    ("nat-hash-table", "b8c0f28489f56cf875ac3a502d944c85");
+    ("nat-hash-ring", "cbef864713710d6cf5371dc95439bd8f");
+    ("nat-red-black-tree", "e80937e9ca07c9d3a8d1ac6a112b9b54");
+    ("nat-unbalanced-tree", "19e5db4af1d7b099af1e9429e7cd3a01");
+    ("nop", "9dfe4495c53b9da9de9c5d35fcd454b7");
+  ]
+
+let registry_pinned () =
+  Alcotest.(check (list string)) "names" Nf.Registry.names
+    (List.map fst registry_digests);
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check string) name expected
+        (Digest.to_hex (Digest.string (nf_fingerprint name))))
+    registry_digests
+
 let packet_pcap_fields =
   QCheck.Test.make ~name:"packet field get/set roundtrip" ~count:200
     QCheck.(pair (oneofl Ir.Expr.all_fields) (int_range 0 65535))
@@ -304,9 +406,9 @@ let packet_pcap_fields =
 
 let tests =
   [
-    qtest (lpm_matches_oracle "lpm-btrie" cfg.routes32);
+    qtest (lpm_matches_oracle "lpm-btrie" Nf.Config.routes32);
     qtest (lpm_matches_oracle "lpm-1stage-dl" routes27);
-    qtest (lpm_matches_oracle "lpm-2stage-dl" cfg.routes32);
+    qtest (lpm_matches_oracle "lpm-2stage-dl" Nf.Config.routes32);
     qtest (flowtable_model_test "hash-table" Nf.Flowtable_chain.make);
     qtest (flowtable_model_test "hash-ring" Nf.Flowtable_ring.make);
     qtest (flowtable_model_test "unbalanced-tree" Nf.Flowtable_bst.make);
@@ -324,6 +426,7 @@ let tests =
     Alcotest.test_case "lb round robin" `Quick lb_round_robin;
     qtest lb_sticky_across_tables;
     Alcotest.test_case "registry" `Quick registry_complete;
+    Alcotest.test_case "registry NFs pinned" `Quick registry_pinned;
     Alcotest.test_case "manual availability" `Quick manual_workloads_exist_where_paper_has_them;
     Alcotest.test_case "manual NAT skew" `Quick manual_nat_skews;
     qtest packet_pcap_fields;

@@ -6,7 +6,6 @@
 open Ir.Dsl
 
 let geom = Cache.Geometry.xeon_e5_2667v2
-let costs = Symbex.Costs.default geom
 
 (* Every test leaves the ambient telemetry state as it found it (off). *)
 let with_metrics f =
@@ -221,11 +220,10 @@ let driver_kill_and_degraded_counters () =
         Ir.Memory.create ~regions:cfg.Ir.Cfg.regions ~heap_bytes:4096
           ~inject:(fun v -> Ir.Expr.Const v)
       in
-      let config =
-        { (Symbex.Driver.default_config ~n_packets:1 costs) with
-          instr_budget = 200_000 }
+      let r =
+        Symbex.Driver.run cfg ~mem ~cache:(Cache.Model.baseline geom)
+          (Test_symbex.driver_config 1)
       in
-      let r = Symbex.Driver.run cfg ~mem ~cache:(Cache.Model.baseline geom) config in
       Alcotest.(check bool) "driver saw the kill" true
         (r.stats.Symbex.Driver.killed >= 1);
       Alcotest.(check bool) "kill label mirrored to metrics" true

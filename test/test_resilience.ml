@@ -5,7 +5,6 @@
 open Ir.Dsl
 
 let geom = Cache.Geometry.xeon_e5_2667v2
-let costs = Symbex.Costs.default geom
 
 (* ---------------- guards and the failure sink ---------------- *)
 
@@ -98,11 +97,8 @@ let run_driver ?(heap_bytes = 4096) prog =
     Ir.Memory.create ~regions:cfg.Ir.Cfg.regions ~heap_bytes
       ~inject:(fun v -> Ir.Expr.Const v)
   in
-  let config =
-    { (Symbex.Driver.default_config ~n_packets:1 costs) with
-      instr_budget = 200_000 }
-  in
-  Symbex.Driver.run cfg ~mem ~cache:(Cache.Model.baseline geom) config
+  Symbex.Driver.run cfg ~mem ~cache:(Cache.Model.baseline geom)
+    (Test_symbex.driver_config 1)
 
 let kill_count stats label =
   match List.assoc_opt label stats.Symbex.Driver.kill_reasons with
@@ -164,9 +160,7 @@ let driver_deadline_cut () =
     Ir.Memory.create ~regions:cfg.Ir.Cfg.regions ~heap_bytes:4096
       ~inject:(fun v -> Ir.Expr.Const v)
   in
-  let config =
-    { (Symbex.Driver.default_config ~n_packets:1 costs) with time_budget = 0. }
-  in
+  let config = { (Test_symbex.driver_config 1) with time_budget = 0. } in
   let cuts = Symbex.Driver.deadline_cuts () in
   let r = Symbex.Driver.run cfg ~mem ~cache:(Cache.Model.baseline geom) config in
   Alcotest.(check int) "nothing executed" 0

@@ -158,21 +158,33 @@ let toy_two_paths =
         ];
     ]
 
-let run_driver ?(n_packets = 2) ?(strategy = Symbex.Searcher.Castan) prog =
+(* The driver settings of the toy-program tests (test_obs and
+   test_resilience use them too). *)
+let driver_config ?(strategy = Symbex.Searcher.Castan) ?(instr_budget = 200_000)
+    ?(max_completed = 32) n_packets =
+  {
+    Symbex.Driver.n_packets;
+    strategy;
+    costs;
+    m = 2;
+    hash_bits = (fun _ -> 16);
+    instr_budget;
+    time_budget = 300.0;
+    max_completed;
+  }
+
+let run_driver ?(n_packets = 2) ?strategy prog =
   let cfg = Ir.Lower.program prog in
   let mem = Ir.Memory.create ~regions:cfg.Ir.Cfg.regions
       ~heap_bytes:cfg.Ir.Cfg.heap_bytes ~inject:(fun v -> Ir.Expr.Const v) in
-  let config =
-    { (Symbex.Driver.default_config ~n_packets costs) with
-      strategy; instr_budget = 200_000 }
-  in
-  Symbex.Driver.run cfg ~mem ~cache:(Cache.Model.baseline geom) config
+  Symbex.Driver.run cfg ~mem ~cache:(Cache.Model.baseline geom)
+    (driver_config ?strategy n_packets)
 
 let driver_finds_expensive_path () =
   let r = run_driver toy_two_paths in
-  match r.best with
-  | None -> Alcotest.fail "no best state"
-  | Some s -> (
+  match r.ranked with
+  | [] -> Alcotest.fail "no best state"
+  | s :: _ -> (
       Alcotest.(check bool) "completed" true s.Symbex.State.finished;
       (* both packets must have taken the expensive branch *)
       match Solver.Solve.sat (Solver.Pc.to_list s.Symbex.State.pcs) with
@@ -192,9 +204,9 @@ let driver_metrics_match_interp () =
   (* on the path the driver chose, the concrete interpreter must retire the
      same weighted instruction count the symbolic engine predicted *)
   let r = run_driver ~n_packets:1 toy_two_paths in
-  match r.best with
-  | None -> Alcotest.fail "no best"
-  | Some s -> (
+  match r.ranked with
+  | [] -> Alcotest.fail "no best"
+  | s :: _ -> (
       match Solver.Solve.sat (Solver.Pc.to_list s.Symbex.State.pcs) with
       | Sat m ->
           let dst = Solver.Solve.Model.get m (Ir.Expr.Pkt { pkt = 0; field = Dst_ip }) in
@@ -224,9 +236,9 @@ let driver_loop_greedy () =
   (* symbolic loop bound: the engine should run it deep, not exit early *)
   let prog = symbolic_loop in
   let r = run_driver ~n_packets:1 prog in
-  match r.best with
-  | None -> Alcotest.fail "no best"
-  | Some s ->
+  match r.ranked with
+  | [] -> Alcotest.fail "no best"
+  | s :: _ ->
       let m = List.hd (Symbex.State.all_metrics s) in
       (* greedy loop exploration yields far more instructions than exit-now *)
       Alcotest.(check bool) "deep loop" true (m.Symbex.State.instrs > 100)
@@ -236,10 +248,7 @@ let driver_respects_instr_budget () =
   let mem = Ir.Memory.create ~regions:[] ~heap_bytes:4096
       ~inject:(fun v -> Ir.Expr.Const v) in
   (* 4 packets give 256^4 paths: only the budget can stop this *)
-  let config =
-    { (Symbex.Driver.default_config ~n_packets:4 costs) with
-      instr_budget = 5_000; max_completed = max_int }
-  in
+  let config = driver_config ~instr_budget:5_000 ~max_completed:max_int 4 in
   let r = Symbex.Driver.run cfg ~mem ~cache:(Cache.Model.baseline geom) config in
   Alcotest.(check bool) "stopped near budget" true
     (r.stats.executed_instrs < 40_000);
