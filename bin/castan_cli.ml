@@ -420,7 +420,10 @@ let dump_cmd =
     else begin
       let annot =
         Symbex.Cost.annotate
-          (Symbex.Costs.default Cache.Geometry.xeon_e5_2667v2)
+          {
+            Symbex.Costs.geom = Cache.Geometry.xeon_e5_2667v2;
+            hash_weight = (fun h -> (Hashrev.Hashes.lookup h).weight);
+          }
           prog
       in
       let names = Hashtbl.fold (fun k _ acc -> k :: acc) prog.Ir.Cfg.funcs [] in

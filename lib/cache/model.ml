@@ -284,7 +284,7 @@ let access_symbolic t ~pc expr =
                model of the path constraint makes the pointer evaluate to —
                compatible by construction. *)
             Obs.Metrics.incr m_fallback;
-            match Solver.Solve.sat (Solver.Pc.to_list pc) with
+            match Solver.Pc.sat pc with
             | Sat m ->
                 let v = Solver.Solve.Model.eval m e in
                 (v, Some (Ir.Expr.Cmp (Eq, e, Const v)))

@@ -179,12 +179,10 @@ let run ~config:cfg (nf : Nf.Nf_def.t) =
     Obs.Trace.with_span "analyze.build" ~args:nf_arg (fun () ->
         let geom = Cache.Geometry.xeon_e5_2667v2 in
         let costs =
-          Symbex.Costs.default
-            ~hash_weight:(fun name ->
-              match Hashrev.Hashes.lookup name with
-              | h -> h.Hashrev.Hashes.weight
-              | exception Invalid_argument _ -> 24)
-            geom
+          {
+            Symbex.Costs.geom;
+            hash_weight = (fun name -> (Hashrev.Hashes.lookup name).weight);
+          }
         in
         let driver_cfg =
           {

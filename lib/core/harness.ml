@@ -376,7 +376,11 @@ let discussion_wcet (config : Experiment.config) _sets =
            for data-dependent loops it stays a structural assumption. *)
         let upper =
           Symbex.Cost.full_cost
-            (Symbex.Cost.annotate ~m:34 (Symbex.Costs.default pessimistic)
+            (Symbex.Cost.annotate ~m:34
+               {
+                 Symbex.Costs.geom = pessimistic;
+                 hash_weight = (fun h -> (Hashrev.Hashes.lookup h).weight);
+               }
                nf.Nf.Nf_def.program)
             nf.Nf.Nf_def.program.Ir.Cfg.entry
         in

@@ -79,17 +79,22 @@ let build_exhaustive ~hash ks =
   done;
   { hash; ks; repr = Exhaustive { starts; keys }; entries = ks.count }
 
-(* Walk a chain from [start_idx] looking for a key whose hash is [h]. *)
-let find_in_chain t chain_len start_idx h =
+(* Walk a chain from [start_idx] through column [last] looking for a key
+   whose hash is [h]. *)
+let find_in_chain t start_idx ~last h =
   let ks = t.ks in
   let rec go idx col =
-    if col >= chain_len then None
+    if col > last then None
     else
       let key = ks.key_of_index idx in
       let hv = t.hash.Hashes.apply key in
       if hv = h then Some key else go (reduce ks (col + 1) hv) (col + 1)
   in
   go start_idx 0
+
+(* [v] occurs in [a] at index [k] or above. *)
+let rec occurs_from a k v =
+  k < Array.length a && (a.(k) = v || occurs_from a (k + 1) v)
 
 let invert t h =
   match t.repr with
@@ -98,8 +103,13 @@ let invert t h =
       else
         List.init (starts.(h + 1) - starts.(h)) (fun k -> keys.(starts.(h) + k))
   | Chains { chain_len; ends } ->
-      (* Assume h appears at column j; complete the chain to its endpoint and
-         look the endpoint up; then re-walk matching chains from the start. *)
+      (* Assume h appears at column j; complete the chain to its endpoint,
+         look the endpoint up, and re-walk the matching chains from their
+         starts.  A chain holding h at column c ends where the column-c walk
+         ends, so a bucket reached first (from the top) at column j holds h
+         no later than column j: its walks stop there, and a lower column
+         reaching the same endpoint would only find the same keys again. *)
+      let endpoints = Array.make chain_len 0 in
       let candidates = ref [] in
       for j = chain_len - 1 downto 0 do
         let idx = ref (reduce t.ks (j + 1) h) in
@@ -107,16 +117,18 @@ let invert t h =
           let hv = t.hash.Hashes.apply (t.ks.key_of_index !idx) in
           idx := reduce t.ks (col + 1) hv
         done;
-        match Hashtbl.find_opt ends !idx with
-        | None -> ()
-        | Some starts ->
+        let e = !idx in
+        endpoints.(j) <- e;
+        match Hashtbl.find_opt ends e with
+        | Some starts when not (occurs_from endpoints (j + 1) e) ->
             List.iter
               (fun s ->
-                match find_in_chain t chain_len s h with
+                match find_in_chain t s ~last:j h with
                 | Some key when not (List.mem key !candidates) ->
                     candidates := key :: !candidates
                 | _ -> ())
               starts
+        | Some _ | None -> ()
       done;
       List.rev !candidates
 

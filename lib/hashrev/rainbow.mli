@@ -31,7 +31,14 @@ val build_exhaustive : hash:Hashes.t -> keyspace -> t
 
 val invert : t -> int -> int list
 (** [invert t h] returns candidate keys [k] with [hash k = h] (verified
-    before being returned).  Empty when the table has no coverage of [h]. *)
+    before being returned).  Empty when the table has no coverage of [h].
+
+    The order is part of the contract, since reconciliation commits the
+    first key the solver accepts.  An exhaustive table lists the keys in
+    key-space order.  A chain table lists them by descending column (the
+    column at which [h] is assumed to sit), then in bucket order (the
+    chains ending at that column's endpoint, last built first), taking the
+    first key of each chain that hashes to [h], with duplicates dropped. *)
 
 val hash : t -> Hashes.t
 val entries : t -> int

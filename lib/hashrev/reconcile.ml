@@ -27,7 +27,7 @@ let value_candidates ~rng pc output =
       out := v :: !out
     end
   in
-  (match Solver.Solve.sat ~rng (Solver.Pc.to_list pc) with
+  (match Solver.Pc.sat ~rng pc with
   | Sat m -> push (Solver.Solve.Model.get m output)
   | Unsat | Unknown -> ());
   let dom = Solver.Pc.domain_of pc out_expr in
@@ -51,7 +51,7 @@ let reconcile_one ~tables ~rng pc h =
         let eq_out : Ir.Expr.sexpr = Cmp (Eq, Leaf h.hv_output, Const hv) in
         let eq_in : Ir.Expr.sexpr = Cmp (Eq, h.hv_input, Const key) in
         let pc' = Solver.Pc.add (Solver.Pc.add pc eq_out) eq_in in
-        match Solver.Solve.sat ~rng (Solver.Pc.to_list pc') with
+        match Solver.Pc.sat ~rng pc' with
         | Sat _ -> Some pc'
         | Unsat ->
             Obs.Log.debug "reconcile: commit UNSAT (pkt %d hv=%d key=0x%x)"

@@ -29,7 +29,7 @@ type component = {
 
 type t = {
   size : int;
-  constraints : sexpr list;  (* as added, newest first *)
+  all : entry list;  (* as added, newest first *)
   ground : entry list;  (* constraints that mention no symbol *)
   n_ground : int;
   owner : int SymMap.t;  (* symbol -> id of its component *)
@@ -40,7 +40,7 @@ type t = {
 let empty =
   {
     size = 0;
-    constraints = [];
+    all = [];
     ground = [];
     n_ground = 0;
     owner = SymMap.empty;
@@ -48,7 +48,7 @@ let empty =
     added = Added.empty;
   }
 
-let to_list pc = pc.constraints
+let to_list pc = List.map (fun e -> e.raw) pc.all
 let length pc = pc.size
 
 let free_syms e =
@@ -122,7 +122,7 @@ let add pc c =
         {
           pc with
           size = pc.size + 1;
-          constraints = c :: pc.constraints;
+          all = e :: pc.all;
           added = Added.add c pc.added;
         }
       in
@@ -172,6 +172,8 @@ let feasible pc ~query =
   if want_profile then
     Obs.Profile.add_timer "solver.cache" (Unix.gettimeofday () -. t0);
   Solve.feasible_prepared ps
+
+let sat ?rng ?attempts pc = Solve.sat_prepared ?rng ?attempts (prepared pc.all)
 
 let domain_of pc e =
   let e = Simplify.expr e in

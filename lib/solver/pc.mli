@@ -55,6 +55,10 @@ val feasible : t -> query:Ir.Expr.sexpr -> bool
     Counts one {!Qcache.note_query}; reading the slice is charged to the
     [solver.cache] profiler bucket. *)
 
+val sat : ?rng:Util.Rng.t -> ?attempts:int -> t -> Solve.verdict
+(** [sat pc = Solve.sat (to_list pc)], reusing the simplification and
+    overflow guard {!add} already ran on each constraint. *)
+
 val domain_of : t -> Ir.Expr.sexpr -> Domain.t
 (** Over-approximates the values [e] can take under the slice of [pc] it
     touches; the cache model and reconciliation enumerate candidate values

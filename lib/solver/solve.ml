@@ -705,20 +705,57 @@ let order_phase st cs tbl rng =
   end
 
 (* WalkSAT-style completion: start from the deterministic candidate, then
-   repeatedly resample one symbol of one violated constraint. *)
+   repeatedly resample one symbol of one violated constraint.  Each
+   constraint's symbols are listed once per call, and a step re-evaluates
+   only the constraints that mention the resampled symbol (a constraint's
+   value depends on nothing else); every rng draw keeps the order and the
+   bound it would have if each step re-evaluated every constraint. *)
 let complete st cs rng attempts =
-  let syms = syms_of cs in
   let tbl = Hashtbl.create 32 in
-  List.iter (fun s -> Hashtbl.replace tbl s (sample_value st rng ~zero_free:true s)) syms;
+  List.iter
+    (fun s -> Hashtbl.replace tbl s (sample_value st rng ~zero_free:true s))
+    (syms_of cs);
   (* Seed comparison chains (tree paths) with a consistent global order. *)
   order_phase st cs tbl rng;
+  let cs = Array.of_list cs in
+  let syms_at = Array.map (fun c -> syms_of [ c ]) cs in
+  (* Symbol -> the indices of the constraints that mention it, ascending. *)
+  let uses = Hashtbl.create 32 in
+  for i = Array.length cs - 1 downto 0 do
+    List.iter
+      (fun s ->
+        let l = Option.value (Hashtbl.find_opt uses s) ~default:[] in
+        Hashtbl.replace uses s (i :: l))
+      syms_at.(i)
+  done;
+  let uses_of s = Option.value (Hashtbl.find_opt uses s) ~default:[] in
   (* Evaluating through the Hashtbl directly avoids rebuilding the map. *)
-  let eval_fast c =
+  let holds c =
     try
       eval ~leaf:(fun s -> match Hashtbl.find_opt tbl s with Some v -> v | None -> 0) c <> 0
     with Division_by_zero -> false
   in
-  let violated () = List.filter (fun c -> not (eval_fast c)) cs in
+  let satisfied = Array.map holds cs in
+  let n_violated = ref 0 in
+  Array.iter (fun ok -> if not ok then incr n_violated) satisfied;
+  let set s v =
+    Hashtbl.replace tbl s v;
+    List.iter
+      (fun i ->
+        let ok = holds cs.(i) in
+        if ok <> satisfied.(i) then begin
+          satisfied.(i) <- ok;
+          n_violated := !n_violated + if ok then -1 else 1
+        end)
+      (uses_of s)
+  in
+  (* Index of the [k]-th violated constraint, in list order. *)
+  let nth_violated k =
+    let rec go i k =
+      if satisfied.(i) then go (i + 1) k else if k = 0 then i else go (i + 1) (k - 1)
+    in
+    go 0 k
+  in
   (* Targeted repair: freeze every other symbol at its current value,
      re-propagate the violated constraint for [s] alone, and draw [s] from
      the refined knowledge.  This is what makes packed-field and
@@ -739,17 +776,15 @@ let complete st cs rng attempts =
     | _ -> assert_true st1 c
   in
   (* Strong repair: freeze everything but [s] and propagate every constraint
-     mentioning [s], so the sample respects all its bounds at once (an
-     ordering chain pins a symbol between two neighbours). *)
+     mentioning [s], in list order, so the sample respects all its bounds
+     at once (an ordering chain pins a symbol between two neighbours). *)
   let repair_all s =
     let st1 = mini_store s in
-    let relevant c = List.exists (fun s' -> compare_sym s' s = 0) (syms_of [ c ]) in
     match
       List.iter
-        (fun c ->
-          if relevant c then
-            assert_for_repair st1 (Simplify.expr (subst (frozen_except s) c)))
-        cs
+        (fun i ->
+          assert_for_repair st1 (Simplify.expr (subst (frozen_except s) cs.(i))))
+        (uses_of s)
     with
     | exception Contradiction -> None
     | () -> Some (sample_value st1 rng ~zero_free:false s)
@@ -760,9 +795,9 @@ let complete st cs rng attempts =
     | exception Contradiction -> None
     | () -> Some (sample_value st1 rng ~zero_free:false s)
   in
-  let resample_one vs =
-    let c = List.nth vs (Util.Rng.int rng (List.length vs)) in
-    let cs_syms = syms_of [ c ] in
+  let resample_one () =
+    let i = nth_violated (Util.Rng.int rng !n_violated) in
+    let cs_syms = syms_at.(i) in
     let flexible = List.filter (fun s -> not (fully_known st s)) cs_syms in
     let targets = if flexible = [] then cs_syms else flexible in
     match targets with
@@ -772,30 +807,28 @@ let complete st cs rng attempts =
         let choice = Util.Rng.int rng 10 in
         let attempt =
           if choice < 5 then repair_all s
-          else if choice < 8 then repair c s
+          else if choice < 8 then repair cs.(i) s
           else None
         in
         match attempt with
-        | Some v -> Hashtbl.replace tbl s v
-        | None ->
-            Hashtbl.replace tbl s (sample_value st rng ~zero_free:false s))
+        | Some v -> set s v
+        | None -> set s (sample_value st rng ~zero_free:false s))
   in
   let rec walk k =
-    match violated () with
-    | [] -> Some (model_of_tbl tbl)
-    | vs ->
-        if k = 0 then begin
-          Obs.Log.debug "solver: %d violated after search:%t" (List.length vs)
-            (fun () ->
-              String.concat ""
-                (List.filteri (fun i _ -> i < 12) vs
-                |> List.map (Format.asprintf "@\n  V: %a" Ir.Expr.pp_sexpr)));
-          None
-        end
-        else begin
-          resample_one vs;
-          walk (k - 1)
-        end
+    if !n_violated = 0 then Some (model_of_tbl tbl)
+    else if k = 0 then begin
+      Obs.Log.debug "solver: %d violated after search:%t" !n_violated
+        (fun () ->
+          let vs = List.filteri (fun i _ -> not satisfied.(i)) (Array.to_list cs) in
+          String.concat ""
+            (List.filteri (fun i _ -> i < 12) vs
+            |> List.map (Format.asprintf "@\n  V: %a" Ir.Expr.pp_sexpr)));
+      None
+    end
+    else begin
+      resample_one ();
+      walk (k - 1)
+    end
   in
   walk attempts
 
@@ -831,8 +864,8 @@ let refute ps =
           Refuted
       | st -> Open (cs, st)
 
-let sat_inner rng attempts cs =
-  match refute (List.map prepare cs) with
+let sat_inner rng attempts ps =
+  match refute ps with
   | Refuted -> Unsat
   | Open ([], _) -> Sat Model.empty
   | Open (cs, st) -> (
@@ -856,13 +889,15 @@ let instrumented counter_of f =
   if Obs.Metrics.active () then Obs.Metrics.incr (counter_of v);
   v
 
-let sat ?(rng = Util.Rng.create 0x5eed) ?(attempts = 2000) cs =
+let sat_prepared ?(rng = Util.Rng.create 0x5eed) ?(attempts = 2000) ps =
   instrumented
     (function
       | Sat _ -> m_verdict_sat
       | Unsat -> m_verdict_unsat
       | Unknown -> m_verdict_unknown)
-    (fun () -> sat_inner rng attempts cs)
+    (fun () -> sat_inner rng attempts ps)
+
+let sat ?rng ?attempts cs = sat_prepared ?rng ?attempts (List.map prepare cs)
 
 (* A model found by search never changes a feasibility verdict (only Unsat
    does), so feasibility stops after the refutation step. *)

@@ -65,6 +65,10 @@ val prepared_expr : prepared -> Ir.Expr.sexpr
 val feasible_prepared : prepared list -> bool
 (** [feasible_prepared (List.map prepare cs) = feasible cs]. *)
 
+val sat_prepared :
+  ?rng:Util.Rng.t -> ?attempts:int -> prepared list -> verdict
+(** [sat cs] is [sat_prepared (List.map prepare cs)]. *)
+
 val domain_of_prepared : prepared list -> Ir.Expr.sexpr -> Domain.t
 (** [domain_of_prepared ps e] over-approximates the values the simplified
     expression [e] can take under the constraints, after propagation

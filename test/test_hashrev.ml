@@ -78,6 +78,35 @@ let chains_invert_verified () =
   (* chains cover only part of the space; expect nonzero hit rate *)
   Alcotest.(check bool) "some coverage" true (!found > 5)
 
+(* A chain table dense enough to exercise every branch of inversion: over
+   a 16-bit hash, 4,096 chains of 64 steps merge into about 1,400
+   endpoints, two thirds of whose buckets hold several chains, and for
+   about 400 of the 1,024 values [chain_invert_pinned] inverts, two
+   columns' walks reach the same stored endpoint. *)
+let chain_table =
+  lazy
+    (Hashrev.Rainbow.build ~hash:Hashrev.Hashes.flow16 ~chains:4096
+       ~chain_len:64 small_keyspace)
+
+(* [invert]'s candidate order is what reconciliation commits in, so the
+   whole key list of each value is pinned, not just its verification. *)
+let chain_invert_pinned () =
+  let t = Lazy.force chain_table in
+  let buf = Buffer.create 65536 in
+  let found = ref 0 in
+  for i = 0 to 1023 do
+    let hv = (i * 40503) land 0xFFFF in
+    let keys = Hashrev.Rainbow.invert t hv in
+    if keys <> [] then incr found;
+    Printf.bprintf buf "%d:%s\n" hv
+      (String.concat "," (List.map string_of_int keys))
+  done;
+  Alcotest.(check string) "key lists of 1,024 values"
+    "f6691d9f905919063ccdf7135974576f 899"
+    (Printf.sprintf "%s %d"
+       (Digest.to_hex (Digest.string (Buffer.contents buf)))
+       !found)
+
 let reconcile_single_havoc () =
   let out = Ir.Expr.fresh ~label:"flow16" ~width:16 in
   let key_expr : Ir.Expr.sexpr =
@@ -109,11 +138,8 @@ let reconcile_single_havoc () =
         (hash.apply ((src lsl 16) lor port))
   | _ -> Alcotest.fail "reconciled constraints unsolvable"
 
-let reconcile_collision_chain () =
-  (* several packets forced into the same bucket, all flows distinct *)
-  let hash = Hashrev.Hashes.flow16 in
-  let table = Lazy.force exhaustive_table in
-  let n = 6 in
+(* [n] packets forced to hash to [value], every flow distinct. *)
+let collision_chain ~table ~value n =
   let havocs =
     List.init n (fun pkt ->
         let out = Ir.Expr.fresh ~label:"flow16" ~width:16 in
@@ -127,7 +153,7 @@ let reconcile_collision_chain () =
   in
   let pcs =
     List.map
-      (fun (_, _, out) : Ir.Expr.sexpr -> Cmp (Eq, Leaf out, Const 0x777))
+      (fun (_, _, out) : Ir.Expr.sexpr -> Cmp (Eq, Leaf out, Const value))
       havocs
     @ List.concat_map
         (fun (i, ki, _) ->
@@ -144,10 +170,16 @@ let reconcile_collision_chain () =
           hv_output = out })
       havocs
   in
-  let r =
+  ( havocs,
     Hashrev.Reconcile.run
       ~tables:(fun n -> if n = "flow16" then Some table else None)
-      ~pc:(Solver.Pc.of_list pcs) ~havocs:records ()
+      ~pc:(Solver.Pc.of_list pcs) ~havocs:records () )
+
+let reconcile_collision_chain () =
+  let hash = Hashrev.Hashes.flow16 in
+  let n = 6 in
+  let havocs, r =
+    collision_chain ~table:(Lazy.force exhaustive_table) ~value:0x777 n
   in
   Alcotest.(check int) "all reconciled" n (List.length r.reconciled);
   match Solver.Solve.sat r.constraints with
@@ -166,6 +198,21 @@ let reconcile_collision_chain () =
         (fun k -> Alcotest.(check int) "collides" 0x777 (hash.apply k))
         keys
   | _ -> Alcotest.fail "collision constraints unsolvable"
+
+(* The same shape through the chain table, which inverts 0xfa0 to four
+   keys, so two of the six havocs stay open: the committed keys, their order
+   and which havocs stay open are pinned. *)
+let reconcile_collision_chain_table () =
+  (* The rendered constraints name the havoc outputs by their fresh ids. *)
+  Ir.Expr.reset_fresh ();
+  let _, r = collision_chain ~table:(Lazy.force chain_table) ~value:0xfa0 6 in
+  let render = Format.asprintf "%a" Ir.Expr.pp_sexpr in
+  Alcotest.(check string) "counts and constraints"
+    "4 2 2f56e00800cba26e41f1a68d1748d7db"
+    (Printf.sprintf "%d %d %s" (List.length r.reconciled)
+       (List.length r.unreconciled)
+       (Digest.to_hex
+          (Digest.string (String.concat "\n" (List.map render r.constraints)))))
 
 let reconcile_without_table () =
   let out = Ir.Expr.fresh ~label:"flow16" ~width:16 in
@@ -205,8 +252,11 @@ let tests =
     Alcotest.test_case "exhaustive verified" `Quick exhaustive_results_verified;
     Alcotest.test_case "exhaustive coverage" `Quick exhaustive_full_coverage;
     Alcotest.test_case "chains invert" `Quick chains_invert_verified;
+    Alcotest.test_case "chain table inversion pinned" `Quick chain_invert_pinned;
     Alcotest.test_case "reconcile one havoc" `Quick reconcile_single_havoc;
     Alcotest.test_case "reconcile collision chain" `Slow reconcile_collision_chain;
+    Alcotest.test_case "reconcile through a chain table pinned" `Quick
+      reconcile_collision_chain_table;
     Alcotest.test_case "reconcile without table" `Quick reconcile_without_table;
     qtest keyspace_injective;
     Alcotest.test_case "keyspace power of two" `Quick keyspace_rejects_non_powers_of_two;

@@ -4,7 +4,11 @@
 open Ir.Dsl
 
 let geom = Cache.Geometry.xeon_e5_2667v2
-let costs = Symbex.Costs.default geom
+let costs =
+  {
+    Symbex.Costs.geom;
+    hash_weight = (fun name -> (Hashrev.Hashes.lookup name).weight);
+  }
 
 let annotate ?m prog = Symbex.Cost.annotate ?m costs (Ir.Lower.program prog)
 
