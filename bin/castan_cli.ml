@@ -419,12 +419,7 @@ let dump_cmd =
     if not costs_flag then Format.printf "%a@." Ir.Cfg.pp prog
     else begin
       let annot =
-        Symbex.Cost.annotate
-          {
-            Symbex.Costs.geom = Cache.Geometry.xeon_e5_2667v2;
-            hash_weight = (fun h -> (Hashrev.Hashes.lookup h).weight);
-          }
-          prog
+        Symbex.Cost.annotate Cache.Geometry.xeon_e5_2667v2 prog
       in
       let names = Hashtbl.fold (fun k _ acc -> k :: acc) prog.Ir.Cfg.funcs [] in
       List.iter

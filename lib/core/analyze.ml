@@ -177,18 +177,11 @@ let run ~config:cfg (nf : Nf.Nf_def.t) =
   let nf_arg = [ ("nf", Obs.Json.Str nf.Nf.Nf_def.name) ] in
   let driver_cfg, mem, cache =
     Obs.Trace.with_span "analyze.build" ~args:nf_arg (fun () ->
-        let geom = Cache.Geometry.xeon_e5_2667v2 in
-        let costs =
-          {
-            Symbex.Costs.geom;
-            hash_weight = (fun name -> (Hashrev.Hashes.lookup name).weight);
-          }
-        in
         let driver_cfg =
           {
             Symbex.Driver.n_packets;
             strategy = cfg.strategy;
-            costs;
+            geom = Cache.Geometry.xeon_e5_2667v2;
             m = cfg.m;
             hash_bits = nf.Nf.Nf_def.hash_bits;
             instr_budget = cfg.instr_budget;

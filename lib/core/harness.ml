@@ -376,12 +376,7 @@ let discussion_wcet (config : Experiment.config) _sets =
            for data-dependent loops it stays a structural assumption. *)
         let upper =
           Symbex.Cost.full_cost
-            (Symbex.Cost.annotate ~m:34
-               {
-                 Symbex.Costs.geom = pessimistic;
-                 hash_weight = (fun h -> (Hashrev.Hashes.lookup h).weight);
-               }
-               nf.Nf.Nf_def.program)
+            (Symbex.Cost.annotate ~m:34 pessimistic nf.Nf.Nf_def.program)
             nf.Nf.Nf_def.program.Ir.Cfg.entry
         in
         let cfg =

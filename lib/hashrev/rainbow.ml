@@ -92,10 +92,6 @@ let find_in_chain t start_idx ~last h =
   in
   go start_idx 0
 
-(* [v] occurs in [a] at index [k] or above. *)
-let rec occurs_from a k v =
-  k < Array.length a && (a.(k) = v || occurs_from a (k + 1) v)
-
 let invert t h =
   match t.repr with
   | Exhaustive { starts; keys } ->
@@ -105,11 +101,9 @@ let invert t h =
   | Chains { chain_len; ends } ->
       (* Assume h appears at column j; complete the chain to its endpoint,
          look the endpoint up, and re-walk the matching chains from their
-         starts.  A chain holding h at column c ends where the column-c walk
-         ends, so a bucket reached first (from the top) at column j holds h
-         no later than column j: its walks stop there, and a lower column
-         reaching the same endpoint would only find the same keys again. *)
-      let endpoints = Array.make chain_len 0 in
+         starts.  Each re-walk stops at column j: a chain whose first h sits
+         at a higher column c ends where the column-c walk ends, so that
+         walk, made earlier, already listed its key. *)
       let candidates = ref [] in
       for j = chain_len - 1 downto 0 do
         let idx = ref (reduce t.ks (j + 1) h) in
@@ -117,10 +111,8 @@ let invert t h =
           let hv = t.hash.Hashes.apply (t.ks.key_of_index !idx) in
           idx := reduce t.ks (col + 1) hv
         done;
-        let e = !idx in
-        endpoints.(j) <- e;
-        match Hashtbl.find_opt ends e with
-        | Some starts when not (occurs_from endpoints (j + 1) e) ->
+        match Hashtbl.find_opt ends !idx with
+        | Some starts ->
             List.iter
               (fun s ->
                 match find_in_chain t s ~last:j h with
@@ -128,7 +120,7 @@ let invert t h =
                     candidates := key :: !candidates
                 | _ -> ())
               starts
-        | Some _ | None -> ()
+        | None -> ()
       done;
       List.rev !candidates
 

@@ -173,7 +173,7 @@ let feasible pc ~query =
     Obs.Profile.add_timer "solver.cache" (Unix.gettimeofday () -. t0);
   Solve.feasible_prepared ps
 
-let sat ?rng ?attempts pc = Solve.sat_prepared ?rng ?attempts (prepared pc.all)
+let sat ?rng pc = Solve.sat_prepared ?rng (prepared pc.all)
 
 let domain_of pc e =
   let e = Simplify.expr e in

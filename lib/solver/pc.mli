@@ -55,7 +55,7 @@ val feasible : t -> query:Ir.Expr.sexpr -> bool
     Counts one {!Qcache.note_query}; reading the slice is charged to the
     [solver.cache] profiler bucket. *)
 
-val sat : ?rng:Util.Rng.t -> ?attempts:int -> t -> Solve.verdict
+val sat : ?rng:Util.Rng.t -> t -> Solve.verdict
 (** [sat pc = Solve.sat (to_list pc)], reusing the simplification and
     overflow guard {!add} already ran on each constraint. *)
 

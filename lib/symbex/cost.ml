@@ -10,7 +10,7 @@ let m t = t.m
    repetitions by [m].  Memoized on (pc, encoded loop-head context): in a
    reducible CFG every cycle passes through its loop head, so bounding heads
    bounds all repetition. *)
-let annotate_func ~m costs (f : Ir.Cfg.func) full_tbl =
+let annotate_func ~m geom (f : Ir.Cfg.func) full_tbl =
   let n = Array.length f.body in
   let heads = Array.make n (-1) in
   let n_heads = ref 0 in
@@ -32,7 +32,7 @@ let annotate_func ~m costs (f : Ir.Cfg.func) full_tbl =
   in
   let local pc =
     let instr = f.body.(pc) in
-    let base = Costs.instr_local costs instr in
+    let base = Costs.instr_local geom instr in
     match instr with
     | Ir.Cfg.Call { func; _ } -> (
         base
@@ -78,14 +78,14 @@ let annotate_func ~m costs (f : Ir.Cfg.func) full_tbl =
   in
   to_ret
 
-let annotate ?(m = 2) costs program =
+let annotate ?(m = 2) geom program =
   let icfg = Ir.Icfg.make program in
   let full = Hashtbl.create 16 in
   let to_ret = Hashtbl.create 16 in
   List.iter
     (fun fname ->
       let f = Ir.Cfg.func program fname in
-      let arr = annotate_func ~m costs f full in
+      let arr = annotate_func ~m geom f full in
       Hashtbl.replace to_ret fname arr;
       Hashtbl.replace full fname (if Array.length arr > 0 then arr.(0) else 0))
     (Ir.Icfg.topo_order icfg);

@@ -17,7 +17,7 @@
 
 type t
 
-val annotate : ?m:int -> Costs.t -> Ir.Cfg.t -> t
+val annotate : ?m:int -> Cache.Geometry.t -> Ir.Cfg.t -> t
 (** @raise Invalid_argument via {!Ir.Icfg.make} on recursive programs. *)
 
 val full_cost : t -> string -> int

@@ -1,9 +1,7 @@
-type t = { geom : Cache.Geometry.t; hash_weight : string -> int }
-
-let instr_local t instr =
+let instr_local (geom : Cache.Geometry.t) instr =
   let base = Cache.Geometry.op_cycles (Ir.Cfg.weight instr) in
   match instr with
-  | Ir.Cfg.Load _ | Ir.Cfg.Store _ -> base + t.geom.Cache.Geometry.lat_l1
+  | Ir.Cfg.Load _ | Ir.Cfg.Store _ -> base + geom.lat_l1
   | Ir.Cfg.Havoc { hash; _ } ->
-      base + Cache.Geometry.op_cycles (t.hash_weight hash)
+      base + Cache.Geometry.op_cycles (Hashrev.Hashes.lookup hash).weight
   | _ -> base

@@ -3,15 +3,9 @@
 
     Non-memory NFIR operations retire on a superscalar core at less than one
     cycle each; memory operations cost the latency of the level that serves
-    them ({!Cache.Geometry.op_cycles}).  Hash weights come from the
-    caller, which passes the weights [Hashrev.Hashes] declares, because
-    symbex does not know hash implementations. *)
+    them ({!Cache.Geometry.op_cycles}).  A hash application weighs what
+    {!Hashrev.Hashes} declares for it. *)
 
-type t = {
-  geom : Cache.Geometry.t;
-  hash_weight : string -> int;  (** instructions per hash application *)
-}
-
-val instr_local : t -> Ir.Cfg.instr -> int
+val instr_local : Cache.Geometry.t -> Ir.Cfg.instr -> int
 (** Local cost of an instruction assuming memory accesses hit L1 — the
     pre-processing assumption of §3.4. *)

@@ -1,7 +1,7 @@
 type config = {
   n_packets : int;
   strategy : Searcher.strategy;
-  costs : Costs.t;
+  geom : Cache.Geometry.t;
   m : int;
   hash_bits : string -> int;
   instr_budget : int;
@@ -54,9 +54,9 @@ let deadline_cut_total = Atomic.make 0
 let deadline_cuts () = Atomic.get deadline_cut_total
 
 let run program ~mem ~cache config =
-  let annot = Cost.annotate ~m:config.m config.costs program in
+  let annot = Cost.annotate ~m:config.m config.geom program in
   let searcher = Searcher.create config.strategy ~annot in
-  let exec_cfg = { Exec.costs = config.costs; hash_bits = config.hash_bits } in
+  let exec_cfg = { Exec.hash_bits = config.hash_bits } in
   let start = Unix.gettimeofday () in
   let deadline = Util.Resilience.deadline_in config.time_budget in
   let explored = ref 0

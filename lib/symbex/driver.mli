@@ -12,7 +12,7 @@
 type config = {
   n_packets : int;
   strategy : Searcher.strategy;
-  costs : Costs.t;
+  geom : Cache.Geometry.t;  (** cycle costs of the potential-cost annotation *)
   m : int;  (** loop bound for potential-cost annotation *)
   hash_bits : string -> int;
   instr_budget : int;

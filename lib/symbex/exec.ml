@@ -1,4 +1,4 @@
-type config = { costs : Costs.t; hash_bits : string -> int }
+type config = { hash_bits : string -> int }
 
 (* Raw instructions one state may run per packet. *)
 let packet_budget = 100_000
@@ -289,7 +289,7 @@ and step_instr cfg (t : State.t) frame instr : step_result =
           Ir.Expr.fresh ~label:hash ~width:(cfg.hash_bits hash)
         in
         let t =
-          charge t instr ~extra_weight:(cfg.costs.Costs.hash_weight hash) ()
+          charge t instr ~extra_weight:(Hashrev.Hashes.lookup hash).weight ()
         in
         let t = set_var t dst (Ir.Expr.Leaf out_sym) in
         let t =

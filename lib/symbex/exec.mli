@@ -7,7 +7,6 @@
     pair for reconciliation. *)
 
 type config = {
-  costs : Costs.t;
   hash_bits : string -> int;  (** output width of a hash, for fresh symbols *)
 }
 

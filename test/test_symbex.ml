@@ -4,13 +4,7 @@
 open Ir.Dsl
 
 let geom = Cache.Geometry.xeon_e5_2667v2
-let costs =
-  {
-    Symbex.Costs.geom;
-    hash_weight = (fun name -> (Hashrev.Hashes.lookup name).weight);
-  }
-
-let annotate ?m prog = Symbex.Cost.annotate ?m costs (Ir.Lower.program prog)
+let annotate ?m prog = Symbex.Cost.annotate ?m geom (Ir.Lower.program prog)
 
 (* ---------------- potential cost ---------------- *)
 
@@ -169,7 +163,7 @@ let driver_config ?(strategy = Symbex.Searcher.Castan) ?(instr_budget = 200_000)
   {
     Symbex.Driver.n_packets;
     strategy;
-    costs;
+    geom;
     m = 2;
     hash_bits = (fun _ -> 16);
     instr_budget;
