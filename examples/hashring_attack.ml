@@ -31,7 +31,7 @@ let () =
 
   (* Verify reconciliation for real: re-hash the emitted packets and check
      they land in the ring slots the analysis targeted. *)
-  let hash = Hashrev.Hashes.ring24 in
+  let hash = Ir.Hashes.ring24 in
   Printf.printf "ring slots hit by the emitted packets:\n";
   Array.iteri
     (fun k (p : Nf.Packet.t) ->

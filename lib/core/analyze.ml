@@ -51,12 +51,12 @@ let rainbow_for hash_name ks =
   match Mutex.protect rainbow_mu (fun () -> Hashtbl.find_opt rainbow_cache key) with
   | Some t -> t
   | None ->
-      let hash = Hashrev.Hashes.lookup hash_name in
+      let hash = Ir.Hashes.lookup hash_name in
       let t =
         (* Small hash spaces get the brute-force inverse index; large ones
            the chain table (§3.5: "brute-force methods augmented by the use
            of rainbow tables"). *)
-        if hash.Hashrev.Hashes.bits <= 16 then
+        if hash.Ir.Hashes.bits <= 16 then
           Hashrev.Rainbow.build_exhaustive ~hash ks
         else
           (* Scale the chain count to the key space: with chain merges, a
@@ -183,7 +183,6 @@ let run ~config:cfg (nf : Nf.Nf_def.t) =
             strategy = cfg.strategy;
             geom = Cache.Geometry.xeon_e5_2667v2;
             m = cfg.m;
-            hash_bits = nf.Nf.Nf_def.hash_bits;
             instr_budget = cfg.instr_budget;
             time_budget = cfg.time_budget;
             max_completed = 32;

@@ -18,7 +18,7 @@ type repr =
          keys[starts.(h) .. starts.(h+1) - 1]; compact enough for the
          "a few million entries" tables the paper calls for *)
 
-type t = { hash : Hashes.t; ks : keyspace; repr : repr; entries : int }
+type t = { hash : Ir.Hashes.t; ks : keyspace; repr : repr; entries : int }
 
 (* Column-salted reduction: maps a hash value to a key index.  Hash values
    are non-negative and [count] a power of two, so the mask is [mod count]
@@ -29,7 +29,7 @@ let chain_end hash ks chain_len start_idx =
   let rec go idx col =
     if col >= chain_len then idx
     else
-      let h = hash.Hashes.apply (ks.key_of_index idx) in
+      let h = hash.Ir.Hashes.apply (ks.key_of_index idx) in
       go (reduce ks (col + 1) h) (col + 1)
   in
   go start_idx 0
@@ -59,10 +59,10 @@ let build ~hash ~chains ~chain_len ks =
   { hash; ks; repr = Chains { chain_len; ends }; entries = n }
 
 let build_exhaustive ~hash ks =
-  let space = 1 lsl hash.Hashes.bits in
+  let space = 1 lsl hash.Ir.Hashes.bits in
   let counts = Array.make (space + 1) 0 in
   for i = 0 to ks.count - 1 do
-    let h = hash.Hashes.apply (ks.key_of_index i) in
+    let h = hash.Ir.Hashes.apply (ks.key_of_index i) in
     counts.(h + 1) <- counts.(h + 1) + 1
   done;
   for h = 1 to space do
@@ -73,7 +73,7 @@ let build_exhaustive ~hash ks =
   let cursor = Array.copy starts in
   for i = 0 to ks.count - 1 do
     let k = ks.key_of_index i in
-    let h = hash.Hashes.apply k in
+    let h = hash.Ir.Hashes.apply k in
     keys.(cursor.(h)) <- k;
     cursor.(h) <- cursor.(h) + 1
   done;
@@ -87,7 +87,7 @@ let find_in_chain t start_idx ~last h =
     if col > last then None
     else
       let key = ks.key_of_index idx in
-      let hv = t.hash.Hashes.apply key in
+      let hv = t.hash.Ir.Hashes.apply key in
       if hv = h then Some key else go (reduce ks (col + 1) hv) (col + 1)
   in
   go start_idx 0
@@ -108,7 +108,7 @@ let invert t h =
       for j = chain_len - 1 downto 0 do
         let idx = ref (reduce t.ks (j + 1) h) in
         for col = j + 1 to chain_len - 1 do
-          let hv = t.hash.Hashes.apply (t.ks.key_of_index !idx) in
+          let hv = t.hash.Ir.Hashes.apply (t.ks.key_of_index !idx) in
           idx := reduce t.ks (col + 1) hv
         done;
         match Hashtbl.find_opt ends !idx with
@@ -139,7 +139,7 @@ let coverage_sample t ~samples =
           let rng = Util.Rng.split_ix root i in
           (* Sample hash values that are actually achievable. *)
           let k = t.ks.key_of_index (Util.Rng.int rng t.ks.count) in
-          let h = t.hash.Hashes.apply k in
+          let h = t.hash.Ir.Hashes.apply k in
           if invert t h <> [] then incr hits
         done;
         !hits)

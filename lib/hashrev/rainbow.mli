@@ -20,12 +20,12 @@ val keyspace :
 
 type t
 
-val build : hash:Hashes.t -> chains:int -> chain_len:int -> keyspace -> t
+val build : hash:Ir.Hashes.t -> chains:int -> chain_len:int -> keyspace -> t
 (** Builds [chains] chains of [chain_len] steps (at most one chain per key).
     Reduction functions map a hash value back into the key space, salted per
     column. *)
 
-val build_exhaustive : hash:Hashes.t -> keyspace -> t
+val build_exhaustive : hash:Ir.Hashes.t -> keyspace -> t
 (** The brute-force variant the paper combines with rainbow tables: a full
     inverse index of the key space.  Only sensible for small spaces. *)
 
@@ -40,7 +40,7 @@ val invert : t -> int -> int list
     chains ending at that column's endpoint, last built first), taking the
     first key of each chain that hashes to [h], with duplicates dropped. *)
 
-val hash : t -> Hashes.t
+val hash : t -> Ir.Hashes.t
 val entries : t -> int
 (** Number of (start, end) chain pairs, or key count for exhaustive
     tables. *)

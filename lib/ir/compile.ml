@@ -9,7 +9,8 @@
    its arguments are evaluated into ([exec] copies them into the callee's
    frame before the callee runs, so a recursive call may refill it), each
    function keeps a pool of frames it zeroes on entry, and a Havoc site
-   resolves its hash once per hooks value.  A frame abandoned by an
+   resolves its hash in {!Hashes} when it is compiled, so a program that
+   havocs an undeclared hash fails in {!program}.  A frame abandoned by an
    exception (budget exhaustion) is simply not returned to its pool.  All of
    this is mutable state owned by the compiled program.
 
@@ -229,25 +230,13 @@ let compile_instr funcs slots pc (instr : Cfg.instr) : ctx -> int array -> int =
   | Cfg.Havoc { dst; input; hash } ->
       let fi = compile_expr slots input in
       let sd = slot dst and next = pc + 1 in
-      (* The hash as the hooks resolve it, kept for the hooks it came from:
-         [hash_apply] is applied to the name alone, so hooks that look the
-         name up before taking the key pay for the lookup once, not once
-         per packet. *)
-      let resolved_for = ref None and apply = ref Fun.id and weight = ref 0 in
+      let { Hashes.apply; weight = hw; _ } = Hashes.lookup hash in
       fun ctx env ->
         spend ctx w;
         let v = fi env in
-        let hooks = ctx.hooks in
-        (match !resolved_for with
-        | Some h when h == hooks -> ()
-        | _ ->
-            weight := hooks.Interp.hash_weight hash;
-            apply := hooks.Interp.hash_apply hash;
-            resolved_for := Some hooks);
-        let hw = !weight in
         if Obs.Profile.enabled () then Obs.Profile.add_retire ~weight:hw;
         spend ctx hw;
-        env.(sd) <- !apply v;
+        env.(sd) <- apply v;
         next
 
 (* Profiler shim around one compiled instruction: marks the attribution site

@@ -26,7 +26,9 @@
 type t
 
 val program : Cfg.t -> t
-(** Compile all functions. *)
+(** Compile all functions, resolving each [Havoc]'s hash in {!Hashes}.
+    @raise Invalid_argument on a call to an unknown function or a [Havoc]
+    of an undeclared hash. *)
 
 type fn
 (** A resolved compiled function: look it up once, call it per packet

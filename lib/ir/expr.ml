@@ -14,6 +14,11 @@ let field_name = function
   | Src_port -> "src_port"
   | Dst_port -> "dst_port"
 
+let field_of_name name =
+  match List.find_opt (fun f -> field_name f = name) all_fields with
+  | Some f -> f
+  | None -> invalid_arg ("Expr.field_of_name: not a packet field: " ^ name)
+
 type sym =
   | Pkt of { pkt : int; field : field }
   | Fresh of { id : int; label : string }

@@ -21,6 +21,11 @@ val field_width : field -> int
 val all_fields : field list
 val field_name : field -> string
 
+val field_of_name : string -> field
+(** Inverse of {!field_name}: how an NF's entry parameters name the packet
+    fields they take.
+    @raise Invalid_argument on any other name. *)
+
 type sym =
   | Pkt of { pkt : int; field : field }
       (** Field [field] of the [pkt]-th symbolic input packet. *)

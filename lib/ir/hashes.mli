@@ -9,7 +9,12 @@
     NF hashes are typically weak mixers chosen for speed — but they do mix
     all key bits into the output, so symbolically executing them would
     produce expressions beyond any solver's practical reach, which is exactly
-    why havocing is needed. *)
+    why havocing is needed.
+
+    This module is the one owner of a hash's semantics: {!Interp} and
+    {!Compile} apply it and retire its weight, and the symbolic engine
+    gives a havoc's fresh output symbol its width and charges its weight.
+    Reversing it is [Hashrev]'s job. *)
 
 type t = {
   name : string;
@@ -23,6 +28,9 @@ val flow16 : t
 
 val ring24 : t
 (** 24-bit output: indexes the 16.7M-entry open-addressing hash ring. *)
+
+val all : t list
+(** Every declared hash: [[flow16; ring24]]. *)
 
 val lookup : string -> t
 (** @raise Invalid_argument on an unknown name. *)

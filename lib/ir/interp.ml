@@ -1,15 +1,6 @@
-type hooks = {
-  on_access : addr:int -> width:int -> write:bool -> unit;
-  hash_apply : string -> int -> int;
-  hash_weight : string -> int;
-}
+type hooks = { on_access : addr:int -> width:int -> write:bool -> unit }
 
-let no_hooks =
-  {
-    on_access = (fun ~addr:_ ~width:_ ~write:_ -> ());
-    hash_apply = (fun name _ -> invalid_arg ("Interp: unknown hash " ^ name));
-    hash_weight = (fun _ -> 0);
-  }
+let no_hooks = { on_access = (fun ~addr:_ ~width:_ ~write:_ -> ()) }
 
 type outcome = { ret : int; instrs : int; loads : int; stores : int }
 
@@ -96,10 +87,10 @@ let call program ~mem ~hooks ?(budget = 10_000_000) fname args =
             exec rest caller resume_pc)
     | Cfg.Havoc { dst; input; hash } ->
         let input_value = eval_expr frame.env input in
-        let hw = hooks.hash_weight hash in
-        if Obs.Profile.enabled () then Obs.Profile.add_retire ~weight:hw;
-        spend hw;
-        Hashtbl.replace frame.env dst (hooks.hash_apply hash input_value);
+        let h = Hashes.lookup hash in
+        if Obs.Profile.enabled () then Obs.Profile.add_retire ~weight:h.weight;
+        spend h.weight;
+        Hashtbl.replace frame.env dst (h.apply input_value);
         exec stack frame (pc + 1)
   in
   let ret = exec [] (new_frame f args None) 0 in

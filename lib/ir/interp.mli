@@ -3,23 +3,16 @@
     Runs a function on concrete arguments against a concrete memory, calling
     back on every memory access so the testbed can drive its cache simulator
     and cycle model.  [Havoc] executes the real hash function (production
-    semantics of the [castan_havoc] annotation). *)
+    semantics of the [castan_havoc] annotation): the {!Hashes} entry of its
+    name, retiring the hash's declared weight on top of the instruction's. *)
 
 type hooks = {
   on_access : addr:int -> width:int -> write:bool -> unit;
       (** Called for every executed [Load]/[Store]. *)
-  hash_apply : string -> int -> int;
-      (** Resolves a [Havoc]'s hash function by name.  {!Compile} applies
-          it to the name alone once per hooks value and keeps the
-          resulting function, so hooks that look the name up before
-          taking the key pay for the lookup once. *)
-  hash_weight : string -> int;
-      (** Instructions-retired cost of computing that hash once; {!Compile}
-          also asks once per hooks value. *)
 }
 
 val no_hooks : hooks
-(** No-op access hook; unknown hashes raise. *)
+(** No-op access hook. *)
 
 type outcome = {
   ret : int;  (** return value of the called function; 0 if [Return None] *)
@@ -43,4 +36,5 @@ val call :
     (default 10 million) bounds executed instructions and guards against
     non-terminating NF code.
     @raise Budget_exhausted when the bound is hit.
-    @raise Invalid_argument on arity mismatch or undefined variables. *)
+    @raise Invalid_argument on arity mismatch, undefined variables or a
+    [Havoc] of a hash {!Hashes} does not declare. *)

@@ -98,11 +98,6 @@ let find_region_opt t addr =
   done;
   !found
 
-let find_region t addr =
-  match find_region_opt t addr with
-  | Some r -> r
-  | None -> invalid_arg (Printf.sprintf "Memory.find_region: 0x%x out of bounds" addr)
-
 let region_named t name =
   match Array.to_list t.regions |> List.find_opt (fun r -> r.name = name) with
   | Some r -> r
@@ -136,20 +131,12 @@ let try_write t ~addr ~width v =
   | Ok _ -> Ok { t with overlay = Imap.add addr v t.overlay }
 
 let read t ~addr ~width =
-  let r = find_region t addr in
-  (* find_region already raised on out-of-bounds; surface access errors *)
-  match check_access r addr width with
-  | Error msg -> invalid_arg msg
-  | Ok r -> (
-      match Imap.find_opt addr t.overlay with
-      | Some v -> v
-      | None -> t.inject (r.init ((addr - r.base) / r.elem_width)))
+  match try_read t ~addr ~width with Ok v -> v | Error msg -> invalid_arg msg
 
 let write t ~addr ~width v =
-  let r = find_region t addr in
-  match check_access r addr width with
+  match try_write t ~addr ~width v with
+  | Ok t -> t
   | Error msg -> invalid_arg msg
-  | Ok _ -> { t with overlay = Imap.add addr v t.overlay }
 
 let try_alloc t ~bytes =
   let bytes = round_up (max bytes 1) 64 in
@@ -161,9 +148,7 @@ let try_alloc t ~bytes =
   else Ok ({ t with heap_next = t.heap_next + bytes }, t.heap_next)
 
 let alloc t ~bytes =
-  match try_alloc t ~bytes with
-  | Ok r -> r
-  | Error _ -> invalid_arg "Memory.alloc: heap exhausted"
+  match try_alloc t ~bytes with Ok r -> r | Error msg -> invalid_arg msg
 
 let heap_used t = t.heap_next - t.heap_base
 
@@ -242,8 +227,7 @@ module Flat = struct
       end
     done;
     if !found < 0 then
-      invalid_arg
-        (Printf.sprintf "Memory.find_region: 0x%x out of bounds" addr);
+      invalid_arg (Printf.sprintf "Memory: 0x%x out of bounds" addr);
     Array.unsafe_get t.fregions !found
 
   let checked_index fr addr width =
@@ -288,7 +272,10 @@ module Flat = struct
   let alloc t ~bytes =
     let bytes = round_up (max bytes 1) 64 in
     if t.heap_next + bytes > t.heap_end then
-      invalid_arg "Memory.alloc: heap exhausted"
+      invalid_arg
+        (Printf.sprintf "Memory.alloc: heap exhausted (%d used of %d bytes)"
+           (t.heap_next - t.heap_base)
+           (t.heap_end - t.heap_base))
     else begin
       let base = t.heap_next in
       t.heap_next <- t.heap_next + bytes;

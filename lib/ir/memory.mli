@@ -46,16 +46,6 @@ val create : regions:spec list -> heap_bytes:int -> inject:(int -> 'v) -> 'v t
 val regions : 'v t -> region list
 (** All regions, including the heap, sorted by base address. *)
 
-val find_region_opt : 'v t -> int -> region option
-(** [find_region_opt t addr] returns the region containing byte [addr], or
-    [None] when the address falls outside every region — the non-raising
-    lookup the symbolic engine uses to kill a faulting state instead of
-    crashing the driver. *)
-
-val find_region : 'v t -> int -> region
-(** [find_region t addr] returns the region containing byte [addr].
-    @raise Invalid_argument on an out-of-bounds address. *)
-
 val region_named : 'v t -> string -> region
 (** @raise Not_found if no region has that name. *)
 

@@ -8,13 +8,8 @@ let ret_key_expr = i ret_key_tag |: (v "dst_ip" <<: i 16) |: v "dst_port"
 
 let hash_stmts (ft : Flowtable.t) ~dst ~key =
   match ft.hash with
-  | Some h -> [ havoc dst ~input:key ~hash:h.Hashrev.Hashes.name ]
+  | Some h -> [ havoc dst ~input:key ~hash:h.Ir.Hashes.name ]
   | None -> [ dst <-- i 0 ]
-
-let hash_bits (ft : Flowtable.t) name =
-  match ft.hash with
-  | Some h when h.Hashrev.Hashes.name = name -> h.bits
-  | _ -> 16
 
 (* Forward keys: (x << 16) | port with x drawn from an address band and
    ports above 1024 — values that satisfy the NFs' packet constraints (the
@@ -38,21 +33,21 @@ let keyspaces (ft : Flowtable.t) ~with_ret_keys =
          colliding workload its own flow.  The 24-bit ring hash needs a
          key space larger than its output space (the paper: "a few millions
          of entries"). *)
-      let count = if h.Hashrev.Hashes.bits > 16 then 1 lsl 25 else 1 lsl 22 in
+      let count = if h.Ir.Hashes.bits > 16 then 1 lsl 25 else 1 lsl 22 in
       let ks =
         if with_ret_keys then
           Hashrev.Rainbow.keyspace
-            ~name:(h.Hashrev.Hashes.name ^ "-nat")
+            ~name:(h.Ir.Hashes.name ^ "-nat")
             ~count
             ~key_of_index:(fun idx ->
               if idx land 1 = 0 then fwd_key_of_index (idx lsr 1)
               else ret_key_of_index (idx lsr 1))
         else
           Hashrev.Rainbow.keyspace
-            ~name:(h.Hashrev.Hashes.name ^ "-fwd")
+            ~name:(h.Ir.Hashes.name ^ "-fwd")
             ~count ~key_of_index:fwd_key_of_index
       in
-      [ (h.Hashrev.Hashes.name, ks) ]
+      [ (h.Ir.Hashes.name, ks) ]
 
 let proto_guard =
   if_

@@ -21,8 +21,6 @@ val hash_stmts :
   Flowtable.t -> dst:string -> key:Ir.Dsl.e -> Ir.Ast.stmt list
 (** [castan_havoc(key, dst, hash)] when the table hashes, else [dst <- 0]. *)
 
-val hash_bits : Flowtable.t -> string -> int
-
 val keyspaces :
   Flowtable.t -> with_ret_keys:bool -> (string * Hashrev.Rainbow.keyspace) list
 (** Key spaces tailored to this NF's reachable keys; forward keys only, or

@@ -3,7 +3,7 @@ type t = {
   regions : Ir.Memory.spec list;
   heap_bytes : int;
   functions : Ir.Ast.fdef list;
-  hash : Hashrev.Hashes.t option;
+  hash : Ir.Hashes.t option;
   manual_skew : bool;
 }
 

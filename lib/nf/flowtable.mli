@@ -17,7 +17,7 @@ type t = {
   regions : Ir.Memory.spec list;
   heap_bytes : int;
   functions : Ir.Ast.fdef list;  (** defining [ft_lookup] and [ft_insert] *)
-  hash : Hashrev.Hashes.t option;
+  hash : Ir.Hashes.t option;
       (** the hash the NF must havoc before calling, if any *)
   manual_skew : bool;
       (** whether a hand-crafted skew workload exists for this structure

@@ -43,6 +43,6 @@ let make () =
     regions;
     heap_bytes = 256 * 1024 * 1024;
     functions;
-    hash = Some Hashrev.Hashes.flow16;
+    hash = Some Ir.Hashes.flow16;
     manual_skew = false;
   }

@@ -55,6 +55,6 @@ let make () =
     regions;
     heap_bytes = 1024 * 1024;
     functions;
-    hash = Some Hashrev.Hashes.ring24;
+    hash = Some Ir.Hashes.ring24;
     manual_skew = false;
   }

@@ -48,7 +48,6 @@ let make (ft : Flowtable.t) =
     Nf_def.name;
     descr = "L4 load balancer over " ^ ft.Flowtable.ft_name;
     program = Ir.Lower.program prog;
-    hash_bits = Flownf.hash_bits ft;
     keyspaces = Flownf.keyspaces ft ~with_ret_keys:false;
     shape = (fun p -> { p with Packet.dst_ip = Config.vip });
     manual;

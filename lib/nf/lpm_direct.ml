@@ -25,7 +25,6 @@ let make () =
     Nf_def.name = "lpm-1stage-dl";
     descr = "LPM, one-stage direct lookup (1GB flat /27 table)";
     program = Ir.Lower.program prog;
-    hash_bits = (fun _ -> 16);
     keyspaces = [];
     shape = Fun.id;
     manual = None;

@@ -63,7 +63,6 @@ let make () =
     Nf_def.name = "lpm-2stage-dl";
     descr = "LPM, two-stage direct lookup (DPDK-style 64MB + groups)";
     program = Ir.Lower.program prog;
-    hash_bits = (fun _ -> 16);
     keyspaces = [];
     shape = Fun.id;
     manual = None;

@@ -115,7 +115,6 @@ let make () =
     Nf_def.name = "lpm-btrie";
     descr = "LPM, binary (Patricia) trie over 32-bit prefixes";
     program = Ir.Lower.program prog;
-    hash_bits = (fun _ -> 16);
     keyspaces = [];
     shape = Fun.id;
     manual = Some manual;

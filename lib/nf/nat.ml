@@ -58,7 +58,6 @@ let make (ft : Flowtable.t) =
     Nf_def.name;
     descr = "source NAT over " ^ ft.Flowtable.ft_name;
     program = Ir.Lower.program prog;
-    hash_bits = Flownf.hash_bits ft;
     keyspaces = Flownf.keyspaces ft ~with_ret_keys:true;
     shape = Fun.id;
     manual;

@@ -2,7 +2,6 @@ type t = {
   name : string;
   descr : string;
   program : Ir.Cfg.t;
-  hash_bits : string -> int;
   keyspaces : (string * Hashrev.Rainbow.keyspace) list;
   shape : Packet.t -> Packet.t;
   manual : (Util.Rng.t -> int -> Packet.t list) option;

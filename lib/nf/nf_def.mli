@@ -1,7 +1,7 @@
 (** The packaged form of an evaluation network function.
 
-    Everything CASTAN and the testbed need: the lowered NFIR program, the
-    widths of its havoced hashes, tailored rainbow-table key spaces for
+    Everything CASTAN and the testbed need: the lowered NFIR program (its
+    havocs name hashes in {!Ir.Hashes}), tailored rainbow-table key spaces for
     reconciliation, a shaper that adapts generic workloads to the NF (the LB
     only exercises its data structure for VIP-addressed traffic), and — where
     the paper's authors crafted one — the Manual adversarial workload. *)
@@ -10,7 +10,6 @@ type t = {
   name : string;
   descr : string;
   program : Ir.Cfg.t;
-  hash_bits : string -> int;
   keyspaces : (string * Hashrev.Rainbow.keyspace) list;
       (** per hash name; empty when the NF does not hash *)
   shape : Packet.t -> Packet.t;

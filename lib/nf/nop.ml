@@ -9,7 +9,6 @@ let make () =
     Nf_def.name = "nop";
     descr = "forwards packets without any processing";
     program = Ir.Lower.program prog;
-    hash_bits = (fun _ -> 16);
     keyspaces = [];
     shape = Fun.id;
     manual = None;

@@ -28,21 +28,14 @@ let with_field p f v =
   | Ir.Expr.Src_port -> { p with src_port = v }
   | Ir.Expr.Dst_port -> { p with dst_port = v }
 
-let field_of_name name =
-  match
-    List.find_opt (fun f -> Ir.Expr.field_name f = name) Ir.Expr.all_fields
-  with
-  | Some f -> f
-  | None -> invalid_arg ("Packet.args_for: non-field parameter " ^ name)
-
 let args_for (f : Ir.Cfg.func) p =
-  List.map (fun param -> field p (field_of_name param)) f.params
+  List.map (fun param -> field p (Ir.Expr.field_of_name param)) f.params
 
 (* Resolve the parameter-name -> field mapping once; the replay hot path
    then fills a caller-owned buffer with no per-packet name lookups or list
    allocation. *)
 let fields_for (f : Ir.Cfg.func) =
-  Array.of_list (List.map field_of_name f.params)
+  Array.of_list (List.map Ir.Expr.field_of_name f.params)
 
 let fill_args fields p argv =
   for i = 0 to Array.length fields - 1 do

@@ -30,10 +30,15 @@ let annotate_func ~m geom (f : Ir.Cfg.func) full_tbl =
     done;
     !s
   in
+  (* One instruction's cycles, its memory access hitting L1; a Havoc adds
+     its hash's declared weight, rounded on its own. *)
   let local pc =
     let instr = f.body.(pc) in
-    let base = Costs.instr_local geom instr in
+    let base = Cache.Geometry.op_cycles (Ir.Cfg.weight instr) in
     match instr with
+    | Ir.Cfg.Load _ | Ir.Cfg.Store _ -> base + geom.Cache.Geometry.lat_l1
+    | Ir.Cfg.Havoc { hash; _ } ->
+        base + Cache.Geometry.op_cycles (Ir.Hashes.lookup hash).weight
     | Ir.Cfg.Call { func; _ } -> (
         base
         + match Hashtbl.find_opt full_tbl func with Some c -> c | None -> 0)

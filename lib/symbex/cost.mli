@@ -9,6 +9,10 @@
     see a loop body's cost, shallow enough not to drown everything in
     over-estimation.
 
+    One instruction costs {!Cache.Geometry.op_cycles} of its weight, plus the
+    L1 latency for a load or store and, for a [Havoc], [op_cycles] of the
+    weight {!Ir.Hashes} declares for its hash.
+
     Function calls are summarized by the callee's full entry-to-return cost
     (computed callees-first; NFIR forbids recursion), and a symbolic state's
     total potential adds the annotations of every return site on its call

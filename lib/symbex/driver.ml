@@ -3,7 +3,6 @@ type config = {
   strategy : Searcher.strategy;
   geom : Cache.Geometry.t;
   m : int;
-  hash_bits : string -> int;
   instr_budget : int;
   time_budget : float;
   max_completed : int;
@@ -56,7 +55,6 @@ let deadline_cuts () = Atomic.get deadline_cut_total
 let run program ~mem ~cache config =
   let annot = Cost.annotate ~m:config.m config.geom program in
   let searcher = Searcher.create config.strategy ~annot in
-  let exec_cfg = { Exec.hash_bits = config.hash_bits } in
   let start = Unix.gettimeofday () in
   let deadline = Util.Resilience.deadline_in config.time_budget in
   let explored = ref 0
@@ -95,7 +93,7 @@ let run program ~mem ~cache config =
     if slice = 0 || (!executed land 1023 = 0 && deadline_expired ()) then
       Searcher.add searcher s
     else
-      match Exec.step exec_cfg s with
+      match Exec.step s with
       | Exec.Running s' ->
           incr executed;
           advance s' (slice - 1)

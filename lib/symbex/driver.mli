@@ -14,7 +14,6 @@ type config = {
   strategy : Searcher.strategy;
   geom : Cache.Geometry.t;  (** cycle costs of the potential-cost annotation *)
   m : int;  (** loop bound for potential-cost annotation *)
-  hash_bits : string -> int;
   instr_budget : int;
       (** total executed instructions across all states: the exploration
           budget *)

@@ -1,5 +1,3 @@
-type config = { hash_bits : string -> int }
-
 (* Raw instructions one state may run per packet. *)
 let packet_budget = 100_000
 
@@ -158,22 +156,15 @@ let branch_constraints cond =
   let not_taken = Solver.Simplify.negate cond in
   (taken, not_taken)
 
-let rec step cfg (t : State.t) : step_result =
+let rec step (t : State.t) : step_result =
   if t.finished then invalid_arg "Exec.step: state already finished";
   if t.steps >= packet_budget then Killed (t, Packet_budget)
   else
     let frame = t.frame in
     let instr = frame.func.Ir.Cfg.body.(frame.pc) in
-    try step_instr cfg t frame instr with
-    | Fault reason -> Killed (t, reason)
-    | Invalid_argument msg
-      when String.length msg >= 6 && String.sub msg 0 6 = "Memory" ->
-        (* An infeasible pointer slipped past the solver (Unknown verdicts
-           are treated as feasible); the state dies here rather than the
-           engine. *)
-        Killed (t, Memory_fault msg)
+    try step_instr t frame instr with Fault reason -> Killed (t, reason)
 
-and step_instr cfg (t : State.t) frame instr : step_result =
+and step_instr (t : State.t) frame instr : step_result =
     match instr with
     | Ir.Cfg.Assign (x, e) ->
         let v = eval_pexpr frame e in
@@ -285,12 +276,9 @@ and step_instr cfg (t : State.t) frame instr : step_result =
             Running { t with frame = caller; stack = rest })
     | Ir.Cfg.Havoc { dst; input; hash } ->
         let input_e = eval_pexpr frame input in
-        let out_sym =
-          Ir.Expr.fresh ~label:hash ~width:(cfg.hash_bits hash)
-        in
-        let t =
-          charge t instr ~extra_weight:(Hashrev.Hashes.lookup hash).weight ()
-        in
+        let h = Ir.Hashes.lookup hash in
+        let out_sym = Ir.Expr.fresh ~label:hash ~width:h.bits in
+        let t = charge t instr ~extra_weight:h.weight () in
         let t = set_var t dst (Ir.Expr.Leaf out_sym) in
         let t =
           { t with havocs = (t.pkt, hash, input_e, out_sym) :: t.havocs }

@@ -3,12 +3,9 @@
     One call executes the current instruction of a state.  Symbolic branch
     conditions fork (both outcomes feasibility-checked against the path
     constraint); symbolic pointers are concretized adversarially by the cache
-    model; [Havoc] replaces hash outputs by fresh symbols and records the
-    pair for reconciliation. *)
-
-type config = {
-  hash_bits : string -> int;  (** output width of a hash, for fresh symbols *)
-}
+    model; [Havoc] replaces hash outputs by fresh symbols of the width
+    {!Ir.Hashes} declares, charges the hash's declared weight, and records
+    the pair for reconciliation. *)
 
 type fork = {
   preferred : State.t;
@@ -48,9 +45,9 @@ type step_result =
   | Killed of State.t * kill_reason
       (** the state died; the engine and its siblings continue *)
 
-val step : config -> State.t -> step_result
+val step : State.t -> step_result
 (** Never raises for state-local conditions — heap exhaustion, undefined
     variables, arity mismatches, out-of-bounds accesses all come back as
     [Killed] with a structured reason.
     @raise Invalid_argument only on engine misuse (stepping a finished
-    state, unknown callee in a malformed program). *)
+    state; an unknown callee or undeclared hash in a malformed program). *)

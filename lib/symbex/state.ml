@@ -51,23 +51,12 @@ let fresh_id () =
 
 let packet_sym pkt field : Ir.Expr.sexpr = Leaf (Ir.Expr.Pkt { pkt; field })
 
-let field_of_param name =
-  match
-    List.find_opt
-      (fun f -> Ir.Expr.field_name f = name)
-      Ir.Expr.all_fields
-  with
-  | Some f -> f
-  | None ->
-      invalid_arg
-        ("State: entry parameter '" ^ name ^ "' is not a packet field")
-
 let entry_frame program pkt =
   let f = Ir.Cfg.entry_func program in
   let env =
     List.fold_left
       (fun env param ->
-        Smap.add param (packet_sym pkt (field_of_param param)) env)
+        Smap.add param (packet_sym pkt (Ir.Expr.field_of_name param)) env)
       Smap.empty f.params
   in
   { func = f; pc = 0; env; ret_to = None }

@@ -56,10 +56,6 @@ let create ?slice_seed ?prefetch ?(ddio = false) nf =
              instruction. *)
           if Obs.Profile.enabled () then
             Obs.Profile.add_access ~write (profile_level hit) ~cycles:lat);
-      (* Looks the hash up before taking the key: the compiled Havoc site
-         applies this to the name once and keeps the result. *)
-      hash_apply = (fun name -> (Hashrev.Hashes.lookup name).apply);
-      hash_weight = (fun name -> (Hashrev.Hashes.lookup name).weight);
     }
   in
   let compiled = Ir.Compile.program nf.Nf.Nf_def.program in

@@ -7,13 +7,13 @@ let hash_deterministic =
   QCheck.Test.make ~name:"hashes are deterministic and in range" ~count:500
     QCheck.(pair (oneofl [ "flow16"; "ring24" ]) (int_range 0 (1 lsl 48)))
     (fun (name, key) ->
-      let h = Hashrev.Hashes.lookup name in
+      let h = Ir.Hashes.lookup name in
       let v1 = h.apply key and v2 = h.apply key in
-      v1 = v2 && v1 >= 0 && v1 <= Hashrev.Hashes.mask h)
+      v1 = v2 && v1 >= 0 && v1 <= Ir.Hashes.mask h)
 
 let hash_mixes_bits () =
   (* flipping one input bit should change the output most of the time *)
-  let h = Hashrev.Hashes.flow16 in
+  let h = Ir.Hashes.flow16 in
   let changed = ref 0 in
   for bit = 0 to 47 do
     if h.apply 0x123456789AB <> h.apply (0x123456789AB lxor (1 lsl bit)) then
@@ -22,7 +22,7 @@ let hash_mixes_bits () =
   Alcotest.(check bool) "avalanche" true (!changed > 40)
 
 let hash_unknown_rejected () =
-  match Hashrev.Hashes.lookup "sha256" with
+  match Ir.Hashes.lookup "sha256" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection"
 
@@ -34,20 +34,20 @@ let small_keyspace =
 
 (* Built once: the table is reused by several tests. *)
 let exhaustive_table =
-  lazy (Hashrev.Rainbow.build_exhaustive ~hash:Hashrev.Hashes.flow16 small_keyspace)
+  lazy (Hashrev.Rainbow.build_exhaustive ~hash:Ir.Hashes.flow16 small_keyspace)
 
 let exhaustive_inverts =
   QCheck.Test.make ~name:"exhaustive table inverts its keyspace" ~count:200
     (QCheck.int_range 0 ((1 lsl 20) - 1))
     (fun idx ->
-      let hash = Hashrev.Hashes.flow16 in
+      let hash = Ir.Hashes.flow16 in
       let t = Lazy.force exhaustive_table in
       let key = small_keyspace.key_of_index idx in
       let hv = hash.apply key in
       List.mem key (Hashrev.Rainbow.invert t hv))
 
 let exhaustive_results_verified () =
-  let hash = Hashrev.Hashes.flow16 in
+  let hash = Ir.Hashes.flow16 in
   let t = Lazy.force exhaustive_table in
   for hv = 0 to 200 do
     List.iter
@@ -62,7 +62,7 @@ let exhaustive_full_coverage () =
   Alcotest.(check (float 0.001)) "coverage 1.0" 1.0 cov
 
 let chains_invert_verified () =
-  let hash = Hashrev.Hashes.flow16 in
+  let hash = Ir.Hashes.flow16 in
   let t = Hashrev.Rainbow.build ~hash ~chains:2048 ~chain_len:32 small_keyspace in
   let rng = Util.Rng.create 5 in
   let found = ref 0 in
@@ -85,7 +85,7 @@ let chains_invert_verified () =
    columns' walks reach the same stored endpoint. *)
 let chain_table =
   lazy
-    (Hashrev.Rainbow.build ~hash:Hashrev.Hashes.flow16 ~chains:4096
+    (Hashrev.Rainbow.build ~hash:Ir.Hashes.flow16 ~chains:4096
        ~chain_len:64 small_keyspace)
 
 (* [invert]'s candidate order is what reconciliation commits in, so the
@@ -115,7 +115,7 @@ let reconcile_single_havoc () =
         Binop (Shl, Leaf (Ir.Expr.Pkt { pkt = 0; field = Src_ip }), Const 16),
         Leaf (Ir.Expr.Pkt { pkt = 0; field = Src_port }) )
   in
-  let hash = Hashrev.Hashes.flow16 in
+  let hash = Ir.Hashes.flow16 in
   let table = Lazy.force exhaustive_table in
   let pcs : Ir.Expr.sexpr list =
     [ Cmp (Eq, Binop (And, Leaf out, Const 0xFFFF), Const 0x4242) ]
@@ -176,7 +176,7 @@ let collision_chain ~table ~value n =
       ~pc:(Solver.Pc.of_list pcs) ~havocs:records () )
 
 let reconcile_collision_chain () =
-  let hash = Hashrev.Hashes.flow16 in
+  let hash = Ir.Hashes.flow16 in
   let n = 6 in
   let havocs, r =
     collision_chain ~table:(Lazy.force exhaustive_table) ~value:0x777 n

@@ -325,15 +325,12 @@ let weight_counts_ops () =
     (Ir.Cfg.weight
        (Ir.Cfg.Assign ("x", Binop (Add, Binop (Mul, Leaf "a", Const 2), Const 1))))
 
-(* Hooks that resolve hashes for real and log every memory access, newest
-   first. *)
+(* Hooks that log every memory access, newest first. *)
 let recording_hooks () =
   let log = ref [] in
   ( {
       Ir.Interp.on_access =
         (fun ~addr ~width ~write -> log := (addr, width, write) :: !log);
-      hash_apply = (fun n k -> (Hashrev.Hashes.lookup n).apply k);
-      hash_weight = (fun n -> (Hashrev.Hashes.lookup n).weight);
     },
     log )
 
@@ -440,6 +437,20 @@ let compiled_recursion_reuse () =
   Alcotest.(check int) "unwritten in a reused frame" 0
     (Ir.Compile.run ctx maybe [| 0 |])
 
+(* A havoc's hash is resolved in Ir.Hashes when its site is compiled, so a
+   program that names an undeclared hash fails before any packet runs. *)
+let compiled_undeclared_hash () =
+  let prog =
+    program ~name:"t" ~entry:"main"
+      [
+        func "main" [ "k" ]
+          [ havoc "h" ~input:(v "k") ~hash:"sha256"; ret (v "h") ];
+      ]
+  in
+  Alcotest.check_raises "at compile time"
+    (Invalid_argument "Hashes.lookup: unknown hash sha256") (fun () ->
+      ignore (Ir.Compile.program (Ir.Lower.program prog)))
+
 let tests =
   [
     qtest subst_commutes_with_eval;
@@ -471,4 +482,6 @@ let tests =
     Alcotest.test_case "compiled budget" `Quick compiled_budget;
     Alcotest.test_case "compiled recursion and frame reuse" `Quick
       compiled_recursion_reuse;
+    Alcotest.test_case "compiled havoc of an undeclared hash" `Quick
+      compiled_undeclared_hash;
   ]

@@ -1,6 +1,7 @@
 (* Differential testing of Lower: a direct reference evaluator for the
    structured AST, compared against the lowered-CFG interpreter (and the
-   closure compiler) on randomly generated well-formed programs. *)
+   closure compiler) on randomly generated well-formed programs, havocs
+   included. *)
 
 open Ir.Dsl
 
@@ -24,8 +25,11 @@ let rec ref_exec env stmts =
       | Break -> raise Ref_break
       | Return (Some e) -> raise (Ref_return (ref_eval env e))
       | Return None -> raise (Ref_return 0)
-      | Load _ | Store _ | Alloc _ | Call _ | Havoc _ ->
-          failwith "reference evaluator: pure statements only")
+      | Havoc (x, e, hash) ->
+          let h = Ir.Hashes.lookup hash in
+          Hashtbl.replace env x (h.apply (ref_eval env e))
+      | Load _ | Store _ | Alloc _ | Call _ ->
+          failwith "reference evaluator: no memory or calls")
     stmts
 
 and ref_eval env e =
@@ -68,13 +72,19 @@ let loop_counter = ref 0
 let gen_stmts : Ir.Ast.stmt list QCheck.Gen.t =
   let open QCheck.Gen in
   let assign = map2 (fun x e -> x <-- e) (oneofl vars) gen_expr in
+  let havoc_ =
+    map3
+      (fun x e (h : Ir.Hashes.t) -> havoc x ~input:e ~hash:h.name)
+      (oneofl vars) gen_expr (oneofl Ir.Hashes.all)
+  in
+  let simple = map (fun s -> [ s ]) (oneof [ assign; havoc_ ]) in
   let rec block depth : Ir.Ast.stmt list QCheck.Gen.t =
-    if depth = 0 then map (fun s -> [ s ]) assign
+    if depth = 0 then simple
     else
       let alternative =
         oneof
           [
-            map (fun s -> [ s ]) assign;
+            simple;
             map3
               (fun c a b -> [ if_ c a b ])
               gen_expr (block (depth - 1)) (block (depth - 1));
@@ -118,15 +128,16 @@ let lowering_agrees =
         Ir.Memory.create ~regions:[] ~heap_bytes:4096 ~inject:Fun.id
       in
       let interp =
-        (Ir.Interp.call prog ~mem:(ref (mem ())) ~hooks:Ir.Interp.no_hooks
-           ~budget:2_000_000 "main" [ 5 ]).ret
+        Ir.Interp.call prog ~mem:(ref (mem ())) ~hooks:Ir.Interp.no_hooks
+          ~budget:2_000_000 "main" [ 5 ]
       in
       let compiled =
-        (Ir.Compile.call
-           (Ir.Compile.lookup (Ir.Compile.program prog) "main")
-           ~mem:(Ir.Memory.flat_of_memory (mem ()))
-           ~hooks:Ir.Interp.no_hooks ~budget:2_000_000 [| 5 |]).ret
+        Ir.Compile.call
+          (Ir.Compile.lookup (Ir.Compile.program prog) "main")
+          ~mem:(Ir.Memory.flat_of_memory (mem ()))
+          ~hooks:Ir.Interp.no_hooks ~budget:2_000_000 [| 5 |]
       in
-      interp = expected && compiled = expected)
+      interp.ret = expected && compiled.ret = expected
+      && compiled.instrs = interp.instrs)
 
 let tests = [ QCheck_alcotest.to_alcotest lowering_agrees ]

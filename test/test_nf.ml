@@ -4,13 +4,6 @@
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let hooks =
-  {
-    Ir.Interp.no_hooks with
-    hash_apply = (fun name key -> (Hashrev.Hashes.lookup name).apply key);
-    hash_weight = (fun name -> (Hashrev.Hashes.lookup name).weight);
-  }
-
 (* ---------------- LPM oracle equivalence ---------------- *)
 
 let lpm_oracle_gen =
@@ -33,7 +26,8 @@ let lpm_matches_oracle name routes =
     (fun dst ->
       let p = Nf.Packet.make ~dst_ip:dst () in
       let o =
-        Ir.Interp.call nf.program ~mem ~hooks "process" (Nf.Packet.args_for entry p)
+        Ir.Interp.call nf.program ~mem ~hooks:Ir.Interp.no_hooks "process"
+          (Nf.Packet.args_for entry p)
       in
       o.Ir.Interp.ret = Nf.Config.lpm_lookup routes dst)
 
@@ -57,17 +51,19 @@ let harness (ft : Nf.Flowtable.t) =
   in
   let mem = ref (Ir.Memory.create ~regions:ft.regions ~heap_bytes:ft.heap_bytes ~inject:Fun.id) in
   let hash key =
-    match ft.hash with Some h -> h.Hashrev.Hashes.apply key | None -> 0
+    match ft.hash with Some h -> h.Ir.Hashes.apply key | None -> 0
   in
   {
     lookup =
       (fun key ->
-        (Ir.Interp.call prog ~mem ~hooks Nf.Flowtable.lookup_name [ key; hash key ]).ret);
+        (Ir.Interp.call prog ~mem ~hooks:Ir.Interp.no_hooks
+           Nf.Flowtable.lookup_name [ key; hash key ])
+          .ret);
     insert =
       (fun key value ->
         ignore
-          (Ir.Interp.call prog ~mem ~hooks Nf.Flowtable.insert_name
-             [ key; hash key; value ]));
+          (Ir.Interp.call prog ~mem ~hooks:Ir.Interp.no_hooks
+             Nf.Flowtable.insert_name [ key; hash key; value ]));
     mem = (fun () -> !mem);
     regions = ft.regions;
   }
@@ -173,7 +169,7 @@ let chain_collisions_grow_chains () =
   (* keys in the same bucket make lookups walk the chain *)
   let ft = Nf.Flowtable_chain.make () in
   let h = harness ft in
-  let hash = (Option.get ft.hash).Hashrev.Hashes.apply in
+  let hash = (Option.get ft.hash).Ir.Hashes.apply in
   (* find several keys colliding on the bucket index *)
   let target = hash 1 land (Nf.Config.chain_buckets - 1) in
   let colliding = ref [] in
@@ -193,7 +189,7 @@ let ring_probe_sequence () =
   let ft = Nf.Flowtable_ring.make () in
   let h = harness ft in
   (* two keys with the same ring index force linear probing *)
-  let hash = (Option.get ft.hash).Hashrev.Hashes.apply in
+  let hash = (Option.get ft.hash).Ir.Hashes.apply in
   let k1 = 1 in
   let target = hash k1 land (Nf.Config.ring_entries - 1) in
   let k2 = ref 2 in
@@ -207,7 +203,9 @@ let ring_probe_sequence () =
 
 let run_nf (nf : Nf.Nf_def.t) mem p =
   let entry = Ir.Cfg.entry_func nf.program in
-  (Ir.Interp.call nf.program ~mem ~hooks "process" (Nf.Packet.args_for entry p)).ret
+  (Ir.Interp.call nf.program ~mem ~hooks:Ir.Interp.no_hooks "process"
+     (Nf.Packet.args_for entry p))
+    .ret
 
 let nat_flow_stability name =
   QCheck.Test.make ~name:(name ^ ": same flow, same translation") ~count:20
@@ -352,7 +350,7 @@ let nf_fingerprint name =
   List.iter
     (fun (hash, (ks : Hashrev.Rainbow.keyspace)) ->
       Printf.bprintf b "keyspace %s %s %d bits %d:" hash ks.ks_name ks.count
-        (nf.hash_bits hash);
+        (Ir.Hashes.lookup hash).bits;
       for k = 0 to 15 do
         Printf.bprintf b " %d"
           (ks.key_of_index (k * 0x9E3779B1 land max_int mod ks.count))

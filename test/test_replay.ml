@@ -40,13 +40,6 @@ let burst_equals_map =
 
 (* ---------------- Compile against the reference interpreter ---------------- *)
 
-let hash_hooks =
-  {
-    Ir.Interp.no_hooks with
-    hash_apply = (fun n k -> (Hashrev.Hashes.lookup n).apply k);
-    hash_weight = (fun n -> (Hashrev.Hashes.lookup n).weight);
-  }
-
 (* The two engines as packet runners, each over its own fresh NF memory:
    the reference interpreter and the compiled executor the DUT runs. *)
 let interp (nf : Nf.Nf_def.t) ~hooks ~budget =
@@ -71,7 +64,7 @@ let budget_exhaustion_agrees () =
   let outcome engine budget =
     let accesses = ref 0 in
     let on_access ~addr:_ ~width:_ ~write:_ = incr accesses in
-    match engine nf ~hooks:{ hash_hooks with on_access } ~budget args with
+    match engine nf ~hooks:{ Ir.Interp.on_access } ~budget args with
     | o -> (Some o, !accesses)
     | exception Ir.Interp.Budget_exhausted -> (None, !accesses)
   in
@@ -104,7 +97,7 @@ let reuse_after_exhaustion () =
   let entry = Ir.Cfg.entry_func nf.Nf.Nf_def.program in
   let logging log =
     let on_access ~addr ~width ~write = log := (addr, width, write) :: !log in
-    { hash_hooks with on_access }
+    { Ir.Interp.on_access }
   in
   let log_i = ref [] and log_c = ref [] in
   let hooks_i = logging log_i in
@@ -123,8 +116,8 @@ let reuse_after_exhaustion () =
   for k = 0 to 39 do
     let args = Nf.Packet.args_for entry (Testbed.Workload.nth_looped w k) in
     let full =
-      (Ir.Interp.call nf.program ~mem:(ref !mem_i) ~hooks:hash_hooks "process"
-         args)
+      (Ir.Interp.call nf.program ~mem:(ref !mem_i) ~hooks:Ir.Interp.no_hooks
+         "process" args)
         .instrs
     in
     let budget = full * (1 + (k mod 4)) / 5 in
@@ -161,7 +154,7 @@ let sites_with engine =
       (if addr land 64 = 0 then Obs.Profile.L1 else Obs.Profile.Dram)
       ~cycles:width
   in
-  let step = engine nf ~hooks:{ hash_hooks with on_access } ~budget:10_000_000 in
+  let step = engine nf ~hooks:{ Ir.Interp.on_access } ~budget:10_000_000 in
   Obs.Profile.reset ();
   Obs.Profile.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.Profile.set_enabled false) (fun () ->

@@ -165,7 +165,6 @@ let driver_config ?(strategy = Symbex.Searcher.Castan) ?(instr_budget = 200_000)
     strategy;
     geom;
     m = 2;
-    hash_bits = (fun _ -> 16);
     instr_budget;
     time_budget = 300.0;
     max_completed;
