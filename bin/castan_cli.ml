@@ -304,32 +304,16 @@ let profile_cmd =
 (* ---------------- probe-cache ---------------- *)
 
 let probe_cmd =
-  (* Unset, each flag takes the default `analyze' discovers with, so a
-     saved file holds the sets `analyze' would discover. *)
-  let pool =
-    Arg.(value & opt (some int) None & info [ "pool" ] ~docv:"N"
-           ~doc:"Candidate addresses per 1GB page (default: $(b,analyze)'s).")
-  in
-  let pages =
-    Arg.(value & opt (some int) None & info [ "pages" ] ~docv:"N"
-           ~doc:"1GB pages probed (default: $(b,analyze)'s).")
-  in
-  let reboots =
-    Arg.(value & opt (some int) None & info [ "reboots" ] ~docv:"N"
-           ~doc:"Simulated reboots, each a fresh page placement (default: \
-                 $(b,analyze)'s).")
-  in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Persist the sets for later `analyze --cache-model FILE' runs.")
   in
-  let run pool pages reboots output =
+  let run output =
     (* The other subcommands' default job count: reboots are pool tasks. *)
     set_jobs 0;
     let t0 = Unix.gettimeofday () in
-    let sets =
-      Castan.Analyze.discover_contention_sets ?pool ?pages ?reboots ()
-    in
+    (* The discovery `analyze' runs, so a saved file holds its sets. *)
+    let sets = Castan.Analyze.discover_contention_sets () in
     Printf.printf "discovered %d consistent contention sets in %.1fs\n"
       sets.Cache.Contention.n_classes
       (Unix.gettimeofday () -. t0);
@@ -350,7 +334,7 @@ let probe_cmd =
   Cmd.v
     (Cmd.info "probe-cache"
        ~doc:"Reverse-engineer L3 contention sets on the simulated machine")
-    Term.(const run $ pool $ pages $ reboots $ output)
+    Term.(const run $ output)
 
 (* ---------------- replay ---------------- *)
 

@@ -17,7 +17,7 @@ type t = {
   lat_l2 : int;
   lat_l3 : int;
   lat_dram : int;
-  clock_ghz : float;
+  clock_ghz : float;  (** core clock: the testbed turns cycles into time *)
 }
 
 val xeon_e5_2667v2 : t

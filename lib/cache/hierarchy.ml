@@ -1,16 +1,13 @@
 type hit = L1 | L2 | L3 | Dram
 
 type t = {
-  geom : Geometry.t;
   l1d : Level.t;
   l2 : Level.t;
   l3 : Level.t array;  (* one Level per slice *)
   slice_masks : int array;  (* hidden XOR-parity hash *)
-  l1_sets : int;
-  l2_sets : int;
   l3_sets : int;
-  line_shift : int;  (* -1 when geom.line is not a power of two *)
-  l1_mask : int;  (* set-index masks; -1 = fall back to mod *)
+  line_shift : int;
+  l1_mask : int;  (* set-index masks *)
   l2_mask : int;
   prefetch : bool;
 }
@@ -43,28 +40,31 @@ let create ?(slice_seed = 0) ?(prefetch = false) geom =
   let l1_sets = Geometry.sets geom geom.l1d in
   let l2_sets = Geometry.sets geom geom.l2 in
   let l3_sets = Geometry.l3_sets_per_slice geom in
+  List.iter
+    (fun (what, n) ->
+      if not (is_pow2 n) then
+        invalid_arg
+          (Printf.sprintf "Hierarchy.create: %s %d is not a power of two" what
+             n))
+    [ ("line size", geom.line); ("L1 set count", l1_sets);
+      ("L2 set count", l2_sets) ];
   {
-    geom;
     l1d = Level.create ~sets:l1_sets ~ways:geom.l1d.ways;
     l2 = Level.create ~sets:l2_sets ~ways:geom.l2.ways;
     l3 =
       Array.init geom.l3_slices (fun _ ->
           Level.create ~sets:l3_sets ~ways:geom.l3.ways);
     slice_masks = make_slice_masks ~seed:slice_seed ~bits:(log2 geom.l3_slices);
-    l1_sets;
-    l2_sets;
     l3_sets;
-    line_shift = (if is_pow2 geom.line then log2 geom.line else -1);
-    l1_mask = (if is_pow2 l1_sets then l1_sets - 1 else -1);
-    l2_mask = (if is_pow2 l2_sets then l2_sets - 1 else -1);
+    line_shift = log2 geom.line;
+    l1_mask = l1_sets - 1;
+    l2_mask = l2_sets - 1;
     prefetch;
   }
 
-let line t paddr =
-  if t.line_shift >= 0 then paddr lsr t.line_shift else paddr / t.geom.line
-
-let l1_set t line = if t.l1_mask >= 0 then line land t.l1_mask else line mod t.l1_sets
-let l2_set t line = if t.l2_mask >= 0 then line land t.l2_mask else line mod t.l2_sets
+let line t paddr = paddr lsr t.line_shift
+let l1_set t line = line land t.l1_mask
+let l2_set t line = line land t.l2_mask
 
 let slice_of_line t line =
   let masks = t.slice_masks in

@@ -24,7 +24,11 @@ val create : ?slice_seed:int -> ?prefetch:bool -> Geometry.t -> t
     that misses L2 also fills the following line, uncounted.  The paper
     argues prefetching barely affects NF performance because NF access
     patterns are traffic-driven, not sequential (§3.3); the
-    [ablation-prefetch] experiment checks that claim in this simulator. *)
+    [ablation-prefetch] experiment checks that claim in this simulator.
+
+    L1d and L2 are indexed by shift and mask.
+    @raise Invalid_argument when the line size or the L1d or L2 set count
+    is not a power of two. *)
 
 val access : t -> int -> hit
 (** [access t paddr] performs a load/store at a physical byte address,

@@ -1,9 +1,12 @@
-(* Compilation strategy: one pass resolves every variable of a function to a
-   slot in a flat int array; a second turns each expression into nested
-   closures over that array and each instruction into a [ctx -> env -> int]
-   closure returning the next program counter.  Function calls recurse
-   through a patched table.  A return stores its value in the context and
-   yields the sentinel pc [-1], which ends the callee's dispatch loop.
+(* Compilation strategy: one walk over each function turns each expression
+   into nested closures over a flat int array and each instruction into a
+   [ctx -> env -> int] closure returning the next program counter; a
+   variable gets its slot in that array the first time the walk meets it
+   (parameters first).  The effect of a fusible instruction has one
+   compiler, [compile_action]; its per-instruction closure charges its
+   weight and runs that effect.  Function calls recurse through a patched
+   table.  A return stores its value in the context and yields the
+   sentinel pc [-1], which ends the callee's dispatch loop.
 
    Steady-state execution allocates nothing.  Each call site owns the buffer
    its arguments are evaluated into ([exec] copies them into the callee's
@@ -18,7 +21,7 @@
    straight-line runs of statically-weighted instructions —
    Assign/Load/Store/Alloc, chained through unconditional jumps — into one
    closure per run head that charges the whole run's retirement weight once
-   and then executes effect-only action closures back to back.  The fused
+   and then executes the run's action closures back to back.  The fused
    closure keeps a guard to the original per-instruction path, taken when
    the profiler is live (per-instruction attribution must stay bit-identical)
    or when the remaining budget is below the run's total weight (so
@@ -44,7 +47,7 @@ let returned = -1
 
 type cfunc = {
   cf_name : string;
-  nslots : int;
+  mutable nslots : int;  (* set once the function is compiled *)
   param_slots : int array;
   mutable code : (ctx -> int array -> int) array;
   mutable pool : int array array;  (* free frames in [0, n_free) *)
@@ -54,57 +57,23 @@ type cfunc = {
 type t = { funcs : (string, cfunc) Hashtbl.t }
 
 (* ------------------------------------------------------------------ *)
-(* Slot assignment                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let collect_vars (f : Cfg.func) =
-  let slots = Hashtbl.create 16 in
-  let add name =
-    if not (Hashtbl.mem slots name) then
-      Hashtbl.replace slots name (Hashtbl.length slots)
-  in
-  List.iter add f.params;
-  let add_expr e = Expr.iter_leaves add e in
-  Array.iter
-    (fun instr ->
-      match instr with
-      | Cfg.Assign (x, e) ->
-          add x;
-          add_expr e
-      | Cfg.Load { dst; addr; _ } ->
-          add dst;
-          add_expr addr
-      | Cfg.Store { addr; value; _ } ->
-          add_expr addr;
-          add_expr value
-      | Cfg.Alloc { dst; _ } -> add dst
-      | Cfg.Branch { cond; _ } -> add_expr cond
-      | Cfg.Jump _ -> ()
-      | Cfg.Call { dst; args; _ } ->
-          (match dst with Some d -> add d | None -> ());
-          List.iter add_expr args
-      | Cfg.Return (Some e) -> add_expr e
-      | Cfg.Return None -> ()
-      | Cfg.Havoc { dst; input; _ } ->
-          add dst;
-          add_expr input)
-    f.body;
-  slots
-
-(* ------------------------------------------------------------------ *)
 (* Expression compilation                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* A variable's frame slot, given the first time compilation meets it. *)
+let slot slots name =
+  match Hashtbl.find_opt slots name with
+  | Some s -> s
+  | None ->
+      let s = Hashtbl.length slots in
+      Hashtbl.replace slots name s;
+      s
+
 let compile_expr slots (e : Expr.pexpr) : int array -> int =
-  let slot name =
-    match Hashtbl.find_opt slots name with
-    | Some s -> s
-    | None -> invalid_arg ("Compile: unknown variable " ^ name)
-  in
   let rec go : Expr.pexpr -> int array -> int = function
     | Const c -> fun _ -> c
     | Leaf name ->
-        let s = slot name in
+        let s = slot slots name in
         fun env -> env.(s)
     | Unop (Neg, a) ->
         let fa = go a in
@@ -152,42 +121,44 @@ let spend ctx w =
 let exec_ref : (ctx -> cfunc -> int array -> int) ref =
   ref (fun _ _ _ -> assert false)
 
-let compile_instr funcs slots pc (instr : Cfg.instr) : ctx -> int array -> int =
-  let w = Cfg.weight instr in
-  let slot name = Hashtbl.find slots name in
+(* The effect of a fusible instruction — its memory, hook and load/store-
+   counter behavior — without [spend] (the caller charges it) and without a
+   next pc (control is static). *)
+let compile_action slots (instr : Cfg.instr) : ctx -> int array -> unit =
   match instr with
   | Cfg.Assign (x, e) ->
       let fe = compile_expr slots e in
-      let sx = slot x and next = pc + 1 in
-      fun ctx env ->
-        spend ctx w;
-        env.(sx) <- fe env;
-        next
+      let sx = slot slots x in
+      fun _ env -> env.(sx) <- fe env
   | Cfg.Load { dst; addr; width } ->
       let fa = compile_expr slots addr in
-      let sd = slot dst and next = pc + 1 in
+      let sd = slot slots dst in
       fun ctx env ->
-        spend ctx w;
         let a = fa env in
         ctx.hooks.Interp.on_access ~addr:a ~width ~write:false;
         ctx.loads <- ctx.loads + 1;
-        env.(sd) <- Memory.Flat.read ctx.mem ~addr:a ~width;
-        next
+        env.(sd) <- Memory.Flat.read ctx.mem ~addr:a ~width
   | Cfg.Store { addr; value; width } ->
       let fa = compile_expr slots addr and fv = compile_expr slots value in
-      let next = pc + 1 in
       fun ctx env ->
-        spend ctx w;
         let a = fa env in
         ctx.hooks.Interp.on_access ~addr:a ~width ~write:true;
         ctx.stores <- ctx.stores + 1;
-        Memory.Flat.write ctx.mem ~addr:a ~width (fv env);
-        next
+        Memory.Flat.write ctx.mem ~addr:a ~width (fv env)
   | Cfg.Alloc { dst; bytes } ->
-      let sd = slot dst and next = pc + 1 in
+      let sd = slot slots dst in
+      fun ctx env -> env.(sd) <- Memory.Flat.alloc ctx.mem ~bytes
+  | Cfg.Branch _ | Cfg.Jump _ | Cfg.Call _ | Cfg.Return _ | Cfg.Havoc _ ->
+      invalid_arg "Compile.compile_action: not a fusible instruction"
+
+let compile_instr funcs slots pc (instr : Cfg.instr) : ctx -> int array -> int =
+  let w = Cfg.weight instr in
+  match instr with
+  | Cfg.Assign _ | Cfg.Load _ | Cfg.Store _ | Cfg.Alloc _ ->
+      let act = compile_action slots instr and next = pc + 1 in
       fun ctx env ->
         spend ctx w;
-        env.(sd) <- Memory.Flat.alloc ctx.mem ~bytes;
+        act ctx env;
         next
   | Cfg.Branch { cond; if_true; if_false; loop_head = _ } ->
       let fc = compile_expr slots cond in
@@ -201,7 +172,7 @@ let compile_instr funcs slots pc (instr : Cfg.instr) : ctx -> int array -> int =
   | Cfg.Call { dst; func; args } ->
       let fargs = Array.of_list (List.map (compile_expr slots) args) in
       let argv = Array.make (Array.length fargs) 0 in
-      let sd = match dst with Some d -> slot d | None -> -1 in
+      let sd = match dst with Some d -> slot slots d | None -> -1 in
       let next = pc + 1 in
       let callee =
         match Hashtbl.find_opt funcs func with
@@ -229,7 +200,7 @@ let compile_instr funcs slots pc (instr : Cfg.instr) : ctx -> int array -> int =
         returned
   | Cfg.Havoc { dst; input; hash } ->
       let fi = compile_expr slots input in
-      let sd = slot dst and next = pc + 1 in
+      let sd = slot slots dst and next = pc + 1 in
       let { Hashes.apply; weight = hw; _ } = Hashes.lookup hash in
       fun ctx env ->
         spend ctx w;
@@ -261,37 +232,6 @@ let fusible = function
   | Cfg.Assign _ | Cfg.Load _ | Cfg.Store _ | Cfg.Alloc _ -> true
   | Cfg.Branch _ | Cfg.Jump _ | Cfg.Call _ | Cfg.Return _ | Cfg.Havoc _ ->
       false
-
-(* Effect-only compilation of a fusible instruction: same memory, hook and
-   load/store-counter behavior as {!compile_instr}, but no [spend] (the
-   superblock prefunds it) and no next-pc (control is static). *)
-let compile_action slots (instr : Cfg.instr) : ctx -> int array -> unit =
-  let slot name = Hashtbl.find slots name in
-  match instr with
-  | Cfg.Assign (x, e) ->
-      let fe = compile_expr slots e in
-      let sx = slot x in
-      fun _ env -> env.(sx) <- fe env
-  | Cfg.Load { dst; addr; width } ->
-      let fa = compile_expr slots addr in
-      let sd = slot dst in
-      fun ctx env ->
-        let a = fa env in
-        ctx.hooks.Interp.on_access ~addr:a ~width ~write:false;
-        ctx.loads <- ctx.loads + 1;
-        env.(sd) <- Memory.Flat.read ctx.mem ~addr:a ~width
-  | Cfg.Store { addr; value; width } ->
-      let fa = compile_expr slots addr and fv = compile_expr slots value in
-      fun ctx env ->
-        let a = fa env in
-        ctx.hooks.Interp.on_access ~addr:a ~width ~write:true;
-        ctx.stores <- ctx.stores + 1;
-        Memory.Flat.write ctx.mem ~addr:a ~width (fv env)
-  | Cfg.Alloc { dst; bytes } ->
-      let sd = slot dst in
-      fun ctx env -> env.(sd) <- Memory.Flat.alloc ctx.mem ~bytes
-  | Cfg.Branch _ | Cfg.Jump _ | Cfg.Call _ | Cfg.Return _ | Cfg.Havoc _ ->
-      invalid_arg "Compile.compile_action: not a fusible instruction"
 
 (* Cap on how many instructions one superblock may absorb; bounds both the
    chain walk at compile time and the prefunded weight at run time. *)
@@ -410,34 +350,38 @@ let () = exec_ref := exec
 
 let program (p : Cfg.t) =
   let funcs = Hashtbl.create 16 in
-  (* placeholders first so calls can resolve in one pass *)
-  Hashtbl.iter
-    (fun name (f : Cfg.func) ->
-      let slots = collect_vars f in
-      Hashtbl.replace funcs name
-        {
-          cf_name = name;
-          nslots = max 1 (Hashtbl.length slots);
-          param_slots =
-            Array.of_list (List.map (Hashtbl.find slots) f.params);
-          code = [||];
-          pool = [||];
-          n_free = 0;
-        })
-    p.Cfg.funcs;
-  Hashtbl.iter
-    (fun name (f : Cfg.func) ->
-      let slots = collect_vars f in
-      let cf = Hashtbl.find funcs name in
+  (* Placeholders first so calls can resolve in one pass; a function's
+     parameters take its first slots. *)
+  let pending =
+    Hashtbl.fold
+      (fun name (f : Cfg.func) acc ->
+        let slots = Hashtbl.create 16 in
+        let cf =
+          {
+            cf_name = name;
+            nslots = 0;
+            param_slots = Array.of_list (List.map (slot slots) f.params);
+            code = [||];
+            pool = [||];
+            n_free = 0;
+          }
+        in
+        Hashtbl.replace funcs name cf;
+        (f, slots, cf) :: acc)
+      p.Cfg.funcs []
+  in
+  List.iter
+    (fun ((f : Cfg.func), slots, cf) ->
       let base =
         Array.mapi
           (fun pc instr ->
-            instrument name pc (Cfg.weight instr)
+            instrument cf.cf_name pc (Cfg.weight instr)
               (compile_instr funcs slots pc instr))
           f.body
       in
-      cf.code <- superblockify slots f base)
-    p.Cfg.funcs;
+      cf.code <- superblockify slots f base;
+      cf.nslots <- max 1 (Hashtbl.length slots))
+    pending;
   { funcs }
 
 type fn = cfunc

@@ -1,8 +1,9 @@
 (** A closure-compiling NFIR executor over a {!Memory.Flat} store.
 
-    Compiles each function once — variables resolved to integer slots,
-    expressions to nested closures — and then runs packets without any
-    per-instruction dispatch on syntax.  Semantically identical to
+    Compiles each function in one walk — a variable resolved to an
+    integer slot when the walk first meets it, expressions to nested
+    closures — and then runs packets without any per-instruction dispatch
+    on syntax.  Semantically identical to
     {!Interp}, the reference oracle (differential qcheck properties in the
     test suite compare outcomes, memory-access sequences, budget-exhaustion
     points and profile attribution), several times faster; the testbed DUT
@@ -10,7 +11,9 @@
 
     Maximal straight-line runs of statically-weighted instructions
     (chained through unconditional jumps) are fused into single closures
-    that charge the run's retirement weight once.  A fused run falls back
+    that charge the run's retirement weight once; such an instruction's
+    effect has one compilation, used by its own closure and by the fused
+    runs.  A fused run falls back
     to one closure per instruction while the profiler is live or when the
     remaining budget cannot cover the run, so per-instruction attribution
     and the instruction at which the budget runs out match {!Interp}.

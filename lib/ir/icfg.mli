@@ -1,21 +1,12 @@
-(** Interprocedural control-flow graph extraction.
+(** The interprocedural call order.
 
-    The ICFG augments each function's flat CFG with call edges; it is the
-    structure over which potential costs are annotated during pre-processing
-    (§3.4).  NFIR forbids recursion — the call graph must be a DAG — which
-    {!make} verifies. *)
+    The interprocedural CFG augments each function's flat CFG with call
+    edges; potential costs are annotated over it during pre-processing
+    (§3.4), callees before callers.  NFIR forbids recursion — the call
+    graph must be a DAG — which {!topo_order} verifies. *)
 
-type t
-
-val make : Cfg.t -> t
-(** @raise Invalid_argument if the call graph is recursive or a called
-    function is undefined. *)
-
-val program : t -> Cfg.t
-
-val callees : t -> string -> string list
-(** Functions directly called from [f] (deduplicated). *)
-
-val topo_order : t -> string list
+val topo_order : Cfg.t -> string list
 (** All function names, callees before callers; the entry function is
-    last. *)
+    last.
+    @raise Invalid_argument if the call graph is recursive or a called
+    function is undefined. *)

@@ -8,8 +8,7 @@ type region = {
   init : int -> int;
 }
 
-let region_size r = r.elem_width * r.count
-let region_end r = r.base + region_size r
+let region_end r = r.base + (r.elem_width * r.count)
 
 type spec = {
   s_name : string;
@@ -80,19 +79,19 @@ let create ~regions ~heap_bytes ~inject =
     heap_end = region_end heap;
   }
 
-let regions t = Array.to_list t.regions
-
-let find_region_opt t addr =
-  let n = Array.length t.regions in
-  let lo = ref 0 and hi = ref (n - 1) in
-  let found = ref None in
+(* Binary search over regions sorted by base: the index of the region
+   holding [addr], -1 for none.  An index, not an option, so that a flat
+   store's loads and stores allocate nothing. *)
+let region_index regions addr =
+  let lo = ref 0 and hi = ref (Array.length regions - 1) in
+  let found = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let r = t.regions.(mid) in
+    let r = Array.unsafe_get regions mid in
     if addr < r.base then hi := mid - 1
     else if addr >= region_end r then lo := mid + 1
     else begin
-      found := Some r;
+      found := mid;
       lo := !hi + 1
     end
   done;
@@ -103,19 +102,36 @@ let region_named t name =
   | Some r -> r
   | None -> raise Not_found
 
-let check_access r addr width =
+let out_of_bounds addr = Printf.sprintf "Memory: 0x%x out of bounds" addr
+
+(* Why an access of [width] bytes at [addr] is illegal in [r]; [None]
+   (nothing allocated) when it is legal. *)
+let access_error r addr width =
   if width <> r.elem_width then
-    Error
+    Some
       (Printf.sprintf "Memory: %d-byte access in region %s (elem width %d)"
          width r.name r.elem_width)
   else if (addr - r.base) mod r.elem_width <> 0 then
-    Error (Printf.sprintf "Memory: misaligned access 0x%x in region %s" addr r.name)
-  else Ok r
+    Some (Printf.sprintf "Memory: misaligned access 0x%x in region %s" addr r.name)
+  else None
+
+(* The heap cursor after allocating [bytes] at [heap_next]: allocations
+   round up to 64-byte (cache-line) multiples, so distinct nodes never
+   share a line. *)
+let bump_heap ~heap_base ~heap_next ~heap_end ~bytes =
+  let next = heap_next + round_up (max bytes 1) 64 in
+  if next > heap_end then
+    invalid_arg
+      (Printf.sprintf "Memory.alloc: heap exhausted (%d used of %d bytes)"
+         (heap_next - heap_base) (heap_end - heap_base));
+  next
 
 let locate t addr width =
-  match find_region_opt t addr with
-  | None -> Error (Printf.sprintf "Memory: 0x%x out of bounds" addr)
-  | Some r -> check_access r addr width
+  let i = region_index t.regions addr in
+  if i < 0 then Error (out_of_bounds addr)
+  else
+    let r = t.regions.(i) in
+    match access_error r addr width with Some msg -> Error msg | None -> Ok r
 
 let try_read t ~addr ~width =
   match locate t addr width with
@@ -138,25 +154,21 @@ let write t ~addr ~width v =
   | Ok t -> t
   | Error msg -> invalid_arg msg
 
-let try_alloc t ~bytes =
-  let bytes = round_up (max bytes 1) 64 in
-  if t.heap_next + bytes > t.heap_end then
-    Error
-      (Printf.sprintf "Memory.alloc: heap exhausted (%d used of %d bytes)"
-         (t.heap_next - t.heap_base)
-         (t.heap_end - t.heap_base))
-  else Ok ({ t with heap_next = t.heap_next + bytes }, t.heap_next)
-
 let alloc t ~bytes =
-  match try_alloc t ~bytes with Ok r -> r | Error msg -> invalid_arg msg
+  let heap_next =
+    bump_heap ~heap_base:t.heap_base ~heap_next:t.heap_next
+      ~heap_end:t.heap_end ~bytes
+  in
+  ({ t with heap_next }, t.heap_next)
+
+let try_alloc t ~bytes =
+  match alloc t ~bytes with r -> Ok r | exception Invalid_argument msg -> Error msg
 
 let heap_used t = t.heap_next - t.heap_base
 
 (* ------------------------------------------------------------------ *)
 (* Flat concrete store                                                  *)
 (* ------------------------------------------------------------------ *)
-
-type 'v mem = 'v t
 
 module Flat = struct
   (* Written cells live in a per-region mutable store; untouched cells
@@ -173,94 +185,46 @@ module Flat = struct
     | Dense of { values : int array; written : Bytes.t }
     | Sparse of (int, int) Hashtbl.t (* element index -> written value *)
 
-  type fregion = { r : region; store : store }
-
   type t = {
-    fregions : fregion array; (* sorted by base, heap included *)
+    regions : region array; (* the persistent store's, heap included *)
+    stores : store array; (* stores.(i) holds regions.(i)'s writes *)
     inject : int -> int;
     mutable heap_next : int;
     heap_base : int;
     heap_end : int;
   }
 
-  let of_memory (m : int mem) =
-    let fregions =
-      Array.map
-        (fun r ->
-          let store =
-            if r.count <= dense_max then
-              Dense
-                {
-                  values = Array.make r.count 0;
-                  written = Bytes.make ((r.count + 7) / 8) '\000';
-                }
-            else Sparse (Hashtbl.create 64)
-          in
-          { r; store })
-        m.regions
-    in
-    let t =
-      {
-        fregions;
-        inject = m.inject;
-        heap_next = m.heap_next;
-        heap_base = m.heap_base;
-        heap_end = m.heap_end;
-      }
-    in
-    (t, Imap.bindings m.overlay)
-
-  (* Binary search over the regions.  The hit is carried as an index, -1
-     for none: an option would allocate on every load and store. *)
-  let find t addr =
-    let n = Array.length t.fregions in
-    let lo = ref 0 and hi = ref (n - 1) in
-    let found = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let fr = Array.unsafe_get t.fregions mid in
-      if addr < fr.r.base then hi := mid - 1
-      else if addr >= region_end fr.r then lo := mid + 1
-      else begin
-        found := mid;
-        lo := !hi + 1
-      end
-    done;
-    if !found < 0 then
-      invalid_arg (Printf.sprintf "Memory: 0x%x out of bounds" addr);
-    Array.unsafe_get t.fregions !found
-
-  let checked_index fr addr width =
-    if width <> fr.r.elem_width then
-      invalid_arg
-        (Printf.sprintf "Memory: %d-byte access in region %s (elem width %d)"
-           width fr.r.name fr.r.elem_width)
-    else if (addr - fr.r.base) mod fr.r.elem_width <> 0 then
-      invalid_arg
-        (Printf.sprintf "Memory: misaligned access 0x%x in region %s" addr
-           fr.r.name)
-    else (addr - fr.r.base) / fr.r.elem_width
+  (* The index of the region a legal access reaches. *)
+  let locate t addr width =
+    let i = region_index t.regions addr in
+    if i < 0 then invalid_arg (out_of_bounds addr);
+    (match access_error (Array.unsafe_get t.regions i) addr width with
+    | Some msg -> invalid_arg msg
+    | None -> ());
+    i
 
   let read t ~addr ~width =
-    let fr = find t addr in
-    let idx = checked_index fr addr width in
-    match fr.store with
+    let i = locate t addr width in
+    let r = Array.unsafe_get t.regions i in
+    let idx = (addr - r.base) / r.elem_width in
+    match Array.unsafe_get t.stores i with
     | Dense { values; written } ->
         if
           Char.code (Bytes.unsafe_get written (idx lsr 3))
           land (1 lsl (idx land 7))
           <> 0
         then Array.unsafe_get values idx
-        else t.inject (fr.r.init idx)
+        else t.inject (r.init idx)
     | Sparse h -> (
         match Hashtbl.find_opt h idx with
         | Some v -> v
-        | None -> t.inject (fr.r.init idx))
+        | None -> t.inject (r.init idx))
 
   let write t ~addr ~width v =
-    let fr = find t addr in
-    let idx = checked_index fr addr width in
-    match fr.store with
+    let i = locate t addr width in
+    let r = Array.unsafe_get t.regions i in
+    let idx = (addr - r.base) / r.elem_width in
+    match Array.unsafe_get t.stores i with
     | Dense { values; written } ->
         Array.unsafe_set values idx v;
         let byte = idx lsr 3 in
@@ -270,26 +234,39 @@ module Flat = struct
     | Sparse h -> Hashtbl.replace h idx v
 
   let alloc t ~bytes =
-    let bytes = round_up (max bytes 1) 64 in
-    if t.heap_next + bytes > t.heap_end then
-      invalid_arg
-        (Printf.sprintf "Memory.alloc: heap exhausted (%d used of %d bytes)"
-           (t.heap_next - t.heap_base)
-           (t.heap_end - t.heap_base))
-    else begin
-      let base = t.heap_next in
-      t.heap_next <- t.heap_next + bytes;
-      base
-    end
-
-  let heap_used t = t.heap_next - t.heap_base
+    let base = t.heap_next in
+    t.heap_next <-
+      bump_heap ~heap_base:t.heap_base ~heap_next:base ~heap_end:t.heap_end
+        ~bytes;
+    base
 end
 
-let flat_of_memory m =
-  let t, overlay = Flat.of_memory m in
-  List.iter
-    (fun (addr, v) ->
-      let fr = Flat.find t addr in
-      Flat.write t ~addr ~width:fr.Flat.r.elem_width v)
-    overlay;
+let flat_of_memory (m : int t) =
+  let stores =
+    Array.map
+      (fun r ->
+        if r.count <= Flat.dense_max then
+          Flat.Dense
+            {
+              values = Array.make r.count 0;
+              written = Bytes.make ((r.count + 7) / 8) '\000';
+            }
+        else Flat.Sparse (Hashtbl.create 64))
+      m.regions
+  in
+  let t =
+    {
+      Flat.regions = m.regions;
+      stores;
+      inject = m.inject;
+      heap_next = m.heap_next;
+      heap_base = m.heap_base;
+      heap_end = m.heap_end;
+    }
+  in
+  Imap.iter
+    (fun addr v ->
+      let r = m.regions.(region_index m.regions addr) in
+      Flat.write t ~addr ~width:r.elem_width v)
+    m.overlay;
   t

@@ -20,9 +20,6 @@ type region = {
   init : int -> int;  (** element index -> initial value *)
 }
 
-val region_size : region -> int
-(** Size in bytes. *)
-
 val region_end : region -> int
 (** One past the last byte. *)
 
@@ -42,9 +39,6 @@ type 'v t
 val create : regions:spec list -> heap_bytes:int -> inject:(int -> 'v) -> 'v t
 (** Lays regions out sequentially (4KiB-aligned, starting at 1GiB) followed by
     the heap region. [inject] lifts initializer values into ['v]. *)
-
-val regions : 'v t -> region list
-(** All regions, including the heap, sorted by base address. *)
 
 val region_named : 'v t -> string -> region
 (** @raise Not_found if no region has that name. *)
@@ -79,16 +73,18 @@ val heap_used : 'v t -> int
 
 (** {2 Flat concrete store}
 
-    A mutable view for concrete replay: written cells live in a dense
-    per-region value array with a written bitmap, or, for regions of more
-    than 2^18 elements, in a hash table keyed by element index; untouched
-    cells still read through the region's lazy initializer — so
-    gigabyte-scale tables stay unmaterialized, while the hot path is an
-    array index instead of a persistent-map descent.  Loads and stores
-    allocate nothing outside the hash tables (a hit returns an option, a
-    first write adds a cell).  Same addressing discipline and error
-    messages as {!read}/{!write}/{!alloc}.  Because updates mutate in
-    place, a computation aborted mid-way (e.g. on
+    A mutable view for concrete replay over the persistent store's own
+    region array: written cells live in a dense per-region value array
+    with a written bitmap, or, for regions of more than 2^18 elements, in
+    a hash table keyed by element index; untouched cells still read
+    through the region's lazy initializer — so gigabyte-scale tables stay
+    unmaterialized, while the hot path is an array index instead of a
+    persistent-map descent.  Loads and stores allocate nothing outside the
+    hash tables (a hit returns an option, a first write adds a cell).
+    Both stores find a region by the same search and check an access and
+    bump the heap by the same rules, so {!Flat} accepts and refuses what
+    {!read}/{!write}/{!alloc} do, with the same messages.  Because updates
+    mutate in place, a computation aborted mid-way (e.g. on
     {!Interp.Budget_exhausted}) leaves its partial writes behind — use the
     persistent [t] where rollback-on-raise matters. *)
 module Flat : sig
@@ -100,11 +96,8 @@ module Flat : sig
   val alloc : t -> bytes:int -> int
   (** Bump allocation, 64-byte rounded, mutating the heap cursor.
       @raise Invalid_argument when the heap is exhausted. *)
-
-  val heap_used : t -> int
 end
 
 val flat_of_memory : int t -> Flat.t
-(** Materializes the region layout, heap cursor and current overlay of a
-    concrete memory into a flat store (the overlay is replayed as writes;
-    regions themselves stay lazy). *)
+(** A flat store over a concrete memory's own regions (still lazy), with
+    its heap cursor and its current overlay, replayed as writes. *)

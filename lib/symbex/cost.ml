@@ -84,7 +84,6 @@ let annotate_func ~m geom (f : Ir.Cfg.func) full_tbl =
   to_ret
 
 let annotate ?(m = 2) geom program =
-  let icfg = Ir.Icfg.make program in
   let full = Hashtbl.create 16 in
   let to_ret = Hashtbl.create 16 in
   List.iter
@@ -93,7 +92,7 @@ let annotate ?(m = 2) geom program =
       let arr = annotate_func ~m geom f full in
       Hashtbl.replace to_ret fname arr;
       Hashtbl.replace full fname (if Array.length arr > 0 then arr.(0) else 0))
-    (Ir.Icfg.topo_order icfg);
+    (Ir.Icfg.topo_order program);
   { m; full; to_ret }
 
 let full_cost t fname =

@@ -22,7 +22,7 @@
 type t
 
 val annotate : ?m:int -> Cache.Geometry.t -> Ir.Cfg.t -> t
-(** @raise Invalid_argument via {!Ir.Icfg.make} on recursive programs. *)
+(** @raise Invalid_argument via {!Ir.Icfg.topo_order} on recursive programs. *)
 
 val full_cost : t -> string -> int
 (** Estimated maximum entry-to-return cycles of a whole function. *)

@@ -40,22 +40,24 @@ let machine ?(slice_seed = 0) ?(prefetch = false) () =
   Cache.Probe.machine ~slice_seed ~vmem_seed:17 ~prefetch
     Cache.Geometry.xeon_e5_2667v2
 
+(* One NF or driver access through the cache hierarchy, charged to the
+   packet and attributed to the profiler site entered last. *)
+let charge machine ~cycles_acc ~misses_acc ~write vaddr =
+  let hit = Cache.Probe.access_virtual machine vaddr in
+  let lat = Cache.Hierarchy.latency machine.Cache.Probe.geom hit in
+  cycles_acc := !cycles_acc + lat;
+  if hit = Cache.Hierarchy.Dram then incr misses_acc;
+  if Obs.Profile.enabled () then
+    Obs.Profile.add_access ~write (profile_level hit) ~cycles:lat
+
 let create ?slice_seed ?prefetch ?(ddio = false) nf =
   let machine = machine ?slice_seed ?prefetch () in
-  let geom = machine.Cache.Probe.geom in
   let cycles_acc = ref 0 and misses_acc = ref 0 in
   let hooks =
     {
       Ir.Interp.on_access =
         (fun ~addr ~width:_ ~write ->
-          let hit = Cache.Probe.access_virtual machine addr in
-          let lat = Cache.Hierarchy.latency geom hit in
-          cycles_acc := !cycles_acc + lat;
-          if hit = Cache.Hierarchy.Dram then incr misses_acc;
-          (* Attributes to the site the executor entered for this
-             instruction. *)
-          if Obs.Profile.enabled () then
-            Obs.Profile.add_access ~write (profile_level hit) ~cycles:lat);
+          charge machine ~cycles_acc ~misses_acc ~write addr);
     }
   in
   let compiled = Ir.Compile.program nf.Nf.Nf_def.program in
@@ -76,15 +78,6 @@ let create ?slice_seed ?prefetch ?(ddio = false) nf =
     ddio;
   }
 
-(* One driver read through the cache hierarchy, charged like an NF load. *)
-let charge t vaddr =
-  let hit = Cache.Probe.access_virtual t.machine vaddr in
-  let lat = Cache.Hierarchy.latency t.machine.Cache.Probe.geom hit in
-  t.cycles_acc := !(t.cycles_acc) + lat;
-  if hit = Cache.Hierarchy.Dram then incr t.misses_acc;
-  if Obs.Profile.enabled () then
-    Obs.Profile.add_access ~write:false (profile_level hit) ~cycles:lat
-
 (* The per-packet DPDK path: poll the descriptor ring, then read the frame
    the NIC just DMA-wrote into the next mbuf (mandatory DRAM trip: the DMA
    invalidated that line). *)
@@ -98,7 +91,8 @@ let dpdk_path t =
     Obs.Profile.enter ~func:"<dpdk>" ~pc:0;
     Obs.Profile.add_exec ~instrs:overhead_instrs ~cycles:overhead_cycles
   end;
-  charge t desc;
+  charge t.machine ~cycles_acc:t.cycles_acc ~misses_acc:t.misses_acc
+    ~write:false desc;
   (* The DMA write lands just before the CPU read.  Without DDIO it goes to
      DRAM and invalidates the line; with DDIO the NIC writes straight into
      the cache, avoiding the previously mandatory miss — which improves all
@@ -106,7 +100,8 @@ let dpdk_path t =
   let paddr = Cache.Vmem.translate t.machine.Cache.Probe.vmem mbuf in
   if t.ddio then ignore (Cache.Hierarchy.access t.machine.Cache.Probe.hier paddr)
   else Cache.Hierarchy.invalidate_line t.machine.Cache.Probe.hier paddr;
-  charge t mbuf;
+  charge t.machine ~cycles_acc:t.cycles_acc ~misses_acc:t.misses_acc
+    ~write:false mbuf;
   t.cycles_acc := !(t.cycles_acc) + overhead_cycles
 
 let process t p =

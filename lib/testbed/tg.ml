@@ -10,7 +10,8 @@ type measurement = {
    [0, 1). *)
 let[@inline] tg_base_ns u = 3980.0 +. (-50.0 *. log (1.0 -. u))
 
-let clock_ghz = 3.3
+(* The clock of the machine every DUT runs on ({!Dut.machine}). *)
+let clock_ghz = Cache.Geometry.xeon_e5_2667v2.clock_ghz
 
 let measure ?(seed = 42) ?(samples = 20_000) ?prefetch ?ddio ?slice_seed nf w =
   (* Packet [i]'s TG-path noise is the first draw of its own index-derived

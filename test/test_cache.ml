@@ -231,6 +231,21 @@ let hierarchy_invalidate_line () =
   Alcotest.(check bool) "DRAM after invalidate" true
     (Cache.Hierarchy.access h 0x5000 = Cache.Hierarchy.Dram)
 
+(* L1d and L2 index by shift and mask, so a geometry they cannot index that
+   way is refused instead of silently mis-indexed. *)
+let hierarchy_refuses_non_pow2 () =
+  List.iter
+    (fun (msg, g) ->
+      Alcotest.check_raises msg (Invalid_argument ("Hierarchy.create: " ^ msg))
+        (fun () -> ignore (Cache.Hierarchy.create g)))
+    [
+      ("line size 48 is not a power of two", { geom with line = 48 });
+      ( "L1 set count 96 is not a power of two",
+        { geom with l1d = { size_kib = 48; ways = 8 } } );
+      ( "L2 set count 768 is not a power of two",
+        { geom with l2 = { size_kib = 384; ways = 8 } } );
+    ]
+
 let vmem_offset_preserved =
   QCheck.Test.make ~name:"vmem preserves bits 0-29" ~count:300
     (QCheck.int_range 0 ((1 lsl 34) - 1))
@@ -409,6 +424,8 @@ let tests =
     Alcotest.test_case "latencies" `Quick hierarchy_latencies_monotone;
     Alcotest.test_case "inclusive back-invalidation" `Quick hierarchy_inclusive_backinval;
     Alcotest.test_case "invalidate line" `Quick hierarchy_invalidate_line;
+    Alcotest.test_case "non-power-of-two geometry refused" `Quick
+      hierarchy_refuses_non_pow2;
     qtest vmem_offset_preserved;
     Alcotest.test_case "vmem stable" `Quick vmem_stable_mapping;
     Alcotest.test_case "vmem distinct" `Quick vmem_distinct_pages;

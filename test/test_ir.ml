@@ -143,6 +143,142 @@ let mem_read_write_roundtrip =
       let m = Ir.Memory.write m ~addr ~width:8 value in
       Ir.Memory.read m ~addr ~width:8 = value)
 
+(* ---------------- persistent vs flat store ---------------- *)
+
+type mem_op =
+  | Read of int * int  (* address, width *)
+  | Write of int * int * int  (* address, width, value *)
+  | Alloc of int  (* bytes *)
+
+let print_mem_op = function
+  | Read (a, w) -> Printf.sprintf "read 0x%x/%d" a w
+  | Write (a, w, v) -> Printf.sprintf "write 0x%x/%d := %d" a w v
+  | Alloc b -> Printf.sprintf "alloc %d" b
+
+(* A [width]-byte access somewhere in [regions], mostly legal: now and then
+   past a region's end, misaligned, of the wrong width, or anywhere in the
+   address space. *)
+let gen_access (regions : Ir.Memory.region list) =
+  let open QCheck.Gen in
+  let first = List.hd regions
+  and last = List.nth regions (List.length regions - 1) in
+  frequency
+    [
+      ( 1,
+        pair
+          (int_range (first.base - 64) (Ir.Memory.region_end last + 64))
+          (oneofl [ 1; 2; 4; 8 ]) );
+      ( 8,
+        let* (r : Ir.Memory.region) = oneofl regions in
+        let* k =
+          oneof
+            [
+              int_range 0 3;
+              int_range (r.count - 3) (r.count + 1);
+              int_range 0 (r.count + 1);
+            ]
+        and* off = frequency [ (6, return 0); (1, int_range 1 7) ]
+        and* width =
+          frequency [ (6, return r.elem_width); (1, oneofl [ 1; 2; 4; 8 ]) ]
+        in
+        return (r.base + (k * r.elem_width) + off, width) );
+    ]
+
+(* A region layout with every element width and both Flat representations
+   (dense up to 2^18 elements, sparse above) and a small heap, as a fresh
+   persistent store; the operations that build its overlay and heap cursor;
+   and the operations to apply to it and to its flat copy. *)
+let gen_store_case =
+  let open QCheck.Gen in
+  let* specs =
+    list_size (int_range 1 4)
+      (let* elem_width = oneofl [ 1; 2; 4; 8 ]
+       and* count =
+         oneof [ int_range 1 40; int_range ((1 lsl 18) + 1) ((1 lsl 18) + 40) ]
+       and* salt = int_range 0 0xffff in
+       return (elem_width, count, salt))
+  and* heap_bytes = oneofl [ 64; 128; 512 ] in
+  let specs =
+    List.mapi
+      (fun i (elem_width, count, salt) ->
+        Ir.Memory.array_spec ~name:(Printf.sprintf "r%d" i) ~elem_width ~count
+          ~init:(fun k -> (k * 7919) lxor salt)
+          ())
+      specs
+  in
+  let m = Ir.Memory.create ~regions:specs ~heap_bytes ~inject:Fun.id in
+  let regions =
+    List.map (Ir.Memory.region_named m)
+      (List.map (fun s -> s.Ir.Memory.s_name) specs @ [ "heap" ])
+  in
+  let gen_op =
+    frequency
+      [
+        (4, map (fun (a, w) -> Read (a, w)) (gen_access regions));
+        ( 3,
+          map2
+            (fun (a, w) v -> Write (a, w, v))
+            (gen_access regions) (int_range 0 1_000_000) );
+        (1, map (fun b -> Alloc b) (int_range 0 100));
+      ]
+  in
+  let* overlay = list_size (int_range 0 30) gen_op
+  and* ops = list_size (int_range 1 60) gen_op in
+  return (m, overlay, ops)
+
+(* One operation on each store: the value read, the address allocated or 0
+   for a write, or the error message; the persistent store also returns its
+   successor. *)
+let persistent_step m = function
+  | Read (addr, width) -> (Ir.Memory.try_read m ~addr ~width, m)
+  | Write (addr, width, v) -> (
+      match Ir.Memory.try_write m ~addr ~width v with
+      | Ok m -> (Ok 0, m)
+      | Error e -> (Error e, m))
+  | Alloc bytes -> (
+      match Ir.Memory.try_alloc m ~bytes with
+      | Ok (m, a) -> (Ok a, m)
+      | Error e -> (Error e, m))
+
+let flat_step flat op =
+  match
+    match op with
+    | Read (addr, width) -> Ir.Memory.Flat.read flat ~addr ~width
+    | Write (addr, width, v) ->
+        Ir.Memory.Flat.write flat ~addr ~width v;
+        0
+    | Alloc bytes -> Ir.Memory.Flat.alloc flat ~bytes
+  with
+  | v -> Ok v
+  | exception Invalid_argument msg -> Error msg
+
+(* [flat_of_memory] replays the overlay, and both stores share one region
+   lookup, one access check and one heap rule: every operation gives the
+   flat store the persistent store's value, address or error message. *)
+let stores_agree =
+  let print_ops ops = String.concat "; " (List.map print_mem_op ops) in
+  let show = function Ok v -> string_of_int v | Error e -> e in
+  QCheck.Test.make ~name:"Flat agrees with the persistent store" ~count:300
+    (QCheck.make
+       ~print:(fun (_, overlay, ops) ->
+         Printf.sprintf "overlay [%s]; ops [%s]" (print_ops overlay)
+           (print_ops ops))
+       gen_store_case)
+    (fun (m, overlay, ops) ->
+      let m = List.fold_left (fun m op -> snd (persistent_step m op)) m overlay in
+      let flat = Ir.Memory.flat_of_memory m in
+      List.fold_left
+        (fun m op ->
+          let expect, m = persistent_step m op in
+          let got = flat_step flat op in
+          if got <> expect then
+            QCheck.Test.fail_reportf "%s: persistent %s, flat %s"
+              (print_mem_op op) (show expect) (show got);
+          m)
+        m ops
+      |> ignore;
+      true)
+
 (* ---------------- lowering + interpreter ---------------- *)
 
 let run_program ?(args = []) prog fname =
@@ -301,7 +437,7 @@ let icfg_detects_recursion () =
       ]
   in
   let cfg = Ir.Lower.program prog in
-  match Ir.Icfg.make cfg with
+  match Ir.Icfg.topo_order cfg with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected recursion rejection"
 
@@ -314,9 +450,8 @@ let icfg_topo_order () =
         func "leaf" [] [ ret (i 1) ];
       ]
   in
-  let icfg = Ir.Icfg.make (Ir.Lower.program prog) in
   Alcotest.(check (list string)) "callees first" [ "leaf"; "mid"; "main" ]
-    (Ir.Icfg.topo_order icfg)
+    (Ir.Icfg.topo_order (Ir.Lower.program prog))
 
 let weight_counts_ops () =
   Alcotest.(check int) "simple assign" 1 (Ir.Cfg.weight (Ir.Cfg.Assign ("x", Const 1)));
@@ -465,6 +600,7 @@ let tests =
     Alcotest.test_case "alloc rounds to lines" `Quick mem_alloc_rounds_to_lines;
     Alcotest.test_case "alloc exhaustion" `Quick mem_alloc_exhaustion;
     qtest mem_read_write_roundtrip;
+    qtest stores_agree;
     Alcotest.test_case "interp arithmetic" `Quick interp_arithmetic;
     Alcotest.test_case "interp while" `Quick interp_while_loop;
     Alcotest.test_case "interp break" `Quick interp_break;
