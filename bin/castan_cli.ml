@@ -428,8 +428,21 @@ let dump_cmd =
 (* ---------------- experiment ---------------- *)
 
 let experiment_cmd =
+  (* Like an NF name, an unknown id is a usage error (exit 124). *)
+  let experiment_id =
+    let known = ("list" :: Castan.Harness.ids) @ [ "tables"; "figures"; "all" ] in
+    let parse s =
+      if List.mem s known then Ok s
+      else
+        Error
+          (`Msg
+            (Printf.sprintf "unknown experiment %S (known: %s)" s
+               (String.concat ", " known)))
+    in
+    Arg.conv (parse, Format.pp_print_string)
+  in
   let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID"
+    Arg.(required & pos 0 (some experiment_id) None & info [] ~docv:"ID"
            ~doc:"Experiment id, e.g. fig4 or table1 (or a group: tables, \
                  figures, all); `castan experiment list' enumerates them.")
   in
@@ -453,7 +466,6 @@ let experiment_cmd =
   in
   let run id config fail_fast jobs trace metrics log_level =
     set_jobs jobs;
-    Util.Resilience.reset ();
     Util.Resilience.set_fail_fast fail_fast;
     if id = "list" then
       List.iter
@@ -466,6 +478,13 @@ let experiment_cmd =
          ids need any: the manifest's experiments_timed. *)
       let timed = ref [] in
       let record id seconds = timed := (id, seconds) :: !timed in
+      (* The contained failures so far, from the campaign list and the
+         entries' results: the end-of-run summary. *)
+      let failures = ref [] in
+      let contain = function
+        | Ok _ -> ()
+        | Error f -> failures := f :: !failures
+      in
       install_telemetry ~trace ~metrics ~log_level ~manifest:(fun () ->
           let entry (id, seconds) =
             Obs.Json.Obj
@@ -476,7 +495,7 @@ let experiment_cmd =
             ~extra:[ ("experiments_timed", timed_json) ]
             ());
       (* Exit codes: 0 = clean, 2 = completed but degraded (failures were
-         contained and summarized), 1 = fatal (fail-fast or unknown id). *)
+         contained and summarized), 1 = fatal (fail-fast). *)
       match
         Obs.Trace.with_span "run"
           ~args:[ ("id", Obs.Json.Str id) ]
@@ -499,15 +518,18 @@ let experiment_cmd =
                   in
                   record "campaigns" dt;
                   Printf.eprintf "[campaigns done in %.1fs]\n%!" dt;
+                  List.iter (fun (_, r) -> contain r) campaigns;
                   campaigns
             in
             List.iter
               (fun i ->
-                record i (Castan.Harness.run_id config sets campaigns i))
+                let result, dt = Castan.Harness.run_id config sets campaigns i in
+                contain result;
+                record i dt)
               ids)
       with
       | () ->
-          let failures = Util.Resilience.recorded () in
+          let failures = !failures in
           let cuts = Symbex.Driver.deadline_cuts () in
           if failures <> [] || cuts > 0 then begin
             if failures <> [] then
@@ -519,8 +541,7 @@ let experiment_cmd =
             exit 2
           end
       | exception e ->
-          let failures = Util.Resilience.recorded () in
-          Castan.Report.print_failure_summary failures;
+          Castan.Report.print_failure_summary !failures;
           Printf.eprintf "castan: fatal: %s\n%!" (Printexc.to_string e);
           exit 1
     end

@@ -17,7 +17,7 @@ let () =
 
   (* One raw discovery run on a single page. *)
   let m = Cache.Probe.machine ~slice_seed:0 ~vmem_seed:1 geom in
-  let count = if smoke then 48 else 192 in
+  let count = 192 in
   let offsets = Cache.Contention.standard_offsets geom ~count in
   let pool = Array.map (fun o -> (1 lsl 30) + o) offsets in
   let t0 = Unix.gettimeofday () in
@@ -42,6 +42,7 @@ let () =
       sets
   in
   Printf.printf "ground-truth purity: %s\n%!" (if pure then "OK" else "FAILED");
+  if sets = [] || not pure then exit 1;
 
   (* The consistent model used by the analysis: several pages x reboots. *)
   let t1 = Unix.gettimeofday () in
@@ -56,4 +57,5 @@ let () =
   List.iter
     (fun (cls, members) ->
       Printf.printf "  class %d: %d page offsets\n" cls (List.length members))
-    (Cache.Contention.classes consistent)
+    (Cache.Contention.classes consistent);
+  if consistent.Cache.Contention.n_classes = 0 then exit 1

@@ -11,9 +11,13 @@ let () =
   let nf = Nf.Registry.find "lb-hash-ring" in
   let sets =
     if smoke then
-      Castan.Analyze.discover_contention_sets ~pool:64 ~pages:1 ~reboots:1 ()
+      Castan.Analyze.discover_contention_sets ~pool:192 ~pages:1 ~reboots:1 ()
     else Castan.Analyze.discover_contention_sets ()
   in
+  if sets.Cache.Contention.n_classes = 0 then begin
+    prerr_endline "contention discovery found no class";
+    exit 1
+  end;
   let config =
     {
       (Castan.Analyze.default_config

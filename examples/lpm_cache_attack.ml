@@ -15,9 +15,13 @@ let () =
   Printf.printf "discovering L3 contention sets...\n%!";
   let sets =
     if smoke then
-      Castan.Analyze.discover_contention_sets ~pool:64 ~pages:1 ~reboots:1 ()
+      Castan.Analyze.discover_contention_sets ~pool:192 ~pages:1 ~reboots:1 ()
     else Castan.Analyze.discover_contention_sets ()
   in
+  if sets.Cache.Contention.n_classes = 0 then begin
+    prerr_endline "contention discovery found no class";
+    exit 1
+  end;
   Printf.printf "  %d consistent sets\n%!" sets.Cache.Contention.n_classes;
 
   let config =

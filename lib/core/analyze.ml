@@ -162,15 +162,14 @@ let synthesize (nf : Nf.Nf_def.t) ~rng ~n_packets (s : Symbex.State.t) =
 let states_to_try = 16
 
 let run ~config:cfg (nf : Nf.Nf_def.t) =
-  (* Pin every id sequence an analysis consumes to its start: symbol,
-     state and fork ids become pure functions of the NF + config, so a
+  (* Pin every id sequence an analysis consumes to its start: symbol and
+     state ids become pure functions of the NF + config, so a
      campaign produces identical constraints (and ktest files) no matter
      what ran before it — serially or on a sibling pool worker.  This must
      happen before [fresh_symbolic_memory] below, which already allocates
      fresh symbols. *)
   Ir.Expr.reset_fresh ();
   Symbex.State.reset_ids ();
-  Symbex.Exec.reset_fork_ids ();
   let n_packets =
     match cfg.n_packets with Some n -> n | None -> nf.Nf.Nf_def.castan_packets
   in

@@ -31,8 +31,7 @@ let quick_config =
   }
 
 (* One NF campaign, split into guarded stages so a failure names where the
-   pipeline died.  The [checkpoint] calls are the fault-injection points:
-   no-ops unless a test installed an injector. *)
+   pipeline died. *)
 let run config ~cache name =
   let ( let* ) = Result.bind in
   let nf_arg = [ ("nf", Obs.Json.Str name) ] in
@@ -41,7 +40,6 @@ let run config ~cache name =
         Obs.Trace.with_span "stage.symbex" ~args:nf_arg @@ fun () ->
         Obs.Log.info "campaign %s: symbex (budget %d instrs)" name
           config.analysis_instrs;
-        Util.Resilience.checkpoint ~nf:name ~stage:"symbex" ();
         let nf = Nf.Registry.find name in
         let analysis_cfg =
           {
@@ -55,7 +53,6 @@ let run config ~cache name =
   Util.Resilience.guard ~nf:name ~stage:"testbed" (fun () ->
       Obs.Trace.with_span "stage.testbed" ~args:nf_arg @@ fun () ->
       Obs.Log.info "campaign %s: testbed (%d samples)" name config.samples;
-      Util.Resilience.checkpoint ~nf:name ~stage:"testbed" ();
       let shape = Testbed.Workload.shape nf.Nf.Nf_def.shape in
       let seed = config.seed in
       let samples = config.samples in

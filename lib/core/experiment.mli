@@ -44,8 +44,7 @@ val run :
     campaign under the cache model [cache], with every pipeline stage
     guarded: a failing NF comes back as [Error] naming the stage
     (["symbex"] or ["testbed"]) and the reason, so a table can render a
-    [failed:<stage>] cell and go on with the other NFs.  The failure is
-    also recorded for the end-of-run summary. *)
+    [failed:<stage>] cell and go on with the other NFs. *)
 
 type campaigns = (string * (nf_run, Util.Resilience.failure) result) list
 (** Campaign results keyed by NF name. *)

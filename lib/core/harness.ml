@@ -58,8 +58,8 @@ let figure_nfs = List.map (fun f -> (f.fid, f.nf_name)) figures
 let run_figure f _config _sets campaigns =
   match campaign campaigns f.nf_name with
   | Error fl ->
-      (* The figure degrades to a stub; the campaign's failure is already in
-         the resilience sink for the end-of-run summary. *)
+      (* The figure degrades to a stub; the campaign's failure reaches the
+         end-of-run summary from the campaign list. *)
       Printf.printf "\n== %s: %s ==\nfailed:%s (%s)\n" f.fid f.caption
         fl.Util.Resilience.stage fl.Util.Resilience.reason
   | Ok r -> (
@@ -468,7 +468,7 @@ let campaign_nfs ids =
     (fun acc n -> if List.mem n acc then acc else acc @ [ n ])
     [] (List.concat_map nf_of_id ids)
 
-let run_id config sets campaigns id : float =
+let run_id config sets campaigns id =
   match find id with
   | None ->
       invalid_arg
@@ -492,4 +492,4 @@ let run_id config sets campaigns id : float =
       | Ok () -> Printf.eprintf "[%s done in %.1fs]\n%!" id elapsed
       | Error f ->
           Printf.printf "[%s failed: %s]\n%!" id (Util.Resilience.to_string f));
-      elapsed
+      (result, elapsed)

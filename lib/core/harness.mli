@@ -35,17 +35,20 @@ val campaign_nfs : string list -> string list
 
 val run_id :
   Experiment.config -> Cache.Contention.t Lazy.t -> Experiment.campaigns ->
-  string -> float
+  string -> (unit, Util.Resilience.failure) result * float
 (** [run_id config sets campaigns id] runs one entry (guarded: a failing
-    entry prints [\[id failed: ...\]] and records the failure instead of
+    entry prints [\[id failed: ...\]] and returns the failure instead of
     raising, unless fail-fast is on) and prints a timing trailer to stderr;
-    returns the entry's wall time in seconds.  The trailer and the return
-    value both come from the {!Obs.Trace.timed} span the trace stream
-    records, so the three can never disagree.  A figure or table whose NF
-    is missing from [campaigns] fails with [Invalid_argument] naming the
-    NF, contained like any other failure.  The first entry to force [sets]
-    is charged for the discovery; if it raises, that entry fails and every
-    later force re-raises the same exception without probing again.
+    returns the entry's result and its wall time in seconds.  A figure or
+    table renders a failed campaign as a [failed:<stage>] cell and returns
+    [Ok ()]: that failure is the campaign list's to report.  The trailer
+    and the wall time both come from the {!Obs.Trace.timed} span the trace
+    stream records, so the three can never disagree.  A figure or table
+    whose NF is missing from [campaigns] fails with [Invalid_argument]
+    naming the NF, contained like any other failure.  The first entry to
+    force [sets] is charged for the discovery; if it raises, that entry
+    fails and every later force re-raises the same exception without
+    probing again.
     @raise Invalid_argument on unknown ids (message lists known ones). *)
 
 val figure_nfs : (string * string) list

@@ -117,6 +117,12 @@ let print_analysis_table ?(failed = []) runs =
   Util.Table.print ~header ~rows
 
 let print_failure_summary failures =
+  let failures =
+    List.sort
+      (fun (a : Util.Resilience.failure) b ->
+        compare (a.nf, a.stage, a.reason) (b.nf, b.stage, b.reason))
+      failures
+  in
   if failures <> [] then begin
     Printf.printf "\n== failure summary: %d contained failure(s) ==\n"
       (List.length failures);

@@ -53,4 +53,6 @@ val print_deviation_table :
 
 val print_failure_summary : Util.Resilience.failure list -> unit
 (** The end-of-run error report: per-stage failure counts followed by one
-    line per failure.  Prints nothing for an empty list. *)
+    line per failure, sorted by (NF, stage, reason) so the report does not
+    depend on the order the failures were collected in.  Prints nothing for
+    an empty list. *)

@@ -18,7 +18,7 @@ type repr =
          keys[starts.(h) .. starts.(h+1) - 1]; compact enough for the
          "a few million entries" tables the paper calls for *)
 
-type t = { hash : Ir.Hashes.t; ks : keyspace; repr : repr; entries : int }
+type t = { hash : Ir.Hashes.t; ks : keyspace; repr : repr }
 
 (* Column-salted reduction: maps a hash value to a key index.  Hash values
    are non-negative and [count] a power of two, so the mask is [mod count]
@@ -56,7 +56,7 @@ let build ~hash ~chains ~chain_len ks =
          in
          Hashtbl.replace ends e (start :: cur)))
     shards;
-  { hash; ks; repr = Chains { chain_len; ends }; entries = n }
+  { hash; ks; repr = Chains { chain_len; ends } }
 
 let build_exhaustive ~hash ks =
   let space = 1 lsl hash.Ir.Hashes.bits in
@@ -77,7 +77,7 @@ let build_exhaustive ~hash ks =
     keys.(cursor.(h)) <- k;
     cursor.(h) <- cursor.(h) + 1
   done;
-  { hash; ks; repr = Exhaustive { starts; keys }; entries = ks.count }
+  { hash; ks; repr = Exhaustive { starts; keys } }
 
 (* Walk a chain from [start_idx] through column [last] looking for a key
    whose hash is [h]. *)
@@ -123,9 +123,6 @@ let invert t h =
         | None -> ()
       done;
       List.rev !candidates
-
-let hash t = t.hash
-let entries t = t.entries
 
 let coverage_sample t ~samples =
   (* Sample [i] draws from its own index-derived stream ({!Util.Rng.split_ix}),

@@ -40,11 +40,6 @@ val invert : t -> int -> int list
     chains ending at that column's endpoint, last built first), taking the
     first key of each chain that hashes to [h], with duplicates dropped. *)
 
-val hash : t -> Ir.Hashes.t
-val entries : t -> int
-(** Number of (start, end) chain pairs, or key count for exhaustive
-    tables. *)
-
 val coverage_sample : t -> samples:int -> float
 (** Fraction of [samples] uniformly drawn hash values that {!invert}
     recovers; diagnostics for table quality. *)

@@ -80,5 +80,3 @@ let pp ppf p =
      else string_of_int p.proto)
 
 let to_string p = Format.asprintf "%a" pp p
-let compare = compare
-let equal a b = a = b

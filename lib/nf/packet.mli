@@ -45,5 +45,3 @@ val flow_key : t -> int
 val ip_to_string : int -> string
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-val compare : t -> t -> int
-val equal : t -> t -> bool

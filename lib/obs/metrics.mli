@@ -1,8 +1,7 @@
 (** Process-wide registry of monotonic counters.
 
-    Metrics are ambient (like the resilience failure sink): instrumented
-    modules create their counters once at module initialisation and bump
-    them unconditionally-cheaply.  Recording is gated on {!active}: when
+    Metrics are ambient: instrumented modules create their counters once
+    at module initialisation and bump them unconditionally-cheaply.  Recording is gated on {!active}: when
     inactive (the default), {!incr} reduces to a single [ref] read and the
     snapshot stays all-zero, so an un-instrumented run is bit-identical.
 

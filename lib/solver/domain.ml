@@ -23,7 +23,6 @@ let make ~lo ~hi ~step =
   { lo; hi; step }
 
 let const c = make ~lo:c ~hi:c ~step:1
-let interval ~lo ~hi = make ~lo ~hi ~step:1
 let of_width w = make ~lo:0 ~hi:((1 lsl w) - 1) ~step:1
 (* [top] must contain negative values: the bitwise fallbacks below reach for
    it when an operand may be negative, and an interval excluding the true
@@ -169,7 +168,3 @@ let iter d ?(limit = 1_000_000) f =
 let sample d rng =
   let n = cardinal d in
   if n = 1 then d.lo else d.lo + (Util.Rng.int rng n * d.step)
-
-let pp ppf d =
-  if d.lo = d.hi then Format.fprintf ppf "{%d}" d.lo
-  else Format.fprintf ppf "[%d..%d /%d]" d.lo d.hi d.step

@@ -15,7 +15,6 @@ val make : lo:int -> hi:int -> step:int -> t
     requires [lo <= hi]. *)
 
 val const : int -> t
-val interval : lo:int -> hi:int -> t
 val of_width : int -> t
 (** [of_width w] is [\[0, 2^w - 1\]]. *)
 
@@ -45,5 +44,3 @@ val iter : t -> ?limit:int -> (int -> unit) -> unit
 
 val sample : t -> Util.Rng.t -> int
 (** A uniformly random member. *)
-
-val pp : Format.formatter -> t -> unit

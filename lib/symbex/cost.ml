@@ -1,10 +1,7 @@
 type t = {
-  m : int;
   full : (string, int) Hashtbl.t;
   to_ret : (string, int array) Hashtbl.t;
 }
-
-let m t = t.m
 
 (* Maximum-cost path from each pc to the return, bounding loop-head
    repetitions by [m].  Memoized on (pc, encoded loop-head context): in a
@@ -93,7 +90,7 @@ let annotate ?(m = 2) geom program =
       Hashtbl.replace to_ret fname arr;
       Hashtbl.replace full fname (if Array.length arr > 0 then arr.(0) else 0))
     (Ir.Icfg.topo_order program);
-  { m; full; to_ret }
+  { full; to_ret }
 
 let full_cost t fname =
   match Hashtbl.find_opt t.full fname with Some c -> c | None -> 0

@@ -30,5 +30,3 @@ val full_cost : t -> string -> int
 val to_return : t -> func:string -> pc:int -> int
 (** Estimated maximum cycles from the instruction at [pc] (inclusive) to the
     function's return. *)
-
-val m : t -> int

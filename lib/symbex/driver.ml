@@ -56,7 +56,7 @@ let run program ~mem ~cache config =
   let annot = Cost.annotate ~m:config.m config.geom program in
   let searcher = Searcher.create config.strategy ~annot in
   let start = Unix.gettimeofday () in
-  let deadline = Util.Resilience.deadline_in config.time_budget in
+  let deadline = start +. config.time_budget in
   let explored = ref 0
   and forks = ref 0
   and killed = ref 0
@@ -78,7 +78,7 @@ let run program ~mem ~cache config =
      cannot overshoot [time_budget].  Once tripped, the flag is sticky. *)
   let deadline_hit = ref false in
   let deadline_expired () =
-    if not !deadline_hit then deadline_hit := Util.Resilience.expired deadline;
+    if not !deadline_hit then deadline_hit := Unix.gettimeofday () >= deadline;
     !deadline_hit
   in
   let out_of_budget () =

@@ -79,19 +79,6 @@ let charge (t : State.t) instr ?(mem_latency = 0) ?(load = false)
     steps = t.steps + 1;
   }
 
-(* Forked children get distinct ids for diagnostics.  Domain-local (plus a
-   per-analysis reset) for the same reason as [State.fresh_id]: ids must
-   depend only on the NF, not on sibling analyses in a pool campaign. *)
-let fork_counter : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 1_000_000)
-
-let reset_fork_ids () = Domain.DLS.get fork_counter := 1_000_000
-
-let fresh_fork_id () =
-  let r = Domain.DLS.get fork_counter in
-  incr r;
-  !r
-
 (* Pointers whose constrained domain is this small fork one state per
    feasible target — standard KLEE behaviour for tiny resolutions (a trie
    node's two children).  Anything larger goes through the cache model's
@@ -139,7 +126,7 @@ let access (t : State.t) addr_e ~kind finish =
             let cache, o = Cache.Model.access_concrete t.cache v in
             {
               (finish { t with cache } o.addr o.latency o.miss (Some c)) with
-              id = fresh_fork_id ();
+              id = State.fresh_id ();
             })
           targets
       in
@@ -226,9 +213,9 @@ and step_instr (t : State.t) frame instr : step_result =
             | false, true -> Running (mk not_taken_c if_false)
             | false, false -> Killed (t, Infeasible_branch)
             | true, true ->
-                let taken = { (mk taken_c if_true) with id = fresh_fork_id () } in
+                let taken = { (mk taken_c if_true) with id = State.fresh_id () } in
                 let not_taken =
-                  { (mk not_taken_c if_false) with id = fresh_fork_id () }
+                  { (mk not_taken_c if_false) with id = State.fresh_id () }
                 in
                 (* At a loop head, the taken branch is "one more iteration" —
                    the SEE greedily explores it (§3.4). *)

@@ -35,9 +35,6 @@ val reason_is_fault : kill_reason -> bool
     (budget, infeasibility).  Any fault kill marks the driver run
     degraded. *)
 
-val reset_fork_ids : unit -> unit
-(** Resets this domain's fork-id counter (see {!State.reset_ids}). *)
-
 type step_result =
   | Running of State.t
   | Forked of fork

@@ -123,10 +123,3 @@ let priority t annot = current_cost t + potential t annot
 let all_metrics t =
   let completed = List.rev t.done_metrics in
   if t.finished then completed else completed @ [ t.cur ]
-
-let pp ppf t =
-  Format.fprintf ppf "state#%d pkt=%d/%d %s pc=%s:%d cost=%d pcs=%d" t.id
-    t.pkt t.n_packets
-    (if t.finished then "done" else "live")
-    t.frame.func.Ir.Cfg.fname t.frame.pc (current_cost t)
-    (Solver.Pc.length t.pcs)

@@ -51,6 +51,11 @@ val reset_ids : unit -> unit
     the start of every analysis so ids depend only on the NF, not on what
     was explored before (or concurrently on other pool workers). *)
 
+val fresh_id : unit -> int
+(** The next id of this domain's counter: {!initial} and
+    [Exec]'s forked children take theirs from it.  An id only labels the
+    [symbex.slice] and [symbex.packet_done] trace spans. *)
+
 val initial :
   Ir.Cfg.t -> cache:Cache.Model.t -> n_packets:int -> mem:Ir.Expr.sexpr Ir.Memory.t -> t
 (** The entry function's parameters must be named after packet fields
@@ -80,5 +85,3 @@ val priority : t -> Cost.t -> int
 
 val all_metrics : t -> metrics list
 (** Per-packet metrics, oldest first, including the in-progress packet. *)
-
-val pp : Format.formatter -> t -> unit

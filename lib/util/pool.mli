@@ -11,8 +11,8 @@
       special case of its own: [castan experiment] runs its campaigns
       through one [map] at every job count ([Castan.Experiment.run_all]).
     - Telemetry needs no merging.  [Obs.Metrics] counters are atomic
-      sums, [Util.Resilience.recorded] sorts its failures, and the trace
-      sink and the log write whole lines under a lock.  The profiler
+      sums, and the trace sink and the log write whole lines under a lock.
+      A contained failure is a value in its task's result.  The profiler
       records on the main domain only.  Trace and log lines from
       concurrent tasks interleave; nothing reads their order.
     - If tasks raise, every task still runs to completion and the

@@ -218,19 +218,15 @@ let harness_campaign_nfs () =
   Alcotest.(check (list string)) "ablations need no campaign" []
     (Castan.Harness.campaign_nfs
        [ "ablation-prefetch"; "ablation-rainbow"; "discussion-wcet" ]);
-  Util.Resilience.reset ();
-  Fun.protect ~finally:Util.Resilience.reset (fun () ->
-      ignore
-        (Castan.Harness.run_id Castan.Experiment.quick_config no_sets []
-           "fig4"
-          : float);
-      match Util.Resilience.recorded () with
-      | [ f ] ->
-          Alcotest.(check string) "the failure names the NF"
-            (Printexc.to_string
-               (Invalid_argument "Harness: no campaign for lpm-1stage-dl"))
-            f.Util.Resilience.reason
-      | l -> Alcotest.failf "expected one failure, got %d" (List.length l))
+  match
+    Castan.Harness.run_id Castan.Experiment.quick_config no_sets [] "fig4"
+  with
+  | Error f, _ ->
+      Alcotest.(check string) "the failure names the NF"
+        (Printexc.to_string
+           (Invalid_argument "Harness: no campaign for lpm-1stage-dl"))
+        f.Util.Resilience.reason
+  | Ok (), _ -> Alcotest.fail "expected the entry to fail"
 
 let ktest_output_well_formed () =
   let _, o = quick_analysis ~n:4 "lpm-btrie" in
@@ -255,33 +251,30 @@ let harness_fast_experiments_run () =
   (* the machine-feature ablations are cheap end to end; smoke them.  They
      analyze nothing, so they must not discover. *)
   let config = { Castan.Experiment.quick_config with samples = 1000 } in
-  Util.Resilience.reset ();
-  Fun.protect ~finally:Util.Resilience.reset (fun () ->
-      ignore (Castan.Harness.run_id config no_sets [] "ablation-prefetch" : float);
-      ignore (Castan.Harness.run_id config no_sets [] "ablation-ddio" : float);
-      Alcotest.(check (list string)) "no failure" []
-        (List.map Util.Resilience.to_string (Util.Resilience.recorded ())))
+  List.iter
+    (fun id ->
+      match Castan.Harness.run_id config no_sets [] id with
+      | Ok (), _ -> ()
+      | Error f, _ -> Alcotest.fail (Util.Resilience.to_string f))
+    [ "ablation-prefetch"; "ablation-ddio" ]
 
 (* A discovery that raises fails, contained, each entry that forces it,
    and runs once: a forced [lazy] re-raises the exception it stored. *)
 let harness_failed_discovery_contained () =
   let runs = ref 0 in
   let sets = lazy (incr runs; failwith "probing failed") in
-  Util.Resilience.reset ();
-  Fun.protect ~finally:Util.Resilience.reset (fun () ->
-      List.iter
-        (fun id ->
-          ignore
-            (Castan.Harness.run_id Castan.Experiment.quick_config sets [] id
-              : float))
-        [ "ablation-cpu-transfer"; "discussion-mixed-traffic" ];
-      Alcotest.(check int) "discovered once" 1 !runs;
-      Alcotest.(check (list string)) "both entries failed"
-        [ "experiment:ablation-cpu-transfer";
-          "experiment:discussion-mixed-traffic" ]
-        (List.map
-           (fun f -> f.Util.Resilience.stage)
-           (Util.Resilience.recorded ())))
+  let stages =
+    List.map
+      (fun id ->
+        match Castan.Harness.run_id Castan.Experiment.quick_config sets [] id with
+        | Error f, _ -> f.Util.Resilience.stage
+        | Ok (), _ -> "ok")
+      [ "ablation-cpu-transfer"; "discussion-mixed-traffic" ]
+  in
+  Alcotest.(check int) "discovered once" 1 !runs;
+  Alcotest.(check (list string)) "both entries failed"
+    [ "experiment:ablation-cpu-transfer"; "experiment:discussion-mixed-traffic" ]
+    stages
 
 let tests =
   [

@@ -264,26 +264,6 @@ let telemetry_off_vs_on_identical () =
   Alcotest.(check int) "same predicted cost" (fst off) (fst on);
   Alcotest.(check (list string)) "same workload" (snd off) (snd on)
 
-let injection_pattern_unchanged_by_telemetry () =
-  (* the fault-injection RNG stream depends only on the stage sequence, so
-     enabling telemetry must reproduce the exact same failure pattern *)
-  let fire_pattern () =
-    Util.Resilience.set_injection
-      (Some (Util.Resilience.inject ~rate:0.3 ~seed:1234));
-    Fun.protect
-      ~finally:(fun () -> Util.Resilience.set_injection None)
-      (fun () ->
-        List.init 200 (fun k ->
-            match
-              Util.Resilience.checkpoint ~stage:(Printf.sprintf "s%d" k) ()
-            with
-            | () -> false
-            | exception _ -> true))
-  in
-  let off = fire_pattern () in
-  let on = with_metrics fire_pattern in
-  Alcotest.(check (list bool)) "identical fault pattern" off on
-
 let tests =
   [
     Alcotest.test_case "json: roundtrip" `Quick json_roundtrip;
@@ -300,6 +280,4 @@ let tests =
       driver_kill_and_degraded_counters;
     Alcotest.test_case "no perturbation: analysis identical" `Slow
       telemetry_off_vs_on_identical;
-    Alcotest.test_case "no perturbation: injection pattern" `Quick
-      injection_pattern_unchanged_by_telemetry;
   ]

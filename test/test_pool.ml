@@ -108,29 +108,6 @@ let metrics_merge_deterministic () =
   Alcotest.(check string) "serial and -j4 snapshots are byte-identical"
     (metrics_snapshot_with 1) (metrics_snapshot_with 4)
 
-(* Recorded in reverse stage order, so only the sort can make the lists
-   equal. *)
-let resilience_sink_with jobs =
-  Util.Resilience.reset ();
-  Util.Pool.run ~jobs
-    (List.init 8 (fun i () ->
-         Util.Resilience.record
-           (Util.Resilience.failure
-              ~stage:(Printf.sprintf "s%d" (7 - i))
-              "boom")));
-  let stages =
-    List.map (fun f -> f.Util.Resilience.stage) (Util.Resilience.recorded ())
-  in
-  Util.Resilience.reset ();
-  stages
-
-let resilience_sink_order_deterministic () =
-  Alcotest.(check (list string)) "same failure list at -j 1 and -j 4"
-    (resilience_sink_with 1) (resilience_sink_with 4);
-  Alcotest.(check (list string)) "sorted by stage"
-    (List.init 8 (Printf.sprintf "s%d"))
-    (resilience_sink_with 4)
-
 (* Small campaigns (a 5,000-instruction budget, no contention model): each
    is a function of its config, so neither its results nor the counters it
    bumps may depend on how many domains ran them. *)
@@ -164,19 +141,19 @@ let counters_at jobs =
       in
       (Obs.Json.to_string (Obs.Metrics.snapshot ()), runs))
 
-(* At rate 1.0 every checkpoint fires, so which campaign fails where
-   cannot depend on scheduling. *)
+(* Real failures, one per stage: an unknown NF fails its symbex stage, and
+   a negative sample count fails each real NF's testbed stage after its
+   analysis ran.  A failure is a value of its campaign alone, so the
+   records must be equal under [=] whichever domain raised them. *)
 let failures_at jobs =
-  Util.Resilience.reset ();
-  Util.Resilience.set_injection
-    (Some (Util.Resilience.inject ~rate:1.0 ~seed:7));
-  Fun.protect
-    ~finally:(fun () ->
-      Util.Resilience.set_injection None;
-      Util.Resilience.reset ())
-    (fun () ->
-      ignore (campaigns_at jobs : _ list);
-      Util.Resilience.recorded ())
+  Util.Pool.map ~jobs
+    (Castan.Experiment.run
+       { campaign_config with samples = -1; analysis_instrs = 500 }
+       ~cache:Baseline)
+    ("no-such-nf" :: campaign_nfs)
+  |> List.map (function
+       | Ok _ -> Alcotest.fail "expected a failed campaign"
+       | Error f -> f)
 
 let campaign_telemetry_jobs_invariant () =
   let counters1, runs1 = counters_at 1 in
@@ -197,8 +174,9 @@ let campaign_telemetry_jobs_invariant () =
         (r1.rows = r4.rows))
     runs1 runs4;
   let f1 = failures_at 1 and f4 = failures_at 4 in
-  Alcotest.(check int) "every campaign failed" (List.length campaign_nfs)
-    (List.length f1);
+  Alcotest.(check (list string)) "symbex, then testbed failures"
+    ("symbex" :: List.map (fun _ -> "testbed") campaign_nfs)
+    (List.map (fun f -> f.Util.Resilience.stage) f1);
   Alcotest.(check (list string)) "same failure list at -j 1 and -j 4"
     (List.map Util.Resilience.to_string f1)
     (List.map Util.Resilience.to_string f4);
@@ -242,8 +220,6 @@ let tests =
       split_ix_children_distinct;
     Alcotest.test_case "metrics merge is deterministic" `Quick
       metrics_merge_deterministic;
-    Alcotest.test_case "resilience sink order is deterministic" `Quick
-      resilience_sink_order_deterministic;
     Alcotest.test_case "nested pool falls back to sequential" `Quick
       nested_pool_falls_back_sequential;
     Alcotest.test_case "pool stats count tasks" `Quick stats_count_tasks;

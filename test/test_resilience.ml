@@ -1,34 +1,26 @@
-(* Tests for the resilience layer: guards, fault injection, structured kill
-   accounting and the safety deadline in the driver, and per-NF isolation
-   of the experiment harness under injected faults. *)
+(* Tests for the resilience layer: guards, structured kill accounting and
+   the safety deadline in the driver, and per-NF isolation of the
+   experiment harness under real failures. *)
 
 open Ir.Dsl
 
 let geom = Cache.Geometry.xeon_e5_2667v2
 
-(* ---------------- guards and the failure sink ---------------- *)
+(* ---------------- guards ---------------- *)
 
 let guard_contains_and_records () =
-  Util.Resilience.reset ();
-  let r =
-    Util.Resilience.guard ~nf:"lpm-btrie" ~stage:"solving" (fun () ->
-        failwith "boom")
-  in
-  (match r with
+  (match
+     Util.Resilience.guard ~nf:"lpm-btrie" ~stage:"solving" (fun () ->
+         failwith "boom")
+   with
   | Ok _ -> Alcotest.fail "expected containment"
   | Error f ->
-      Alcotest.(check string) "stage" "solving" f.Util.Resilience.stage;
-      Alcotest.(check (option string)) "nf" (Some "lpm-btrie") f.Util.Resilience.nf;
-      Alcotest.(check bool) "reason carries the exception" true
-        (String.length f.Util.Resilience.reason > 0));
-  Alcotest.(check int) "recorded once" 1
-    (List.length (Util.Resilience.recorded ()));
-  Alcotest.(check bool) "ok path records nothing" true
-    (Util.Resilience.guard ~stage:"s" (fun () -> 42) = Ok 42);
-  Alcotest.(check int) "still one" 1 (List.length (Util.Resilience.recorded ()));
-  Util.Resilience.reset ();
-  Alcotest.(check int) "reset clears" 0
-    (List.length (Util.Resilience.recorded ()))
+      Alcotest.(check bool) "the failure records stage, NF and reason" true
+        (f
+        = Util.Resilience.failure ~nf:"lpm-btrie" ~stage:"solving"
+            (Printexc.to_string (Failure "boom"))));
+  Alcotest.(check bool) "ok path passes the value through" true
+    (Util.Resilience.guard ~stage:"s" (fun () -> 42) = Ok 42)
 
 let guard_fail_fast_reraises () =
   Util.Resilience.set_fail_fast true;
@@ -38,56 +30,6 @@ let guard_fail_fast_reraises () =
       match Util.Resilience.guard ~stage:"s" (fun () -> failwith "boom") with
       | exception Failure _ -> ()
       | Ok _ | Error _ -> Alcotest.fail "fail-fast must re-raise")
-
-let deadline_basics () =
-  let d = Util.Resilience.deadline_in 0.0 in
-  Alcotest.(check bool) "zero deadline expired" true (Util.Resilience.expired d);
-  let d = Util.Resilience.deadline_in 3600.0 in
-  Alcotest.(check bool) "far deadline alive" false (Util.Resilience.expired d)
-
-(* ---------------- fault injection ---------------- *)
-
-let count_fires rate seed n =
-  Util.Resilience.set_injection
-    (Some (Util.Resilience.inject ~rate ~seed));
-  Fun.protect
-    ~finally:(fun () -> Util.Resilience.set_injection None)
-    (fun () ->
-      let fired = ref 0 in
-      for _ = 1 to n do
-        match Util.Resilience.checkpoint ~stage:"t" () with
-        | () -> ()
-        | exception Util.Resilience.Injected _ -> incr fired
-      done;
-      !fired)
-
-let injection_rates () =
-  Alcotest.(check int) "rate 0 never fires" 0 (count_fires 0.0 42 1000);
-  Alcotest.(check int) "rate 1 always fires" 100 (count_fires 1.0 42 100);
-  let a = count_fires 0.3 42 1000 in
-  let b = count_fires 0.3 42 1000 in
-  Alcotest.(check int) "deterministic from the seed" a b;
-  Alcotest.(check bool)
-    (Printf.sprintf "rate 0.3 fires ~300/1000 (got %d)" a)
-    true
-    (a > 200 && a < 400)
-
-let injected_failure_carries_stage () =
-  Util.Resilience.set_injection (Some (Util.Resilience.inject ~rate:1.0 ~seed:1));
-  Fun.protect
-    ~finally:(fun () -> Util.Resilience.set_injection None)
-    (fun () ->
-      Util.Resilience.reset ();
-      match
-        Util.Resilience.guard ~nf:"x" ~stage:"outer" (fun () ->
-            Util.Resilience.checkpoint ~nf:"x" ~stage:"inner" ();
-            0)
-      with
-      | Ok _ -> Alcotest.fail "rate 1.0 must fire"
-      | Error f ->
-          (* the failure names the checkpoint, not the enclosing guard *)
-          Alcotest.(check string) "injection stage" "inner" f.Util.Resilience.stage;
-          Util.Resilience.reset ())
 
 (* ---------------- driver kill accounting ---------------- *)
 
@@ -230,58 +172,51 @@ let contention_load_errors () =
   | Error e -> Alcotest.fail ("unexpected error: " ^ e));
   Sys.remove path
 
-(* ---------------- per-NF isolation under injected faults ---------------- *)
+(* ---------------- per-NF isolation under real failures ---------------- *)
 
-let injection_config =
-  {
-    Castan.Experiment.quick_config with
-    samples = 401;
-    analysis_instrs = 3_000;
-  }
-
-let harness_tables_survive_injection () =
-  Util.Resilience.reset ();
-  Util.Resilience.set_injection
-    (Some (Util.Resilience.inject ~rate:0.3 ~seed:42));
-  Fun.protect
-    ~finally:(fun () ->
-      Util.Resilience.set_injection None;
-      Util.Resilience.reset ())
-    (fun () ->
-      let nfs = List.filter (fun n -> n <> "nop") Nf.Registry.names in
-      (* every NF is either a valid campaign or a structured failure — by
-         construction of the result type an exception escaping a campaign
-         would have aborted the test *)
-      let campaigns =
-        Castan.Experiment.run_all injection_config ~cache:Baseline nfs
-      in
-      let failed = List.filter (fun (_, r) -> Result.is_error r) campaigns in
-      Alcotest.(check bool)
-        (Printf.sprintf "rate 0.3 fails some NFs (got %d/%d)"
-           (List.length failed) (List.length nfs))
-        true
-        (failed <> []);
-      List.iter
-        (fun (_, r) ->
-          match r with
-          | Ok _ -> ()
-          | Error f ->
-              Alcotest.(check bool) "failure names a pipeline stage" true
-                (List.mem f.Util.Resilience.stage [ "symbex"; "testbed" ]))
-        campaigns;
-      (* failures are recorded for the end-of-run summary *)
-      Alcotest.(check int) "one record per failed NF"
-        (List.length failed) (List.length (Util.Resilience.recorded ()));
-      (* the tables render with failed:<stage> cells instead of raising *)
-      let no_sets = lazy (Alcotest.fail "tables discover nothing") in
-      ignore
-        (Castan.Harness.run_id injection_config no_sets campaigns "table1"
-          : float);
-      ignore
-        (Castan.Harness.run_id injection_config no_sets campaigns "table4"
-          : float);
-      (* the failure summary renders *)
-      Castan.Report.print_failure_summary (Util.Resilience.recorded ()))
+(* Two real failures: an unknown NF fails its campaign's symbex stage, and
+   a negative sample count fails lpm-btrie's testbed stage after its
+   analysis ran ([Dut.replay]'s [Array.make] raises).  The tables then
+   render a campaign list of those and of failures built as values, with a
+   [failed:<stage>] cell per NF, and no entry fails. *)
+let harness_tables_survive_failures () =
+  let config =
+    { Castan.Experiment.quick_config with samples = -1; analysis_instrs = 500 }
+  in
+  let real =
+    Castan.Experiment.run_all config ~cache:Baseline
+      [ "no-such-nf"; "lpm-btrie" ]
+  in
+  let failures =
+    List.map
+      (function
+        | _, Ok _ -> Alcotest.fail "expected a failed campaign"
+        | _, Error f -> f)
+      real
+  in
+  Alcotest.(check (list (pair (option string) string)))
+    "each failure names its NF and stage"
+    [ (Some "no-such-nf", "symbex"); (Some "lpm-btrie", "testbed") ]
+    (List.map
+       (fun f -> (f.Util.Resilience.nf, f.Util.Resilience.stage))
+       failures);
+  let campaigns =
+    List.map
+      (fun n ->
+        match List.assoc_opt n real with
+        | Some r -> (n, r)
+        | None ->
+            (n, Error (Util.Resilience.failure ~nf:n ~stage:"symbex" "built")))
+      (List.filter (fun n -> n <> "nop") Nf.Registry.names)
+  in
+  let no_sets = lazy (Alcotest.fail "tables discover nothing") in
+  List.iter
+    (fun id ->
+      match Castan.Harness.run_id config no_sets campaigns id with
+      | Ok (), _ -> ()
+      | Error f, _ -> Alcotest.fail (Util.Resilience.to_string f))
+    (Castan.Harness.expand_id "tables" @ [ "fig7" ]);
+  Castan.Report.print_failure_summary failures
 
 let expand_id_groups () =
   Alcotest.(check (list string)) "tables"
@@ -299,9 +234,6 @@ let tests =
   [
     Alcotest.test_case "guard contains + records" `Quick guard_contains_and_records;
     Alcotest.test_case "guard fail-fast re-raises" `Quick guard_fail_fast_reraises;
-    Alcotest.test_case "deadline basics" `Quick deadline_basics;
-    Alcotest.test_case "injection rates" `Quick injection_rates;
-    Alcotest.test_case "injected failure stage" `Quick injected_failure_carries_stage;
     Alcotest.test_case "driver: heap exhaustion kills state" `Quick
       driver_survives_heap_exhaustion;
     Alcotest.test_case "driver: OOB load kills state" `Quick
@@ -311,7 +243,7 @@ let tests =
     Alcotest.test_case "driver: deadline cut is degraded" `Quick
       driver_deadline_cut;
     Alcotest.test_case "contention load errors" `Quick contention_load_errors;
-    Alcotest.test_case "tables survive fault injection" `Slow
-      harness_tables_survive_injection;
+    Alcotest.test_case "tables survive fault injection" `Quick
+      harness_tables_survive_failures;
     Alcotest.test_case "expand_id groups" `Quick expand_id_groups;
   ]
